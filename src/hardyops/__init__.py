@@ -1,7 +1,7 @@
 """Numerics for Hardy operators on the half-space.
 
 Modules:
-    specfun   -- self-contained log-Gamma / Gamma / Beta / scaled Bessel I.
+    specfun   -- DomainError and sin(pi x) with exact zeros.
     coupling  -- coupling constant C(p), sharp constant, exponent inversion.
     kernels   -- exact heat kernels (second-order case) and envelope formulas.
     discrete  -- graded-mesh 1D discretization and spectral calculus.

@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

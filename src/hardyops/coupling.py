@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from hardyops.specfun import DomainError, _sinpi, gamma_signed, ln_gamma
+from hardyops.specfun import DomainError, _sinpi
 
 # Coupling values computed by callers incur rounding near lambda_star; accept
 # them within this absolute slack instead of rejecting.
@@ -46,16 +46,10 @@ def normalization_A(d: int, alpha: float) -> float:
         math.log(alpha)
         - (1.0 - alpha) * math.log(2.0)
         - 0.5 * d * math.log(math.pi)
-        + ln_gamma(0.5 * (d + alpha))
-        - ln_gamma(1.0 - 0.5 * alpha)
+        + math.lgamma(0.5 * (d + alpha))
+        - math.lgamma(1.0 - 0.5 * alpha)
     )
     return math.exp(log_val)
-
-
-def normalization_A1_reduced(alpha: float) -> float:
-    """One-dimensional reduced form sin(pi*alpha/2) * Gamma(alpha+1) / pi."""
-    _check_alpha(alpha, include_two=False)
-    return _sinpi(0.5 * alpha) * math.exp(ln_gamma(alpha + 1.0)) / math.pi
 
 
 def lambda_star(alpha: float) -> float:
@@ -63,9 +57,9 @@ def lambda_star(alpha: float) -> float:
     _check_alpha(alpha, include_two=True)
     if alpha == 2.0:
         return -0.25
-    g = math.exp(ln_gamma(0.5 * (1.0 + alpha)))
+    g = math.gamma(0.5 * (1.0 + alpha))
     return -(g / math.pi) * (g - 2.0 ** (alpha - 1.0) * math.sqrt(math.pi)
-                             / gamma_signed(1.0 - 0.5 * alpha))
+                             / math.gamma(1.0 - 0.5 * alpha))
 
 
 def coupling_C(alpha: float, p: float) -> float:
@@ -78,9 +72,10 @@ def coupling_C(alpha: float, p: float) -> float:
     _check_alpha(alpha, include_two=True)
     if not (-1.0 < p < branch_upper(alpha)):
         raise DomainError(f"p must lie in (-1, M) with M={branch_upper(alpha)}, got {p!r}")
-    first = math.exp(ln_gamma(alpha)) * _sinpi(0.5 * alpha)
+    first = math.gamma(alpha) * _sinpi(0.5 * alpha)
     if alpha - p >= 0.5:
-        second = math.exp(ln_gamma(1.0 + p) + ln_gamma(alpha - p)) * _sinpi(p - 0.5 * alpha)
+        second = math.exp(math.lgamma(1.0 + p) + math.lgamma(alpha - p)) \
+            * _sinpi(p - 0.5 * alpha)
     else:
         s_num = _sinpi(p - 0.5 * alpha)
         s_den = _sinpi(alpha - p)
@@ -89,7 +84,8 @@ def coupling_C(alpha: float, p: float) -> float:
             ratio = 1.0
         else:
             ratio = s_num / s_den
-        second = math.pi * math.exp(ln_gamma(1.0 + p) - ln_gamma(1.0 - alpha + p)) * ratio
+        second = math.pi * math.exp(math.lgamma(1.0 + p) - math.lgamma(1.0 - alpha + p)) \
+            * ratio
     return (first + second) / math.pi
 
 
@@ -134,9 +130,9 @@ def gamma_closed(alpha: float, p: float) -> float:
         raise DomainError("gamma_closed is singular at alpha = 1; use gamma_integral")
     if not (-1.0 < p < alpha):
         raise DomainError(f"p must lie in (-1, alpha), got {p!r}")
-    combo = math.exp(ln_gamma(1.0 + p) + ln_gamma(alpha - p)) \
+    combo = math.exp(math.lgamma(1.0 + p) + math.lgamma(alpha - p)) \
         * (_sinpi(p - alpha) + _sinpi(p)) / math.pi
-    return 1.0 / alpha + gamma_signed(1.0 - alpha) * combo / alpha
+    return 1.0 / alpha + math.gamma(1.0 - alpha) * combo / alpha
 
 
 def exponent_p(alpha: float, lam: float) -> float:
@@ -216,9 +212,9 @@ def lambda_zero(d: int, alpha: float) -> float:
     if d == 1:
         return normalization_A(1, alpha) / alpha
     # Transverse directions integrate to |S^{d-2}|/2 * B((alpha+1)/2, (d-1)/2).
-    sphere = 2.0 * math.pi ** (0.5 * (d - 1)) / math.exp(ln_gamma(0.5 * (d - 1)))
-    bfac = math.exp(ln_gamma(0.5 * (alpha + 1.0)) + ln_gamma(0.5 * (d - 1))
-                    - ln_gamma(0.5 * (alpha + d)))
+    sphere = 2.0 * math.pi ** (0.5 * (d - 1)) / math.gamma(0.5 * (d - 1))
+    bfac = math.exp(math.lgamma(0.5 * (alpha + 1.0)) + math.lgamma(0.5 * (d - 1))
+                    - math.lgamma(0.5 * (alpha + d)))
     return normalization_A(d, alpha) * 0.5 * sphere * bfac / alpha
 
 

@@ -17,7 +17,6 @@ generalized symmetric eigendecomposition against the lumped mass.
 
 from __future__ import annotations
 
-import io
 import math
 import threading
 from collections import OrderedDict
@@ -302,7 +301,7 @@ def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         base = _nonlocal_stiffness(alpha, grid, regional=True)
         # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}
         kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
-        base = base + np.diag(grid.weights * kill)
+        base[np.diag_indices_from(base)] += grid.weights * kill
     with _CACHE_LOCK:
         _BASE_CACHE[key] = (base, hardy)
         while len(_BASE_CACHE) > _CACHE_MAX:
@@ -345,7 +344,8 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D,
         warnings.warn(f"lambda={lam} below the sharp constant; form is indefinite",
                       stacklevel=2)
     base, hardy = _base_parts(alpha, grid)
-    K = base + lam * np.diag(hardy)
+    K = base.copy()
+    K[np.diag_indices_from(K)] += lam * hardy
     return DiscreteOperator(alpha=alpha, lam=lam, grid=grid, stiffness=K,
                             hardy=hardy, mass=grid.weights.copy())
 
@@ -395,11 +395,14 @@ class SpectralDecomposition:
         return float(np.max(num / den))
 
 
+def _check_dense_cap(grid: Grid1D) -> None:
+    if grid.N > DENSE_SOLVER_CAP:
+        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
+
+
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Dense generalized symmetric eigendecomposition (N capped)."""
-    n = op.stiffness.shape[0]
-    if n + 1 > DENSE_SOLVER_CAP:
-        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={n + 1}")
+    _check_dense_cap(op.grid)
     rw = np.sqrt(op.mass)
     B = op.stiffness / rw[:, None] / rw[None, :]
     B = 0.5 * (B + B.T)
@@ -429,12 +432,6 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float:
     return float(math.sqrt(np.sum(dec.eigenvalues ** s * c * c)))
 
 
-def riesz_kernel_entry(dec: SpectralDecomposition, s: float, i: int, j: int) -> float:
-    """Kernel of L^{-s/2} at node pair (i, j), mass-normalized."""
-    V = dec.eigenvectors
-    return float(np.sum(dec.eigenvalues ** (-0.5 * s) * V[i, :] * V[j, :]))
-
-
 def mass_norm(op_or_dec, u: np.ndarray) -> float:
     mass = op_or_dec.mass
     return float(math.sqrt(np.sum(mass * u * u)))
@@ -446,6 +443,7 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     Converges to |lambda_star(alpha)| from the sharp Hardy inequality as the
     grid resolves the boundary.
     """
+    _check_dense_cap(grid)
     op = assemble_form(alpha, 0.0, grid)
     rw = np.sqrt(op.hardy)
     B = op.stiffness / rw[:, None] / rw[None, :]
@@ -550,54 +548,3 @@ def radial_cutoff(grid: Grid1D, R: float) -> np.ndarray:
 def cutoff_product(grid: Grid1D, r: float, R: float) -> np.ndarray:
     """chi(x; R) * theta(x; r): 0 near the boundary and far out."""
     return boundary_cutoff(grid, r) * radial_cutoff(grid, R)
-
-
-# ---------------------------------------------------------------------------
-# Text serialization (CSV with a one-line header)
-# ---------------------------------------------------------------------------
-
-def _header(grid: Grid1D, alpha: float, lam: float) -> str:
-    return f"N={grid.N},alpha={alpha!r},lambda={lam!r},X={grid.X!r},g={grid.grading!r}"
-
-
-def _parse_header(line: str) -> dict:
-    out = {}
-    for item in line.strip().split(","):
-        key, val = item.split("=")
-        out[key] = float(val)
-    return out
-
-
-def save_operator(op: DiscreteOperator, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(_header(op.grid, op.alpha, op.lam) + "\n")
-        np.savetxt(fh, op.stiffness, delimiter=",")
-        np.savetxt(fh, op.mass[None, :], delimiter=",")
-
-
-def load_operator(path: str) -> DiscreteOperator:
-    with open(path) as fh:
-        head = _parse_header(fh.readline())
-        body = np.loadtxt(io.StringIO(fh.read()), delimiter=",")
-    grid = build_grid(head["X"], int(head["N"]), head["g"])
-    n = grid.N - 1
-    stiff = body[:n, :]
-    mass = body[n, :]
-    hardy = grid.weights * grid.nodes ** (-head["alpha"])
-    return DiscreteOperator(alpha=head["alpha"], lam=head["lambda"], grid=grid,
-                            stiffness=stiff, hardy=hardy, mass=mass)
-
-
-def save_spectrum(dec: SpectralDecomposition, path: str) -> None:
-    op = dec.operator
-    with open(path, "w") as fh:
-        fh.write(_header(op.grid, op.alpha, op.lam) + "\n")
-        np.savetxt(fh, dec.eigenvalues[None, :], delimiter=",")
-        np.savetxt(fh, dec.eigenvectors, delimiter=",")
-
-
-def load_spectrum(path: str) -> tuple[dict, np.ndarray, np.ndarray]:
-    with open(path) as fh:
-        head = _parse_header(fh.readline())
-        body = np.loadtxt(io.StringIO(fh.read()), delimiter=",")
-    return head, body[0, :], body[1:, :]

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ive
 
 from hardyops.coupling import CouplingParams
-from hardyops.specfun import DomainError, bessel_i_scaled, ln_gamma
+from hardyops.specfun import DomainError
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def heat_exact_halfline(lam: float, t: float, r: float, s: float) -> float:
     mu = math.sqrt(max(lam + 0.25, 0.0))
     z = r * s / (2.0 * t)
     gauss = math.exp(-((r - s) ** 2) / (4.0 * t))
-    return 0.5 / t * math.sqrt(r * s) * gauss * bessel_i_scaled(mu, z)
+    return 0.5 / t * math.sqrt(r * s) * gauss * float(ive(mu, z))
 
 
 def heat_images_halfline(t: float, r: float, s: float) -> float:
@@ -274,4 +275,4 @@ def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:
                 epsabs=1e-13, epsrel=1e-9, full_output=1)[0]
     tail = quad(lambda u: f(1.0 / u) / (u * u), 0.0, 1.0 / tcut,
                 limit=200, epsabs=1e-13, epsrel=1e-9, full_output=1)[0]
-    return (bulk + tail) / math.exp(ln_gamma(0.5 * s))
+    return (bulk + tail) / math.gamma(0.5 * s)

@@ -1,11 +1,9 @@
-"""Real special functions used throughout the package.
+"""The package's error type and the one special-function helper it keeps.
 
-Self-contained double-precision implementations of log-Gamma, Gamma (with
-reflection for negative arguments), the Beta function and the exponentially
-scaled modified Bessel function of the first kind.  No scipy.special here:
-everything downstream (coupling constants, exact heat kernels) leans on these
-four functions, so they are kept dependency-free and are cross-checked against
-high-precision oracles in the test suite rather than at runtime.
+Gamma and log-Gamma come from ``math`` and the exponentially scaled Bessel
+function e^{-z} I_mu(z) from ``scipy.special.ive``; what stays here is the
+exception every layer raises for out-of-domain arguments and sin(pi x) with
+exact zeros, which the coupling layer needs to cancel pole/zero pairs.
 """
 
 from __future__ import annotations
@@ -17,146 +15,9 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of a special function."""
 
 
-# Lanczos coefficients, g = 607/128, 15 terms (Godfrey's set, ~15 significant
-# digits over the positive real axis).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, relative error ~1e-14 on [1e-3, 1e3]."""
-    if not (x > 0.0) or math.isinf(x) or math.isnan(x):
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    # Recurrence keeps the Lanczos sum well conditioned for small x.
-    shift = 0.0
-    while x < 0.5:
-        shift -= math.log(x)
-        x += 1.0
-    ser = _LANCZOS_C[0]
-    for k in range(1, 15):
-        ser += _LANCZOS_C[k] / (x + k - 1.0)
-    base = x + _LANCZOS_G - 0.5
-    return shift + _HALF_LOG_TWO_PI + (x - 0.5) * math.log(base) - base + math.log(ser)
-
-
 def _sinpi(x: float) -> float:
     """sin(pi*x) reduced to |r| <= 1/2, fully accurate near every zero."""
     n = math.floor(x + 0.5)
     r = x - n
     s = math.sin(math.pi * r)
     return -s if (int(n) % 2) else s
-
-
-def gamma_signed(x: float) -> float:
-    """Gamma(x) for any real x that is not a pole (0, -1, -2, ...)."""
-    if math.isinf(x) or math.isnan(x):
-        raise DomainError(f"gamma_signed requires finite x, got {x!r}")
-    if x >= 0.5:
-        return math.exp(ln_gamma(x))
-    if x == math.floor(x):
-        raise DomainError(f"gamma_signed pole at nonpositive integer x = {x}")
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-    return math.pi / (_sinpi(x) * math.exp(ln_gamma(1.0 - x)))
-
-
-def beta(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta requires a, b > 0, got a={a!r}, b={b!r}")
-    return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
-
-
-def _bessel_i_scaled_series(mu: float, z: float) -> float:
-    """exp(-z) I_mu(z) by the ascending series, rescaled against overflow.
-
-    All terms are positive, so there is no cancellation; the running sum is
-    renormalized whenever it grows past 1e250, which keeps the method usable
-    up to the series/asymptotic crossover even when exp(z) overflows.
-    """
-    half = 0.5 * z
-    q = half * half
-    term = 1.0
-    total = 1.0
-    log_scale = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (mu + k))
-        total += term
-        if term < 1e-18 * total and k > 3:
-            break
-        if total > 1e250:
-            term /= 1e250
-            total /= 1e250
-            log_scale += 250.0 * math.log(10.0)
-        if k > 20000:  # unreachable at the crossover scales used here
-            break
-    log_val = mu * math.log(half) - ln_gamma(mu + 1.0) - z + math.log(total) + log_scale
-    return math.exp(log_val)
-
-
-def _bessel_i_scaled_asym(mu: float, z: float) -> tuple[float, float]:
-    """Large-argument expansion of exp(-z) I_mu(z).
-
-    Returns (value, err_estimate); err_estimate is the magnitude of the first
-    neglected term relative to the leading one.  The exponentially small
-    reflected series (weight -sin(pi*mu) e^{-2z}) is included so half-integer
-    orders come out exact up to rounding.
-    """
-    m4 = 4.0 * mu * mu
-    s_plus = 1.0  # sum with (-1)^k a_k / z^k
-    s_minus = 1.0  # sum with a_k / z^k
-    a = 1.0
-    best = math.inf
-    k = 0
-    while k < 60:
-        k += 1
-        a *= (m4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * z)
-        mag = abs(a)
-        if mag >= best:
-            break  # asymptotic tail started to grow; stop at the smallest term
-        best = mag
-        s_plus += a if (k % 2 == 0) else -a
-        s_minus += a
-        if mag < 1e-18:
-            break
-    refl = -_sinpi(mu) * math.exp(-2.0 * z) if z < 400.0 else 0.0
-    val = (s_plus + refl * s_minus) / math.sqrt(2.0 * math.pi * z)
-    return val, best
-
-
-def bessel_i_scaled(mu: float, z: float) -> float:
-    """exp(-z) I_mu(z) for mu >= 0, z >= 0.
-
-    Ascending series below the crossover z_c = max(15, mu^2/2), large-z
-    expansion above it, with a series fallback if the expansion cannot reach
-    the target accuracy.  Relative error <= 1e-10 for mu <= 50, z <= 1e6.
-    """
-    if mu < 0.0 or z < 0.0 or math.isnan(mu) or math.isnan(z):
-        raise DomainError(f"bessel_i_scaled requires mu >= 0 and z >= 0, got mu={mu!r}, z={z!r}")
-    if z == 0.0:
-        return 1.0 if mu == 0.0 else 0.0
-    crossover = max(15.0, 0.5 * mu * mu)
-    if z < crossover:
-        return _bessel_i_scaled_series(mu, z)
-    val, err = _bessel_i_scaled_asym(mu, z)
-    if err > 1e-12:
-        return _bessel_i_scaled_series(mu, z)
-    return val

@@ -16,6 +16,7 @@ report says so in its notes.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import threading
@@ -741,23 +742,22 @@ CHECKS = {
     "commutator_scaling": check_commutator_scaling,
 }
 
-_FLOAT_KEYS = {"alpha", "lam", "s", "X", "X_r", "X_R", "g", "t", "t_r", "t_R",
-               "cap", "family_cap", "slope_tol", "duhamel_tol",
-               "max_over_median_cap", "cap_k2k1"}
-_INT_KEYS = {"N", "n_eps", "seed", "nsamples", "n_duhamel", "n_log", "n_x"}
 
-
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in ("lams", "betas", "r_values"):
-        return tuple(float(v) for v in raw.split())
-    if key == "grid_cfg":
-        X, N, g = raw.split()
-        return dict(X=float(X), N=int(N), g=float(g))
-    return raw
+def _coerce(section: str, params, key: str, raw: str):
+    """Typed value of one config entry, from the check's signature."""
+    if key not in params:
+        raise DomainError(f"[{section}] unknown key {key!r}; "
+                          f"accepted keys: {', '.join(params)}")
+    param = params[key]
+    try:
+        if key == "grid_cfg":
+            X, N, g = raw.split()
+            return dict(X=float(X), N=int(N), g=float(g))
+        if isinstance(param.default, tuple):
+            return tuple(float(v) for v in raw.split())
+        return {"int": int, "float": float}[param.annotation](raw)
+    except ValueError as exc:
+        raise DomainError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
 def default_campaign() -> list[tuple[str, dict]]:
@@ -791,7 +791,12 @@ def run_all(config: dict | None = None, seed: int = 0) -> list[VerificationRepor
             name = section.split(":")[0].strip()
             if name not in CHECKS:
                 raise DomainError(f"unknown check {name!r}")
-            kwargs = {k: _coerce(k, v) for k, v in raw.items()}
+            params = inspect.signature(CHECKS[name]).parameters
+            kwargs = {k: _coerce(section, params, k, v) for k, v in raw.items()}
+            missing = [k for k, p in params.items()
+                       if p.default is p.empty and k not in kwargs]
+            if missing:
+                raise DomainError(f"[{section}] missing keys: {', '.join(missing)}")
             jobs.append((name, kwargs))
     else:
         jobs = default_campaign()

@@ -121,3 +121,27 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "--check", "bogus")
         assert rc == 2
         assert "parameter error" in err
+
+    @pytest.mark.parametrize("section, key", [
+        ("[lemma_integral]\nbogus = 3\n", "'bogus'"),
+        ("[commutator_scaling]\nalpha = 2\nlam = 1\nn = 1\n", "'n'"),
+        ("[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = 10 400\n", "grid_cfg"),
+        ("[pointwise_bounds]\nt = soon\n", "t = 'soon'"),
+        ("[equivalence]\nalpha = 2\n", "lam, s"),
+    ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys"])
+    def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(section)
+        rc, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 2
+        assert err.startswith("parameter error: ") and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["alpha = 2\n", "[schur_prop]\nn_x = 3\nn_x = 4\n"],
+                             ids=["no-section-header", "duplicate-key"])
+    def test_malformed_ini_is_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        rc, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -89,6 +90,26 @@ class TestExactKernel:
                             0.0, zmax, points=[r], limit=300, epsrel=1e-9)[0]
                 assert mass <= 1.0 + 1e-8
                 assert mass > 0.0
+
+    def test_mpmath_closed_form_oracle(self):
+        # sqrt(rs)/(2t) exp(-(r^2+s^2)/4t) I_mu(rs/2t) at 40 digits, over the
+        # orders mu = sqrt(lam + 1/4) <= 10 the package uses
+        worst = 0.0
+        with mp.workdps(40):
+            for lam in (-0.25, 0.0, 0.5, 3.0, 100.0):
+                mu = mp.sqrt(mp.mpf(lam) + mp.mpf(1) / 4)
+                for t in np.logspace(-3, 2, 6):
+                    for r in np.logspace(-2, 1.5, 6):
+                        for s in np.logspace(-2, 1.5, 6):
+                            T, R, S = (mp.mpf(float(v)) for v in (t, r, s))
+                            ref = float(mp.sqrt(R * S) / (2 * T)
+                                        * mp.exp(-(R * R + S * S) / (4 * T))
+                                        * mp.besseli(mu, R * S / (2 * T)))
+                            if ref < 1e-290:
+                                continue
+                            got = heat_exact_halfline(lam, float(t), float(r), float(s))
+                            worst = max(worst, abs(got / ref - 1.0))
+        assert worst <= 1e-10
 
     def test_domain(self):
         with pytest.raises(DomainError):
