@@ -135,6 +135,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_discretize(args) -> int:
     if args.hardy_min:
+        if args.N < 250:
+            raise DomainError(f"--hardy-min needs --N >= 250, its smallest "
+                              f"table size; got {args.N}")
         target = abs(lambda_star(args.alpha))
         rows = []
         N = args.N

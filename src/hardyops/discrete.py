@@ -11,19 +11,19 @@ potential coming from (X, infinity).
 Assembly is exact: with hat basis functions the double integral reduces, via
 two integrations by parts, to cell-pair integrals of explicit antiderivatives
 of the kernel, so no singular quadrature is needed anywhere (including the
-diagonal cell pairs).  Spectral calculus is provided through a dense
-generalized symmetric eigendecomposition against the lumped mass.
+diagonal cell pairs).  Spectral calculus is provided through a
+generalized symmetric eigendecomposition against the lumped mass: the
+tridiagonal solver at alpha = 2, a dense one for alpha < 2.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from hardyops.coupling import normalization_A
 from hardyops.specfun import DomainError
@@ -268,32 +268,33 @@ def _nonlocal_stiffness(alpha: float, grid: Grid1D, regional: bool) -> np.ndarra
     return 0.5 * (K + K.T)
 
 
+def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the classical P1 Dirichlet stiffness."""
+    d = 1.0 / grid.cell_lengths
+    return d[:-1] + d[1:], -d[1:-1]
+
+
 def _local_stiffness(grid: Grid1D) -> np.ndarray:
-    """Classical P1 Dirichlet stiffness (alpha = 2)."""
-    h = grid.cell_lengths
-    n = grid.N - 1
-    K = np.zeros((n, n))
-    d = 1.0 / h
-    K[np.diag_indices(n)] = d[:-1] + d[1:]
-    idx = np.arange(n - 1)
-    K[idx, idx + 1] = -d[1:-1]
-    K[idx + 1, idx] = -d[1:-1]
+    """Classical P1 Dirichlet stiffness (alpha = 2) as a dense matrix."""
+    diag, off = _local_bands(grid)
+    K = np.diag(diag)
+    idx = np.arange(len(off))
+    K[idx, idx + 1] = off
+    K[idx + 1, idx] = off
     return K
 
 
 # stiffness bases are expensive at N ~ 2000; keep a tiny LRU keyed by grid/alpha
 _BASE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
 _CACHE_MAX = 8
 
 
 def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """(lambda-independent stiffness, Hardy potential diagonal)."""
     key = (alpha, grid.key())
-    with _CACHE_LOCK:
-        if key in _BASE_CACHE:
-            _BASE_CACHE.move_to_end(key)
-            return _BASE_CACHE[key]
+    if key in _BASE_CACHE:
+        _BASE_CACHE.move_to_end(key)
+        return _BASE_CACHE[key]
     hardy = grid.weights * grid.nodes ** (-alpha)
     if alpha == 2.0:
         base = _local_stiffness(grid)
@@ -302,10 +303,9 @@ def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}
         kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
         base[np.diag_indices_from(base)] += grid.weights * kill
-    with _CACHE_LOCK:
-        _BASE_CACHE[key] = (base, hardy)
-        while len(_BASE_CACHE) > _CACHE_MAX:
-            _BASE_CACHE.popitem(last=False)
+    _BASE_CACHE[key] = (base, hardy)
+    while len(_BASE_CACHE) > _CACHE_MAX:
+        _BASE_CACHE.popitem(last=False)
     return base, hardy
 
 
@@ -401,12 +401,25 @@ def _check_dense_cap(grid: Grid1D) -> None:
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
-    """Dense generalized symmetric eigendecomposition (N capped)."""
+    """Generalized symmetric eigendecomposition against the lumped mass.
+
+    At alpha = 2 the stiffness is tridiagonal and its bands, scaled by
+    M^{-1/2} on both sides, go to the tridiagonal MRRR solver (LAPACK stemr),
+    which keeps the lowest modes' residuals at the level of dense eigh; for
+    alpha < 2 the scaled matrix goes to dense eigh.  The eigenvectors are a
+    dense n x n matrix either way, so N is capped at DENSE_SOLVER_CAP.
+    """
     _check_dense_cap(op.grid)
     rw = np.sqrt(op.mass)
-    B = op.stiffness / rw[:, None] / rw[None, :]
-    B = 0.5 * (B + B.T)
-    vals, Y = eigh(B)
+    if op.alpha == 2.0:
+        K = op.stiffness
+        vals, Y = eigh_tridiagonal(np.diagonal(K) / rw / rw,
+                                   np.diagonal(K, 1) / rw[:-1] / rw[1:],
+                                   lapack_driver="stemr")
+    else:
+        B = op.stiffness / rw[:, None] / rw[None, :]
+        B = 0.5 * (B + B.T)
+        vals, Y = eigh(B)
     V = Y / rw[:, None]
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=V,
                                  mass=op.mass.copy(), operator=op)
@@ -441,8 +454,20 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     """Smallest generalized eigenvalue of (Form_{lambda=0}, Hardy weight).
 
     Converges to |lambda_star(alpha)| from the sharp Hardy inequality as the
-    grid resolves the boundary.
+    grid resolves the boundary.  At alpha = 2 the P1 bands, scaled by the
+    Hardy weight, go straight to bisection (LAPACK stebz): no matrix is
+    formed, so any N runs.  The tiny tol leaves bisection to its relative
+    stopping rule; the default absolute one, eps * ||T||_1, grows as N^2.
+    For alpha < 2 the dense form is assembled and N is capped at
+    DENSE_SOLVER_CAP.
     """
+    if alpha == 2.0:
+        diag, off = _local_bands(grid)
+        rw = np.sqrt(grid.weights * grid.nodes ** (-alpha))
+        vals = eigh_tridiagonal(diag / rw / rw, off / rw[:-1] / rw[1:],
+                                eigvals_only=True, select="i", select_range=(0, 0),
+                                tol=np.finfo(float).tiny)
+        return float(vals[0])
     _check_dense_cap(grid)
     op = assemble_form(alpha, 0.0, grid)
     rw = np.sqrt(op.hardy)

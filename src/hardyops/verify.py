@@ -19,7 +19,6 @@ import csv
 import inspect
 import json
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -98,20 +97,17 @@ def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 _DEC_CACHE: OrderedDict[tuple, object] = OrderedDict()
-_DEC_LOCK = threading.Lock()
 
 
 def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
     key = (alpha, lam, grid.key())
-    with _DEC_LOCK:
-        if key in _DEC_CACHE:
-            _DEC_CACHE.move_to_end(key)
-            return _DEC_CACHE[key]
+    if key in _DEC_CACHE:
+        _DEC_CACHE.move_to_end(key)
+        return _DEC_CACHE[key]
     dec = eigendecompose(assemble_form(alpha, lam, grid, warn_below_sharp=False))
-    with _DEC_LOCK:
-        _DEC_CACHE[key] = dec
-        while len(_DEC_CACHE) > 8:
-            _DEC_CACHE.popitem(last=False)
+    _DEC_CACHE[key] = dec
+    while len(_DEC_CACHE) > 8:
+        _DEC_CACHE.popitem(last=False)
     return dec
 
 

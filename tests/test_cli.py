@@ -87,6 +87,24 @@ class TestDiscretize:
         assert len(rows) == 2  # N = 250, 500
         assert rows[1][1] < rows[0][1]  # decreasing toward the target
 
+    def test_hardy_min_below_first_size_is_parameter_error(self, capsys):
+        rc, out, err = run(capsys, "discretize", "--alpha", "1.5", "--N", "8",
+                           "--hardy-min")
+        assert rc == 2
+        assert err.startswith("parameter error: ") and "--N" in err and "250" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_hardy_min_table_past_dense_cap_at_alpha2(self, capsys, tmp_path):
+        path = tmp_path / "hardy.csv"
+        rc, _, _ = run(capsys, "discretize", "--alpha", "2", "--N", "64000",
+                       "--hardy-min", "--format", "csv", "--out", str(path))
+        assert rc == 0
+        _, rows = read_table(str(path))
+        assert [r[0] for r in rows] == [250 * 2 ** k for k in range(9)]
+        vals = [r[1] for r in rows]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
+        assert vals[-1] > 0.25
+
 
 class TestVerify:
     def test_single_check_pass(self, capsys, tmp_path):

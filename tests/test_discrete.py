@@ -101,11 +101,19 @@ class TestAssembly:
                         return 0.0
                     return (fi(x) - fi(y)) * (fj(x) - fj(y)) * d ** (-1 - alpha)
 
+                # split at the hat kinks, and the diagonal cells along x = y,
+                # so every piece is smooth up to its boundary
+                cuts = np.unique(np.concatenate(([0.0, 1.0], v[i:i + 3], v[j:j + 3])))
                 val = 0.0
-                for (a0, b0) in ((0.0, 0.5), (0.5, 1.0)):
-                    for (c0, d0) in ((0.0, 0.5), (0.5, 1.0)):
-                        val += integrate.dblquad(inner, a0, b0, c0, d0,
-                                                 epsabs=1e-11, epsrel=1e-9)[0]
+                for a0, b0 in zip(cuts[:-1], cuts[1:]):
+                    for c0, d0 in zip(cuts[:-1], cuts[1:]):
+                        if a0 != c0:
+                            val += integrate.dblquad(inner, a0, b0, c0, d0,
+                                                     epsabs=1e-11, epsrel=1e-9)[0]
+                            continue
+                        for lo, hi in ((c0, lambda x: x), (lambda x: x, d0)):
+                            val += integrate.dblquad(inner, a0, b0, lo, hi,
+                                                     epsabs=1e-11, epsrel=1e-9)[0]
                 assert K_regional[i, j] == pytest.approx(0.5 * A * val,
                                                          rel=2e-5, abs=1e-10)
 
@@ -265,6 +273,59 @@ class TestHardyQuotient:
                 H[i, i + 1] = H[i + 1, i] = cr
         nu = eigh(K, H, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert nu == pytest.approx(0.25, rel=0.05)
+
+
+class TestTridiagonalPath:
+    """The alpha = 2 solvers against dense eigh on the same matrices."""
+
+    @pytest.mark.parametrize("lam", [-0.24, 0.0, 1.0, 3.0])
+    def test_decomposition_matches_dense(self, lam):
+        from scipy.linalg import eigh
+        from hardyops.discrete import SpectralDecomposition
+        grid = build_grid(10.0, 2000, 2.0)
+        op = assemble_form(2.0, lam, grid)
+        dec = eigendecompose(op)
+        rw = np.sqrt(op.mass)
+        vals, Y = eigh(op.stiffness / rw[:, None] / rw[None, :])
+        ref = SpectralDecomposition(eigenvalues=vals, eigenvectors=Y / rw[:, None],
+                                    mass=op.mass, operator=op)
+        assert np.max(np.abs(dec.eigenvalues - vals) / np.abs(vals)) <= 1e-10
+        u = boundary_bump(grid, 0.1, 1.5)
+        for got, want in ((heat_apply(dec, 0.1, u), heat_apply(ref, 0.1, u)),
+                          (power_apply(dec, 1.3, u), power_apply(ref, 1.3, u)),
+                          (power_apply(dec, -1.3, u), power_apply(ref, -1.3, u))):
+            assert mass_norm(op, got - want) <= 1e-10 * mass_norm(op, want)
+        assert sobolev_norm(dec, 1.3, u) == pytest.approx(sobolev_norm(ref, 1.3, u),
+                                                          rel=1e-10)
+        assert dec.residual() <= 1e-8
+
+    @pytest.mark.parametrize("N", [250, 1000, 4000])
+    def test_hardy_min_matches_dense(self, N):
+        from scipy.linalg import eigh
+        grid = build_grid(10.0, N, 2.0)
+        op = assemble_form(2.0, 0.0, grid)
+        rw = np.sqrt(op.hardy)
+        ref = eigh(op.stiffness / rw[:, None] / rw[None, :], eigvals_only=True,
+                   subset_by_index=[0, 0])[0]
+        assert hardy_quotient_min(2.0, grid) == pytest.approx(ref, rel=1e-8)
+
+    def test_hardy_min_runs_past_dense_cap(self):
+        vals = [hardy_quotient_min(2.0, build_grid(10.0, N, 2.0))
+                for N in (DENSE_SOLVER_CAP + 1, 250000)]
+        assert vals[0] > vals[1] > 0.25
+
+    def test_hardy_min_past_dense_cap_matches_shift_invert(self):
+        # sparse shift-invert Lanczos on the same pencil; bisection with the
+        # default absolute tolerance eps * ||T||_1 misses this by 7e-7
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import eigsh
+        grid = build_grid(10.0, 64000, 2.0)
+        h = grid.cell_lengths
+        K = diags([-1.0 / h[1:-1], 1.0 / h[:-1] + 1.0 / h[1:], -1.0 / h[1:-1]],
+                  [-1, 0, 1], format="csc")
+        H = diags(grid.weights * grid.nodes ** -2.0, format="csc")
+        ref = eigsh(K, k=1, M=H, sigma=0.0, which="LM", tol=1e-14)[0][0]
+        assert hardy_quotient_min(2.0, grid) == pytest.approx(ref, rel=1e-9)
 
 
 class TestFormIdentities:
