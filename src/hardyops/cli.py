@@ -101,34 +101,27 @@ def cmd_kernel(args) -> int:
     xs = _floats(args.x)
     ys = _floats(args.y)
     ts = _floats(args.t) if args.t else [1.0]
-    rows = []
     if args.kind == "heat-exact":
-        for t in ts:
-            for x in xs:
-                for y in ys:
-                    rows.append([t, x, y, heat_exact_halfline(lam, t, x, y)])
+        if args.alpha != 2.0:
+            raise DomainError(f"--kind heat-exact is the alpha = 2 kernel; "
+                              f"got --alpha {args.alpha}")
+        def value(t, x, y):
+            return heat_exact_halfline(lam, t, x, y)
     elif args.kind == "heat-envelope":
-        p = exponent_p(args.alpha, lam)
-        env = KernelEnvelope(alpha=args.alpha, d=args.d, p=p, c_exp=args.c_exp)
-        for t in ts:
-            for x in xs:
-                for y in ys:
-                    rows.append([t, x, y, heat_envelope(env, t, pt(x), pt(y))])
+        env = KernelEnvelope(alpha=args.alpha, d=args.d, p=exponent_p(args.alpha, lam),
+                             c_exp=args.c_exp)
+        def value(t, x, y):
+            return heat_envelope(env, t, pt(x), pt(y))
     elif args.kind == "riesz-envelope":
         params = make_coupling(args.d, args.alpha, lam)
-        for s in ts:
-            for x in xs:
-                for y in ys:
-                    rows.append([s, x, y, riesz_envelope(params, s, pt(x), pt(y))])
+        def value(s, x, y):
+            return riesz_envelope(params, s, pt(x), pt(y))
     else:  # diff-envelope
         p = exponent_p(args.alpha, lam)
-        for t in ts:
-            for x in xs:
-                for y in ys:
-                    rows.append([t, x, y,
-                                 diff_envelope(args.alpha, args.d, p, t,
-                                               pt(x), pt(y), c_exp=args.c_exp)])
+        def value(t, x, y):
+            return diff_envelope(args.alpha, args.d, p, t, pt(x), pt(y), c_exp=args.c_exp)
     # column order contract: (t_or_s, xd, yd, value)
+    rows = [[t, x, y, value(t, x, y)] for t in ts for x in xs for y in ys]
     _emit(args, ["t_or_s", "xd", "yd", "value"], rows)
     return 0
 
@@ -151,6 +144,8 @@ def cmd_discretize(args) -> int:
                          (nu - target) / target if target > 0 else nu])
         _emit(args, ["N", "hardy_min", "target", "rel_err"], rows)
         return 0
+    if args.count < 1:
+        raise DomainError(f"--count must be at least 1, got {args.count}")
     grid = build_grid(args.X, args.N, args.g)
     dec = eigendecompose(assemble_form(args.alpha, args.lam, grid,
                                        warn_below_sharp=False))

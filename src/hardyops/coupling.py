@@ -37,10 +37,14 @@ def _check_alpha(alpha: float, include_two: bool) -> None:
         raise DomainError(f"alpha must lie in {rng}, got {alpha!r}")
 
 
-def normalization_A(d: int, alpha: float) -> float:
-    """Normalization constant A(d, -alpha) of the nonlocal quadratic form."""
+def _check_d(d: int) -> None:
     if d < 1 or d != int(d):
         raise DomainError(f"d must be a positive integer, got {d!r}")
+
+
+def normalization_A(d: int, alpha: float) -> float:
+    """Normalization constant A(d, -alpha) of the nonlocal quadratic form."""
+    _check_d(d)
     _check_alpha(alpha, include_two=False)
     log_val = (
         math.log(alpha)
@@ -206,8 +210,7 @@ def lambda_zero(d: int, alpha: float) -> float:
     reflected half-space; reduces to a Beta-type one-dimensional integral and
     is independent of d.  For d = 1 this is sin(pi alpha/2) Gamma(alpha) / pi.
     """
-    if d < 1 or d != int(d):
-        raise DomainError(f"d must be a positive integer, got {d!r}")
+    _check_d(d)
     _check_alpha(alpha, include_two=False)
     if d == 1:
         return normalization_A(1, alpha) / alpha
@@ -256,6 +259,7 @@ class CouplingParams:
 
 def make_coupling(d: int, alpha: float, lam: float) -> CouplingParams:
     """Build CouplingParams from the raw triple, solving for p."""
+    _check_d(d)
     p = exponent_p(alpha, lam)
     lz = lambda_zero(d, alpha) if alpha < 2.0 else None
     return CouplingParams(d=d, alpha=alpha, lam=lam, p=p,

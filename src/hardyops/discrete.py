@@ -9,17 +9,23 @@ function, i.e. the regional form on (0, X) plus the exact exterior "killing"
 potential coming from (X, infinity).
 
 Assembly is exact: with hat basis functions the double integral reduces, via
-two integrations by parts, to cell-pair integrals of explicit antiderivatives
-of the kernel, so no singular quadrature is needed anywhere (including the
-diagonal cell pairs).  Spectral calculus is provided through a
+two integrations by parts, to cell-pair integrals of one kernel family
+k(r) = r^{1-alpha}/(alpha(alpha-1)) (-ln r at alpha = 1), whose second
+derivative is the kernel r^{-1-alpha}.  The pieces k(|t - tau|), k(max) and
+k(X - min) are integrated through explicit antiderivatives of k, so no
+singular quadrature is needed anywhere (including the diagonal cell pairs);
+the k(X - min) piece is the k(max) piece measured from X.  Where those closed
+forms would cancel catastrophically (cells far from the singular point
+compared with their size), midpoint-Taylor and Gauss rules on the smooth
+integrand take over.  Spectral calculus is provided through a
 generalized symmetric eigendecomposition against the lumped mass: the
 tridiagonal solver at alpha = 2, a dense one for alpha < 2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +55,14 @@ class Grid1D:
     def key(self) -> tuple:
         return (self.X, self.grading, self.N)
 
+    # build_grid makes the arrays a function of the key, so grids that share
+    # a key share cached stiffnesses and decompositions
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Grid1D) and self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
 
 def build_grid(X: float, N: int, g: float) -> Grid1D:
     """Graded mesh with node_k = X*(k/N)^g and midpoint cell weights."""
@@ -70,89 +84,39 @@ def build_grid(X: float, N: int, g: float) -> Grid1D:
 # Stiffness assembly
 # ---------------------------------------------------------------------------
 
-def _phi2_diag(r: np.ndarray, alpha: float) -> np.ndarray:
-    """Second antiderivative of the diagonal-singular kernel piece.
+def _antider(r: np.ndarray, alpha: float, n: int) -> np.ndarray:
+    """n-th antiderivative (n = 0, 1, 2) of the kernel piece k at r >= 0.
 
-    alpha != 1: d^2/dr^2 [ |r|^{3-a} / (a(a-1)(2-a)(3-a)) ] = |r|^{1-a}/(a(a-1))
-    alpha == 1: d^2/dr^2 [ (3/4) r^2 - (r^2/2) ln|r| ] = -ln|r|
-    """
-    a = np.abs(r)
-    if alpha == 1.0:
-        out = np.zeros_like(a)
-        nz = a > 0.0
-        out[nz] = 0.75 * a[nz] ** 2 - 0.5 * a[nz] ** 2 * np.log(a[nz])
-        return out
-    kap = 1.0 / (alpha * (alpha - 1.0))
-    return kap * a ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
-
-
-def _antider_max(v: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """First/second antiderivatives of the max-variable kernel piece f(tau).
-
-    f(tau) = -kappa tau^{1-a} for alpha != 1, f(tau) = +ln(tau) for alpha = 1.
+    k(r) = r^{1-a}/(a(a-1)) for alpha != 1 and -ln r at alpha = 1, so that
+    k'' = r^{-1-a} is the kernel itself; the antiderivatives vanish at r = 0.
     """
     if alpha == 1.0:
-        F1 = np.zeros_like(v)
-        F2 = np.zeros_like(v)
-        nz = v > 0.0
-        lv = np.log(v[nz])
-        F1[nz] = v[nz] * lv - v[nz]
-        F2[nz] = 0.5 * v[nz] ** 2 * lv - 0.75 * v[nz] ** 2
-        return F1, F2
+        lr = np.log(r, out=np.zeros_like(r), where=r > 0.0)
+        if n == 0:
+            return -lr
+        if n == 1:
+            return r - r * lr
+        return 0.75 * r ** 2 - 0.5 * r ** 2 * lr
+    if n == 0:
+        return r ** (1.0 - alpha) / (alpha * (alpha - 1.0))
     kap = 1.0 / (alpha * (alpha - 1.0))
-    F1 = -kap * v ** (2.0 - alpha) / (2.0 - alpha)
-    F2 = -kap * v ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
-    return F1, F2
-
-
-def _antider_min(v: np.ndarray, alpha: float, X: float) -> tuple[np.ndarray, np.ndarray]:
-    """First/second antiderivatives of the min-variable kernel piece g(t).
-
-    g(t) = -kappa (X-t)^{1-a} for alpha != 1, g(t) = +ln(X-t) for alpha = 1.
-    """
-    w = X - v
-    if alpha == 1.0:
-        G1 = np.zeros_like(v)
-        G2 = np.zeros_like(v)
-        nz = w > 0.0
-        lw = np.log(w[nz])
-        G1[nz] = -w[nz] * lw + w[nz]
-        G2[nz] = 0.5 * w[nz] ** 2 * lw - 0.75 * w[nz] ** 2
-        return G1, G2
-    kap = 1.0 / (alpha * (alpha - 1.0))
-    G1 = kap * w ** (2.0 - alpha) / (2.0 - alpha)
-    G2 = -kap * w ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
-    return G1, G2
-
-
-def _kernel_f(r: np.ndarray, alpha: float) -> np.ndarray:
-    """Diagonal kernel piece: |r|^{1-a}/(a(a-1)) for a != 1, -ln|r| at a = 1."""
-    a = np.abs(r)
-    if alpha == 1.0:
-        return -np.log(a)
-    return a ** (1.0 - alpha) / (alpha * (alpha - 1.0))
-
-
-def _kernel_f2(r: np.ndarray, alpha: float) -> np.ndarray:
-    """Second derivative of _kernel_f, used in the far-pair Taylor rule."""
-    a = np.abs(r)
-    if alpha == 1.0:
-        return 1.0 / a ** 2
-    return (1.0 - alpha) * (-alpha) * a ** (-1.0 - alpha) / (alpha * (alpha - 1.0))
+    if n == 1:
+        return kap * r ** (2.0 - alpha) / (2.0 - alpha)
+    return kap * r ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
 
 
 def _diag_singular_pairs(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Cell-pair integrals of the diagonal-singular kernel piece.
+    """Cell-pair integrals of k(|t - tau|), the diagonal-singular piece.
 
     The exact four-point antiderivative formula cancels catastrophically when
     the pair separation is large compared to the geometric mean of the cell
-    sizes (the result is O(h h' f(D)) while the antiderivative values are
-    O(D^2 f(D))).  Far pairs therefore use a midpoint Taylor rule instead,
+    sizes (the result is O(h h' k(D)) while the antiderivative values are
+    O(D^2 k(D))).  Far pairs therefore use a midpoint Taylor rule instead,
     which at that separation is accurate to O((h/D)^4).
     """
     v = grid.vertices
     h = grid.cell_lengths
-    Pphi = _phi2_diag(v[:, None] - v[None, :], alpha)
+    Pphi = _antider(np.abs(v[:, None] - v[None, :]), alpha, 2)
     P = Pphi[1:, :-1] + Pphi[:-1, 1:] - Pphi[:-1, :-1] - Pphi[1:, 1:]
     del Pphi
     mid = 0.5 * (v[:-1] + v[1:])
@@ -160,106 +124,71 @@ def _diag_singular_pairs(grid: Grid1D, alpha: float) -> np.ndarray:
     hh = np.outer(h, h)
     span = h[:, None] + h[None, :]
     far = D > np.maximum(300.0 * np.sqrt(hh), 6.0 * span)
-    if np.any(far):
-        Df = D[far]
-        corr = (h[:, None] ** 2 + h[None, :] ** 2)[far] / 24.0
-        P[far] = hh[far] * (_kernel_f(Df, alpha) + corr * _kernel_f2(Df, alpha))
+    Df = D[far]
+    corr = (h[:, None] ** 2 + h[None, :] ** 2)[far] / 24.0
+    P[far] = hh[far] * (_antider(Df, alpha, 0) + corr * Df ** (-1.0 - alpha))
     return P
 
 
-_GAUSS01 = np.polynomial.legendre.leggauss(8)
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GAUSS_NODES = 0.5 * (_GAUSS_NODES + 1.0)   # on (0, 1)
+_GAUSS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS
 
 
-def _samecell_max(grid: Grid1D, alpha: float) -> np.ndarray:
-    """2 * int over a cell of f(tau)(tau - a) dtau for the max-variable piece.
+def _cell_integrals(near: np.ndarray, far: np.ndarray, h: np.ndarray,
+                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """int k(s) ds and 2 int k(s)(s - near) ds over each cell, where s runs
+    over the cell's distances (near to far) from the singular point.
 
-    The antiderivative formula subtracts values of size O(a^{3-alpha}) to
-    produce an O(f(a) h^2) result, which is catastrophic once a >> h; those
-    cells are evaluated by an 8-point Gauss rule on the smooth integrand.
+    The second is the integral of k(max) over the cell's square.  The
+    antiderivative differences lose the digits of near/h (catastrophic for
+    the min-variable piece, whose cells near 0 lie about X from their
+    singular point), so cells with near > 4h use an 8-point Gauss rule on the
+    smooth integrand instead.
     """
-    v = grid.vertices
-    h = grid.cell_lengths
-    a, b = v[:-1], v[1:]
-    F1, F2 = _antider_max(v, alpha)
-    out = 2.0 * (F1[1:] * h - np.diff(F2))
-    far = a > 4.0 * h
-    if np.any(far):
-        xg, wg = _GAUSS01
-        sg = 0.5 * (xg + 1.0)
-        wg = 0.5 * wg
-        tau = a[far, None] + h[far, None] * sg[None, :]
-        if alpha == 1.0:
-            fv = np.log(tau)
-        else:
-            fv = -tau ** (1.0 - alpha) / (alpha * (alpha - 1.0))
-        out[far] = 2.0 * h[far] ** 2 * np.sum(wg[None, :] * sg[None, :] * fv, axis=1)
-    return out
-
-
-def _samecell_min(grid: Grid1D, alpha: float) -> np.ndarray:
-    """2 * int over a cell of g(t)(b - t) dt for the min-variable piece."""
-    v = grid.vertices
-    h = grid.cell_lengths
-    a, b = v[:-1], v[1:]
-    G1, G2 = _antider_min(v, alpha, grid.X)
-    out = 2.0 * (-G1[:-1] * h + np.diff(G2))
-    far = (grid.X - b) > 4.0 * h
-    if np.any(far):
-        xg, wg = _GAUSS01
-        sg = 0.5 * (xg + 1.0)
-        wg = 0.5 * wg
-        t = b[far, None] - h[far, None] * sg[None, :]
-        u = grid.X - t
-        if alpha == 1.0:
-            gv = np.log(u)
-        else:
-            gv = -u ** (1.0 - alpha) / (alpha * (alpha - 1.0))
-        out[far] = 2.0 * h[far] ** 2 * np.sum(wg[None, :] * sg[None, :] * gv, axis=1)
-    return out
+    K1 = _antider(far, alpha, 1)
+    first = K1 - _antider(near, alpha, 1)
+    second = 2.0 * (K1 * h - (_antider(far, alpha, 2) - _antider(near, alpha, 2)))
+    gauss = near > 4.0 * h
+    hg = h[gauss]
+    kv = _antider(near[gauss, None] + hg[:, None] * _GAUSS_NODES, alpha, 0)
+    first[gauss] = hg * np.sum(_GAUSS_WEIGHTS * kv, axis=1)
+    second[gauss] = 2.0 * hg ** 2 * np.sum(_GAUSS_WEIGHTS * _GAUSS_NODES * kv, axis=1)
+    return first, second
 
 
 def _cellpair_weights(grid: Grid1D, alpha: float, regional: bool) -> np.ndarray:
     """Integrals of the double-parts-integrated kernel over all cell pairs.
 
     Returns P with P[c, c'] = integral over cell_c x cell_c' of
-    w(min(t,tau), max(t,tau)), where w(a, b) is the exact double integral of
-    |x - y|^{-1-alpha} over {y < a} x {x > b} intersected with (0, X)^2
-    (regional=True) or with the full line (regional=False; constant terms
-    drop later because hat slopes integrate to zero).
+    w(min(t,tau), max(t,tau)), where w(a, b) = k(b - a) - k(b) - k(X - a) is,
+    up to a constant, the double integral of |x - y|^{-1-alpha} over
+    {y < a} x {x > b} intersected with (0, X)^2 (regional=True) or with the
+    full line (regional=False, only k(b - a) is left).  Constants drop
+    because hat slopes integrate to zero.
     """
-    v = grid.vertices
-    h = grid.cell_lengths
     P = _diag_singular_pairs(grid, alpha)
     if not regional:
         return P
-    # max-variable term
-    F1, F2 = _antider_max(v, alpha)
-    dF1 = np.diff(F1)
-    upper = np.triu(np.outer(h, dF1), k=1)
-    P += upper + upper.T
+    v = grid.vertices
+    h = grid.cell_lengths
+    # the max-variable piece k(b) sees each cell from 0; the min-variable
+    # piece k(X - a) is the same piece seen from X
+    cell_max, same_max = _cell_integrals(v[:-1], v[1:], h, alpha)
+    cell_min, same_min = _cell_integrals(grid.X - v[1:], grid.X - v[:-1], h, alpha)
+    # c < c': the maximum lives in cell c', the minimum in cell c
+    upper = np.triu(np.outer(h, cell_max) + np.outer(cell_min, h), k=1)
+    P -= upper
+    P -= upper.T
     del upper
-    P[np.diag_indices_from(P)] += _samecell_max(grid, alpha)
-    # min-variable term (c < c' means the minimum lives in cell c)
-    G1, G2 = _antider_min(v, alpha, grid.X)
-    dG1 = np.diff(G1)
-    upper = np.triu(np.outer(dG1, h), k=1)
-    P += upper + upper.T
-    del upper
-    P[np.diag_indices_from(P)] += _samecell_min(grid, alpha)
-    # constant term
-    if alpha == 1.0:
-        cval = -math.log(grid.X)
-    else:
-        cval = grid.X ** (1.0 - alpha) / (alpha * (alpha - 1.0))
-    P += cval * np.outer(h, h)
+    P[np.diag_indices_from(P)] -= same_max + same_min
     return P
 
 
 def _contract_slopes(P: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Apply hat-function slopes (+1/h_i on cell i, -1/h_{i+1} on cell i+1)."""
     Q = P[:-1, :] / h[:-1, None] - P[1:, :] / h[1:, None]
-    K = Q[:, :-1] / h[None, :-1] - Q[:, 1:] / h[None, 1:]
-    return K
+    return Q[:, :-1] / h[None, :-1] - Q[:, 1:] / h[None, 1:]
 
 
 def _nonlocal_stiffness(alpha: float, grid: Grid1D, regional: bool) -> np.ndarray:
@@ -284,17 +213,13 @@ def _local_stiffness(grid: Grid1D) -> np.ndarray:
     return K
 
 
-# stiffness bases are expensive at N ~ 2000; keep a tiny LRU keyed by grid/alpha
-_BASE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_CACHE_MAX = 8
-
-
+@functools.lru_cache(maxsize=8)   # stiffness bases are expensive at N ~ 2000
 def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda-independent stiffness, Hardy potential diagonal)."""
-    key = (alpha, grid.key())
-    if key in _BASE_CACHE:
-        _BASE_CACHE.move_to_end(key)
-        return _BASE_CACHE[key]
+    """(lambda-independent stiffness, Hardy potential diagonal).
+
+    Both are cached and shared by every operator on (alpha, grid), so they
+    are read-only.
+    """
     hardy = grid.weights * grid.nodes ** (-alpha)
     if alpha == 2.0:
         base = _local_stiffness(grid)
@@ -303,9 +228,8 @@ def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}
         kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
         base[np.diag_indices_from(base)] += grid.weights * kill
-    _BASE_CACHE[key] = (base, hardy)
-    while len(_BASE_CACHE) > _CACHE_MAX:
-        _BASE_CACHE.popitem(last=False)
+    base.flags.writeable = False
+    hardy.flags.writeable = False
     return base, hardy
 
 
@@ -360,9 +284,7 @@ def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"alpha must lie in (0, 2), got {alpha!r}")
-    P = _cellpair_weights(grid, alpha, regional=False)
-    K = normalization_A(1, alpha) * _contract_slopes(P, grid.cell_lengths)
-    return 0.5 * (K + K.T)
+    return _nonlocal_stiffness(alpha, grid, regional=False)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ive
 
-from hardyops.coupling import CouplingParams
+from hardyops.coupling import CouplingParams, _check_d
 from hardyops.specfun import DomainError
 
 
@@ -227,6 +227,9 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
     """
     if not t > 0.0:
         raise DomainError("t must be positive")
+    _check_d(d)
+    if not c_exp > 0.0:
+        raise DomainError(f"c_exp must be positive, got {c_exp!r}")
     q = min(p, max(alpha - 1.0, 0.0))
     ta = t ** (1.0 / alpha)
     r = dist(x, y)

@@ -16,10 +16,10 @@ report says so in its notes.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,19 +96,24 @@ def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-_DEC_CACHE: OrderedDict[tuple, object] = OrderedDict()
+@functools.lru_cache(maxsize=8)
+def _decompose(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
+    dec = eigendecompose(assemble_form(alpha, lam, grid, warn_below_sharp=False))
+    # shared by every later caller with the same key
+    for arr in (dec.eigenvalues, dec.eigenvectors, dec.mass,
+                dec.operator.stiffness, dec.operator.mass):
+        arr.flags.writeable = False
+    return dec
 
 
 def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
-    key = (alpha, lam, grid.key())
-    if key in _DEC_CACHE:
-        _DEC_CACHE.move_to_end(key)
-        return _DEC_CACHE[key]
-    dec = eigendecompose(assemble_form(alpha, lam, grid, warn_below_sharp=False))
-    _DEC_CACHE[key] = dec
-    while len(_DEC_CACHE) > 8:
-        _DEC_CACHE.popitem(last=False)
-    return dec
+    """Cached decomposition of the (alpha, lam) operator on grid.
+
+    A plain public function around the cache: the benchmark tracer
+    (bench/tracer.py) times it and counts a miss for each eigendecompose
+    it reaches.
+    """
+    return _decompose(alpha, lam, grid)
 
 
 def _grid_from(cfg: dict) -> Grid1D:

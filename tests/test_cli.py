@@ -106,6 +106,29 @@ class TestDiscretize:
         assert vals[-1] > 0.25
 
 
+class TestParameterErrors:
+    @pytest.mark.parametrize("argv, name", [
+        (["exponent", "--alpha", "2", "--d", "0", "--lambda", "1"], "d must be"),
+        (["kernel", "--kind", "riesz-envelope", "--alpha", "2", "--d", "0",
+          "--t", "0.5", "--x", "1", "--y", "2"], "d must be"),
+        (["kernel", "--kind", "diff-envelope", "--d", "0", "--x", "1", "--y", "2"],
+         "d must be"),
+        (["kernel", "--kind", "diff-envelope", "--d", "-2", "--x", "1", "--y", "2"],
+         "d must be"),
+        (["kernel", "--kind", "diff-envelope", "--c-exp", "-1", "--x", "1", "--y", "2"],
+         "c_exp"),
+        (["kernel", "--kind", "heat-exact", "--alpha", "1.5", "--x", "1", "--y", "2"],
+         "--alpha"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--count", "-3"], "--count"),
+    ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
+            "heat-exact-alpha", "discretize-count"])
+    def test_bad_input_is_parameter_error(self, capsys, argv, name):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.startswith("parameter error: ") and name in err
+        assert "Traceback" not in err and out == ""
+
+
 class TestVerify:
     def test_single_check_pass(self, capsys, tmp_path):
         out = tmp_path / "reports.json"

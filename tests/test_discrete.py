@@ -71,10 +71,43 @@ class TestAssembly:
 
     def test_positivity_at_graded_acceptance_scales(self):
         from scipy.linalg import eigh
+        # grading 4 puts cells of 1e-11 next to the boundary, where the
+        # min-variable cell integrals must not lose the digits of X/h
+        for g in (2.0, 4.0):
+            for alpha in (0.5, 1.0, 1.5):
+                K = assemble_form(alpha, 0.0, build_grid(10.0, 1000, g)).stiffness
+                low = eigh(K, eigvals_only=True, subset_by_index=[0, 0])[0]
+                assert low > 0.0, (g, alpha, low)
+
+    def test_reflection_symmetry(self):
+        # on a uniform grid the regional form is symmetric under x -> X - x:
+        # the min-variable piece is the max-variable piece seen from X
+        grid = build_grid(3.0, 64, 1.0)
         for alpha in (0.5, 1.0, 1.5):
-            K = assemble_form(alpha, 0.0, build_grid(10.0, 1000, 2.0)).stiffness
-            low = eigh(K, eigvals_only=True, subset_by_index=[0, 0])[0]
-            assert low > 0.0
+            K = _nonlocal_stiffness(alpha, grid, True)
+            assert np.max(np.abs(K - K[::-1, ::-1])) <= 1e-12 * np.max(np.abs(K))
+
+    def test_continuous_across_alpha_one(self):
+        # the alpha = 1 log branch is the limit of the power-law kernel piece
+        grid = build_grid(10.0, 400, 2.0)
+        delta = 1e-3
+        for regional in (True, False):
+            K1 = _nonlocal_stiffness(1.0, grid, regional)
+            for alpha in (1.0 - delta, 1.0 + delta):
+                diff = np.max(np.abs(_nonlocal_stiffness(alpha, grid, regional) - K1))
+                assert diff <= 2e-2 * np.max(np.abs(K1)), (regional, alpha, diff)
+
+    def test_cached_parts_are_read_only(self):
+        grid = build_grid(5.0, 60, 2.0)
+        for alpha in (1.5, 2.0):
+            op = assemble_form(alpha, 0.0, grid)
+            hardy = op.hardy.copy()
+            with pytest.raises(ValueError):
+                op.hardy[:] *= 2.0
+            op.stiffness[0, 0] = 0.0  # the stiffness is the caller's own copy
+            again = assemble_form(alpha, 0.0, grid)
+            assert np.array_equal(again.hardy, hardy)
+            assert again.stiffness[0, 0] != 0.0
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_brute_force_quadrature_oracle(self):
