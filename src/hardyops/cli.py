@@ -73,6 +73,14 @@ def _emit(args, header, rows, payload=None):
             out.close()
 
 
+def _reject_unused(mode: str, flags: dict) -> None:
+    """Parameter error naming each flag given on the command line (not None)
+    that `mode` does not read, instead of ignoring it silently."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise DomainError(f"{mode} does not use {', '.join(given)}")
+
+
 def cmd_exponent(args) -> int:
     alpha = args.alpha
     if args.lambda_star_flag:
@@ -101,25 +109,29 @@ def cmd_kernel(args) -> int:
     xs = _floats(args.x)
     ys = _floats(args.y)
     ts = _floats(args.t) if args.t else [1.0]
+    d = 1 if args.d is None else args.d
+    c_exp = 0.25 if args.c_exp is None else args.c_exp
     if args.kind == "heat-exact":
         if args.alpha != 2.0:
             raise DomainError(f"--kind heat-exact is the alpha = 2 kernel; "
                               f"got --alpha {args.alpha}")
+        _reject_unused("--kind heat-exact", {"--d": args.d, "--c-exp": args.c_exp})
         def value(t, x, y):
             return heat_exact_halfline(lam, t, x, y)
     elif args.kind == "heat-envelope":
-        env = KernelEnvelope(alpha=args.alpha, d=args.d, p=exponent_p(args.alpha, lam),
-                             c_exp=args.c_exp)
+        env = KernelEnvelope(alpha=args.alpha, d=d, p=exponent_p(args.alpha, lam),
+                             c_exp=c_exp)
         def value(t, x, y):
             return heat_envelope(env, t, pt(x), pt(y))
     elif args.kind == "riesz-envelope":
-        params = make_coupling(args.d, args.alpha, lam)
+        _reject_unused("--kind riesz-envelope", {"--c-exp": args.c_exp})
+        params = make_coupling(d, args.alpha, lam)
         def value(s, x, y):
             return riesz_envelope(params, s, pt(x), pt(y))
     else:  # diff-envelope
         p = exponent_p(args.alpha, lam)
         def value(t, x, y):
-            return diff_envelope(args.alpha, args.d, p, t, pt(x), pt(y), c_exp=args.c_exp)
+            return diff_envelope(args.alpha, d, p, t, pt(x), pt(y), c_exp=c_exp)
     # column order contract: (t_or_s, xd, yd, value)
     rows = [[t, x, y, value(t, x, y)] for t in ts for x in xs for y in ys]
     _emit(args, ["t_or_s", "xd", "yd", "value"], rows)
@@ -128,6 +140,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_discretize(args) -> int:
     if args.hardy_min:
+        _reject_unused("--hardy-min (the lambda = 0 Hardy quotient)",
+                       {"--lambda": args.lam, "--count": args.count,
+                        "--spectrum": args.spectrum})
         if args.N < 250:
             raise DomainError(f"--hardy-min needs --N >= 250, its smallest "
                               f"table size; got {args.N}")
@@ -144,12 +159,13 @@ def cmd_discretize(args) -> int:
                          (nu - target) / target if target > 0 else nu])
         _emit(args, ["N", "hardy_min", "target", "rel_err"], rows)
         return 0
-    if args.count < 1:
-        raise DomainError(f"--count must be at least 1, got {args.count}")
+    lam = 0.0 if args.lam is None else args.lam
+    count = 20 if args.count is None else args.count
+    if count < 1:
+        raise DomainError(f"--count must be at least 1, got {count}")
     grid = build_grid(args.X, args.N, args.g)
-    dec = eigendecompose(assemble_form(args.alpha, args.lam, grid,
-                                       warn_below_sharp=False))
-    k = min(args.count, len(dec.eigenvalues))
+    dec = eigendecompose(assemble_form(args.alpha, lam, grid, warn_below_sharp=False))
+    k = min(count, len(dec.eigenvalues))
     rows = [[i, dec.eigenvalues[i]] for i in range(k)]
     _emit(args, ["index", "eigenvalue"], rows)
     return 0
@@ -207,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "diff-envelope"])
     pk.add_argument("--alpha", type=float, default=2.0)
     pk.add_argument("--lambda", dest="lam", type=float, default=None)
-    pk.add_argument("--d", type=int, default=1)
-    pk.add_argument("--c-exp", type=float, default=0.25)
+    pk.add_argument("--d", type=int, default=None, help="envelope kinds (default 1)")
+    pk.add_argument("--c-exp", type=float, default=None,
+                    help="heat- and diff-envelope (default 0.25)")
     pk.add_argument("--t", type=str, default="1.0",
                     help="comma-separated times (or s-values for riesz-envelope)")
     pk.add_argument("--x", type=str, required=True, help="comma-separated x_d values")
@@ -217,13 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("discretize", help="spectra and Hardy-minimum tables")
     pd.add_argument("--alpha", type=float, required=True)
-    pd.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    pd.add_argument("--lambda", dest="lam", type=float, default=None,
+                    help="spectrum coupling (default 0)")
     pd.add_argument("--N", type=int, default=1000)
     pd.add_argument("--X", type=float, default=10.0)
     pd.add_argument("--g", type=float, default=2.0)
-    pd.add_argument("--spectrum", action="store_true")
+    pd.add_argument("--spectrum", action="store_true", default=None,
+                    help="eigenvalue table (the default mode)")
     pd.add_argument("--hardy-min", dest="hardy_min", action="store_true")
-    pd.add_argument("--count", type=int, default=20)
+    pd.add_argument("--count", type=int, default=None,
+                    help="spectrum rows (default 20)")
     pd.set_defaults(func=cmd_discretize)
 
     pv = sub.add_parser("verify", help="run verification checks")

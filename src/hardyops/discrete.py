@@ -8,18 +8,25 @@ extension by zero: the assembled form is the half-line form of the extended
 function, i.e. the regional form on (0, X) plus the exact exterior "killing"
 potential coming from (X, infinity).
 
-Assembly is exact: with hat basis functions the double integral reduces, via
-two integrations by parts, to cell-pair integrals of one kernel family
-k(r) = r^{1-alpha}/(alpha(alpha-1)) (-ln r at alpha = 1), whose second
-derivative is the kernel r^{-1-alpha}.  The pieces k(|t - tau|), k(max) and
-k(X - min) are integrated through explicit antiderivatives of k, so no
-singular quadrature is needed anywhere (including the diagonal cell pairs);
-the k(X - min) piece is the k(max) piece measured from X.  Where those closed
-forms would cancel catastrophically (cells far from the singular point
-compared with their size), midpoint-Taylor and Gauss rules on the smooth
-integrand take over.  Spectral calculus is provided through a
-generalized symmetric eigendecomposition against the lumped mass: the
-tridiagonal solver at alpha = 2, a dense one for alpha < 2.
+The regional form is assembled in closed form: with hat basis functions the
+double integral reduces, via two integrations by parts, to cell-pair
+integrals of one kernel family k(r) = r^{1-alpha}/(alpha(alpha-1)) (-ln r at
+alpha = 1), whose second derivative is the kernel r^{-1-alpha}.  The pieces
+k(|t - tau|), k(max) and k(X - min) are integrated through explicit
+antiderivatives of k, so no singular quadrature is needed anywhere (including
+the diagonal cell pairs); the k(X - min) piece is the k(max) piece measured
+from X.  Where those closed forms would cancel catastrophically (cells far
+from the singular point compared with their size), midpoint-Taylor and Gauss
+rules on the smooth integrand take over.  The exterior killing potential is
+not integrated exactly: it is lumped onto the diagonal as its nodal value
+times the midpoint weight.
+
+Spectral calculus is a generalized symmetric eigendecomposition against the
+lumped mass: the tridiagonal MRRR solver at alpha = 2, dense eigh for
+alpha < 2, both capped at DENSE_SOLVER_CAP because the eigenvectors are
+dense.  The Hardy minimum needs only the lowest eigenvalue: bisection on the
+bands at alpha = 2 (any N), and for alpha < 2 a Cholesky factor of the dense
+form with Lanczos on its inverse (capped at DENSE_SOLVER_CAP).
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, eigh_tridiagonal
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from hardyops.coupling import normalization_A
 from hardyops.specfun import DomainError
@@ -225,7 +233,7 @@ def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
         base = _local_stiffness(grid)
     else:
         base = _nonlocal_stiffness(alpha, grid, regional=True)
-        # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}
+        # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
         kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
         base[np.diag_indices_from(base)] += grid.weights * kill
     base.flags.writeable = False
@@ -380,8 +388,13 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     Hardy weight, go straight to bisection (LAPACK stebz): no matrix is
     formed, so any N runs.  The tiny tol leaves bisection to its relative
     stopping rule; the default absolute one, eps * ||T||_1, grows as N^2.
-    For alpha < 2 the dense form is assembled and N is capped at
-    DENSE_SOLVER_CAP.
+
+    For alpha < 2 the form K is dense, so N is capped at DENSE_SOLVER_CAP.
+    The minimum is 1/mu for the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}:
+    K is Cholesky-factored in place and Lanczos (ARPACK) runs on the inverse
+    through triangular solves, from the fixed start vector H^{1/2}.  A form
+    that is not positive definite (a failed assembly, since the lambda = 0
+    form is positive) raises DomainError.
     """
     if alpha == 2.0:
         diag, off = _local_bands(grid)
@@ -392,11 +405,19 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
         return float(vals[0])
     _check_dense_cap(grid)
     op = assemble_form(alpha, 0.0, grid)
+    # the stiffness is symmetric, so its transpose is a Fortran-ordered view
+    # that LAPACK factors without a copy
+    try:
+        factor = cho_factor(op.stiffness.T, overwrite_a=True)
+    except LinAlgError:
+        raise DomainError(f"the discrete form at alpha={alpha}, X={grid.X}, "
+                          f"N={grid.N}, g={grid.grading} is not positive "
+                          f"definite, so it has no Hardy minimum") from None
     rw = np.sqrt(op.hardy)
-    B = op.stiffness / rw[:, None] / rw[None, :]
-    B = 0.5 * (B + B.T)
-    vals = eigh(B, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    inverse = LinearOperator(op.stiffness.shape, dtype=float,
+                             matvec=lambda x: rw * cho_solve(factor, rw * x.ravel()))
+    mu = eigsh(inverse, k=1, which="LA", v0=rw, tol=0, return_eigenvectors=False)
+    return float(1.0 / mu[0])
 
 
 def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,

@@ -94,6 +94,15 @@ class TestDiscretize:
         assert err.startswith("parameter error: ") and "--N" in err and "250" in err
         assert "Traceback" not in err and out == ""
 
+    def test_hardy_min_on_indefinite_form_is_parameter_error(self, capsys):
+        rc, out, err = run(capsys, "discretize", "--hardy-min", "--alpha", "0.5",
+                           "--g", "8", "--N", "300")
+        assert rc == 2
+        assert err.startswith("parameter error: ") and "not positive definite" in err
+        for part in ("alpha=0.5", "X=10.0", "N=300", "g=8.0"):
+            assert part in err
+        assert "Traceback" not in err and out == ""
+
     def test_hardy_min_table_past_dense_cap_at_alpha2(self, capsys, tmp_path):
         path = tmp_path / "hardy.csv"
         rc, _, _ = run(capsys, "discretize", "--alpha", "2", "--N", "64000",
@@ -120,8 +129,21 @@ class TestParameterErrors:
         (["kernel", "--kind", "heat-exact", "--alpha", "1.5", "--x", "1", "--y", "2"],
          "--alpha"),
         (["discretize", "--alpha", "1.5", "--N", "100", "--count", "-3"], "--count"),
+        (["kernel", "--kind", "heat-exact", "--d", "0", "--x", "1", "--y", "1"], "--d"),
+        (["kernel", "--kind", "heat-exact", "--c-exp", "0.5", "--x", "1", "--y", "1"],
+         "--c-exp"),
+        (["kernel", "--kind", "riesz-envelope", "--c-exp", "0.5", "--t", "0.5",
+          "--x", "1", "--y", "2"], "--c-exp"),
+        (["discretize", "--hardy-min", "--alpha", "1.5", "--N", "250", "--lambda", "5"],
+         "--lambda"),
+        (["discretize", "--hardy-min", "--alpha", "2", "--N", "250", "--count", "3"],
+         "--count"),
+        (["discretize", "--hardy-min", "--spectrum", "--alpha", "2", "--N", "250"],
+         "--spectrum"),
     ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
-            "heat-exact-alpha", "discretize-count"])
+            "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
+            "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
+            "hardy-min-spectrum"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2

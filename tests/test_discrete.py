@@ -281,6 +281,38 @@ class TestHardyQuotient:
         with pytest.raises(DomainError, match="dense solver capped"):
             hardy_quotient_min(1.5, build_grid(10.0, DENSE_SOLVER_CAP + 1, 2.0))
 
+    @pytest.mark.parametrize("alpha, N, g", [
+        *[(alpha, 2000, g) for alpha in (0.5, 1.0, 1.5) for g in (2.0, 4.0, 6.0)],
+        (1.5, 4000, 2.0)])
+    def test_matches_dense_eigh(self, alpha, N, g):
+        # the dense subset eigensolve the Cholesky-Lanczos path replaced
+        from scipy.linalg import eigh
+        grid = build_grid(10.0, N, g)
+        op = assemble_form(alpha, 0.0, grid)
+        rw = np.sqrt(op.hardy)
+        B = op.stiffness / rw[:, None] / rw[None, :]
+        ref = eigh(0.5 * (B + B.T), eigvals_only=True, subset_by_index=[0, 0])[0]
+        del op, B
+        assert hardy_quotient_min(alpha, grid) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_scale_invariant(self, alpha):
+        # the quotient is dilation-invariant, so the minimum cannot depend on X
+        vals = [hardy_quotient_min(alpha, build_grid(X, 2000, 2.0))
+                for X in (1.0, 10.0, 20.0, 500.0)]
+        assert (max(vals) - min(vals)) / min(vals) <= 1e-11
+
+    @pytest.mark.parametrize("alpha, g", [(0.5, 8.0), (1.0, 10.0)])
+    def test_indefinite_form_is_domain_error(self, alpha, g):
+        # the lambda = 0 form is positive; on these over-graded meshes the
+        # assembly loses it (cancellation in _diag_singular_pairs), and the
+        # minimum must not come back negative.  Once the assembly keeps these
+        # forms positive, they should give a positive minimum instead.
+        with pytest.raises(DomainError, match="not positive definite") as info:
+            hardy_quotient_min(alpha, build_grid(10.0, 300, g))
+        for part in (f"alpha={alpha}", "X=10.0", "N=300", f"g={g}"):
+            assert part in str(info.value)
+
     def test_deep_grid_converges_to_sharp_constant(self):
         # with a boundary-resolving grading and the consistent Hardy pairing
         # the quotient lands on the sharp constant; this isolates the
