@@ -190,10 +190,10 @@ def cmd_verify(args) -> int:
                               f"known: {sorted(V.CHECKS)}")
         config = {args.check: {}}
     reports = V.run_all(config, seed=args.seed)
+    if args.summary:
+        V.write_reports_csv(reports, args.summary)
     if args.out:
         V.write_reports_json(reports, args.out)
-        if args.summary:
-            V.write_reports_csv(reports, args.summary)
     else:
         json.dump([r.as_dict() for r in reports], sys.stdout, indent=1,
                   default=float)
@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", type=str, default=None)
     pv.add_argument("--out", type=str, default=None, help="JSON report path")
     pv.add_argument("--summary", type=str, default=None, help="CSV summary path")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=0,
+                    help="sample-point seed of difference_bound and lemma_integral")
     pv.set_defaults(func=cmd_verify)
 
     for p in (pe, pk, pd):

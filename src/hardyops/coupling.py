@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from hardyops.specfun import DomainError, _sinpi
 
@@ -142,15 +143,23 @@ def gamma_closed(alpha: float, p: float) -> float:
 def exponent_p(alpha: float, lam: float) -> float:
     """Unique p in [(alpha-1)/2, M) with C(p) = lam, on the increasing branch.
 
-    Bracketed bisection down to width 1e-3, then safeguarded Newton with a
-    numerically differentiated C.  Residual |C(p) - lam| <= 1e-10 max(1,|lam|).
+    The root is bracketed between the branch start and a point where C >= lam,
+    then found by Brent's method (scipy.optimize.brentq) to
+    |dp| <= 1e-15 + 4 eps |p|.  C is flat at the branch start, so just above
+    lambda_star p carries about the square root of the rounding in C: at
+    alpha = 2 it is off by 7e-13 at lam - lambda_star = 1e-8 and by 8e-11 at
+    1e-12.  Residual |C(p) - lam| <= 1e-10 max(1,|lam|) for lam <= 1e3.
+    Beyond that p nears the pole at alpha (alpha - p ~ 2e-8 at lam = 1e6),
+    where one ulp of p moves C by about 1e-8 relative.
     """
     _check_alpha(alpha, include_two=True)
     lstar = lambda_star(alpha)
     if lam < lstar - LAMBDA_SLACK:
         raise DomainError(f"lambda={lam!r} below the sharp constant {lstar!r}")
     p_lo = 0.5 * (alpha - 1.0)
-    if lam <= lstar:
+    # C(p_lo) equals lambda_star only up to rounding; above both values the
+    # residual at p_lo is negative, which the root bracket needs.
+    if lam <= max(lstar, coupling_C(alpha, p_lo)):
         return p_lo
     # Geometric bracket growth until C exceeds lam.
     if alpha == 2.0:
@@ -171,36 +180,8 @@ def exponent_p(alpha: float, lam: float) -> float:
             p_hi = alpha - gap
         else:
             raise DomainError(f"failed to bracket p for lambda={lam!r}")
-    lo, hi = p_lo, p_hi
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if coupling_C(alpha, mid) < lam:
-            lo = mid
-        else:
-            hi = mid
-    tol = 1e-13 * max(1.0, abs(lam))
-    p = 0.5 * (lo + hi)
-    for _ in range(80):
-        f = coupling_C(alpha, p) - lam
-        if abs(f) <= tol:
-            break
-        if f < 0.0:
-            lo = p
-        else:
-            hi = p
-        h = 1e-7 * (1.0 + abs(p))
-        if alpha < 2.0:
-            h = min(h, 0.25 * (alpha - p))
-        h = min(h, 0.25 * (p + 1.0))
-        df = (coupling_C(alpha, p + h) - coupling_C(alpha, p - h)) / (2.0 * h)
-        step_ok = df > 0.0 and math.isfinite(df)
-        p_new = p - f / df if step_ok else 0.5 * (lo + hi)
-        if not (lo < p_new < hi):
-            p_new = 0.5 * (lo + hi)
-        if p_new == p:
-            break
-        p = p_new
-    return p
+    return brentq(lambda p: coupling_C(alpha, p) - lam, p_lo, p_hi,
+                  xtol=1e-15, rtol=4.0 * math.ulp(1.0))
 
 
 def lambda_zero(d: int, alpha: float) -> float:

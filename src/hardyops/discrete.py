@@ -348,7 +348,6 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
                                    lapack_driver="stemr")
     else:
         B = op.stiffness / rw[:, None] / rw[None, :]
-        B = 0.5 * (B + B.T)
         vals, Y = eigh(B)
     V = Y / rw[:, None]
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=V,

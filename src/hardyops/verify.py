@@ -7,7 +7,8 @@ unspecified constants, so checks fit and cap constants rather than asserting
 exact values; exact form identities (the s = 1 and s = 2 reductions) are the
 only places where agreement at rounding level is demanded.
 
-All checks are deterministic given their seed and grid configuration.  The
+All checks are deterministic given their parameters; the two that draw random
+sample points (difference_bound, lemma_integral) take them from a seed.  The
 fractional-order norm-equivalence checks run purely through the discrete
 spectral calculus (no closed-form fractional kernels exist); every such
 report says so in its notes.
@@ -155,7 +156,7 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None = None,
                       cap: float = 1e3, family_cap: float = 10.0,
-                      n_eps: int = 8, seed: int = 0) -> VerificationReport:
+                      n_eps: int = 8) -> VerificationReport:
     """Comparability of the two fractional Sobolev norms, plus identities.
 
     Below the threshold s < (1 + 2 min(p, p0))/alpha the ratio curve over the
@@ -240,8 +241,7 @@ def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None 
 
 def check_generalized_hardy(alpha: float, lam: float, s: float,
                             grid_cfg: dict | None = None, cap: float = 1e3,
-                            slope_tol: float = 0.2, n_eps: int = 8,
-                            seed: int = 0) -> VerificationReport:
+                            slope_tol: float = 0.2, n_eps: int = 8) -> VerificationReport:
     """Weighted-norm bound below threshold; windowed blow-up rate above it."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
     grid = _grid_from(cfg)
@@ -329,7 +329,7 @@ def _reversed_family(grid: Grid1D, p: float,
 
 def check_reversed_hardy(alpha: float, lam: float, s: float,
                          grid_cfg: dict | None = None, cap: float = 1e3,
-                         n_eps: int = 8, seed: int = 0) -> VerificationReport:
+                         n_eps: int = 8) -> VerificationReport:
     """|| (L_lam^{s/2} - L_0^{s/2}) u || controlled by the Hardy-weight norm."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
     grid = _grid_from(cfg)
@@ -369,8 +369,7 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
 # ---------------------------------------------------------------------------
 
 def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), d: int = 2,
-                        cap_k2k1: float = 1e3, n_log: int = 7,
-                        seed: int = 0) -> VerificationReport:
+                        cap_k2k1: float = 1e3, n_log: int = 7) -> VerificationReport:
     """Sandwich the exact kernel between envelopes with Gaussian constants.
 
     Lower envelope uses the exact constant 1/4; the upper constant is fitted
@@ -483,7 +482,7 @@ def check_difference_bound(lams=(0.5, 2.0), cap: float = 1e3,
 
 
 def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5,
-                           cap: float = 1e3, seed: int = 0) -> VerificationReport:
+                           cap: float = 1e3) -> VerificationReport:
     """Semigroup image of a bump against its boundary/Gaussian majorant."""
     p = exponent_p(2.0, lam)
     sup_y = 2.0
@@ -622,8 +621,7 @@ def _schur_scale_integral(alpha: float, r: float, beta: float) -> float:
 
 
 def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
-                     cap: float = 1e3, n_x: int = 7,
-                     seed: int = 0) -> VerificationReport:
+                     cap: float = 1e3, n_x: int = 7) -> VerificationReport:
     """Row integrals of the reduced kernel: finite suprema, scale-free rows.
 
     The weight exponent beta sits at the midpoint of its admissible window
@@ -662,9 +660,8 @@ def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
 
 def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
                              X_r: float = 30.0, X_R: float = 500.0,
-                             g: float = 2.0, t_r: float = 0.25,
-                             t_R: float = 0.02, slope_tol: float = 0.15,
-                             seed: int = 0) -> VerificationReport:
+                             g: float = 2.0, t_r: float = 0.25, t_R: float = 0.02,
+                             slope_tol: float = 0.15) -> VerificationReport:
     """Cutoff-commutator norms against the predicted r- and R-rates.
 
     The boundary rate p - alpha + 1/2 is probed on a fine grid (the theta
@@ -673,9 +670,9 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     radial rate is the nonlocal far-tail mechanism, so the alpha < 2 probe
     uses a short-time heat image (fat polynomial tails, small transition-zone
     amplitude).  For alpha = 2 the commutator is local and the decay-class-
-    saturating profile exhibits the steeper local rate -alpha - 5/2; the
-    stated fractional rate is still what the check asserts.  At alpha = 2,
-    ``rate_R_local`` is the rate that the acceptance suite asserts.
+    saturating profile exhibits the steeper local rate -alpha - 5/2, which
+    is what the check asserts there (``slope_R_local_err``); ``slope_R_err``
+    against the fractional rate is still reported at every alpha.
     """
     p = exponent_p(alpha, lam)
     measured: dict = {"p": p}
@@ -712,7 +709,11 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     measured["rate_R"] = -alpha - 0.5
     measured["rate_R_local"] = -alpha - 2.5
     measured["slope_R_err"] = abs(slope_R - (-alpha - 0.5))
-    tol["slope_R_err"] = slope_tol
+    if alpha < 2.0:
+        tol["slope_R_err"] = slope_tol
+    else:
+        measured["slope_R_local_err"] = abs(slope_R - (-alpha - 2.5))
+        tol["slope_R_local_err"] = slope_tol
     # combined-cutoff norm at the extremes (the corollary's actual object)
     measured["combined_small_r"] = commutator_norm(dec_r.operator, psi,
                                                    float(r_list[-1]), 10.0)
@@ -783,7 +784,7 @@ def run_all(config: dict | None = None, seed: int = 0) -> list[VerificationRepor
     """Execute a campaign: either the parsed config sections or the default.
 
     config maps section names (check name, optionally suffixed ':tag') to
-    flat key=value parameter dicts.
+    flat key=value parameter dicts.  seed goes to the checks that take one.
     """
     jobs: list[tuple[str, dict]]
     if config:
@@ -803,6 +804,7 @@ def run_all(config: dict | None = None, seed: int = 0) -> list[VerificationRepor
         jobs = default_campaign()
     reports = []
     for name, kwargs in jobs:
-        kwargs.setdefault("seed", seed)
+        if "seed" in inspect.signature(CHECKS[name]).parameters:
+            kwargs.setdefault("seed", seed)
         reports.append(CHECKS[name](**kwargs))
     return reports

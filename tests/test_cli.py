@@ -165,6 +165,14 @@ class TestVerify:
         assert "[PASS] schur_prop" in captured.err
         assert summary.read_text().startswith("check_name,")
 
+    def test_summary_without_out(self, capsys, tmp_path):
+        summary = tmp_path / "summary.csv"
+        rc, out, _ = run(capsys, "verify", "--check", "schur_prop",
+                         "--summary", str(summary))
+        assert rc == 0
+        assert json.loads(out)[0]["check_name"] == "schur_prop"
+        assert summary.read_text().startswith("check_name,")
+
     def test_config_campaign_failure_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text(
@@ -191,7 +199,9 @@ class TestVerify:
         ("[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = 10 400\n", "grid_cfg"),
         ("[pointwise_bounds]\nt = soon\n", "t = 'soon'"),
         ("[equivalence]\nalpha = 2\n", "lam, s"),
-    ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys"])
+        ("[schur_prop]\nseed = 3\n", "'seed'"),
+    ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys",
+            "seed-for-deterministic-check"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(section)

@@ -145,9 +145,30 @@ class TestGammaFunctionOfP:
 
 class TestExponentInversion:
     def test_second_order_closed_form(self):
-        for lam in (-0.25, 0.0, 2.0):
+        # the lambda grid of acceptance criterion 1
+        lams = np.concatenate([np.linspace(-0.25, 100.0, 401), [-0.25, 0.0, 2.0]])
+        for lam in lams:
             ref = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * lam))
+            assert exponent_p(2.0, float(lam)) == pytest.approx(ref, abs=1e-13)
+
+    def test_second_order_near_sharp_constant(self):
+        # C is flat at the branch start, so a residual-based stop leaves
+        # errors of the size of the square root of its tolerance here
+        for gap in (1e-4, 1e-6, 1e-8, 1e-10):
+            lam = -0.25 + gap
+            ref = 0.5 + math.sqrt(lam + 0.25)
             assert exponent_p(2.0, lam) == pytest.approx(ref, abs=1e-11)
+
+    def test_rounding_above_sharp_constant(self):
+        # lambda_star and C(p_lo) agree only to rounding; couplings between
+        # them must still map to the branch start, not fail to bracket
+        for alpha in np.linspace(0.02, 2.0, 100):
+            alpha = float(alpha)
+            p_lo = 0.5 * (alpha - 1.0)
+            lam = lambda_star(alpha)
+            for _ in range(8):
+                lam = math.nextafter(lam, math.inf)
+                assert p_lo <= exponent_p(alpha, lam) <= p_lo + 1e-6
 
     def test_zero_coupling(self):
         for alpha in (0.5, 1.7):

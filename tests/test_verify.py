@@ -114,6 +114,15 @@ class TestCommutator:
         assert r.verdict
         assert r.measured["interior_flat_ratio"] <= 0.05
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_second_order_holds_local_rate(self, lam):
+        # the local alpha = 2 commutator decays at -alpha - 5/2, not at the
+        # fractional -alpha - 1/2; the verdict asserts the local rate
+        r = V.check_commutator_scaling(2.0, lam, N=2000)
+        assert r.verdict
+        assert r.measured["slope_R_local_err"] <= 0.15
+        assert r.measured["slope_R_err"] > 1.5
+
 
 class TestReportsAndCampaign:
     def test_report_serialization(self, tmp_path):
