@@ -229,11 +229,16 @@ class CouplingParams:
         return DerivedExponents(q=q, r=max(-q, 0.0), p0=p0)
 
     def check(self) -> None:
-        """Re-verify the defining relations (used by tests and the CLI)."""
-        resid = abs(coupling_C(self.alpha, self.p) - self.lam)
+        """Re-verify the defining relations; raise DomainError if one fails.
+        |C(p) - lam| may also reach the change in C over four ulps of p, which
+        near the pole at alpha exceeds the relative tolerance."""
+        C = coupling_C(self.alpha, self.p)
+        resid = abs(C - self.lam)
         tol = 1e-10 * max(1.0, abs(self.lam)) if self.lam != 0.0 else 1e-12
         if resid > tol and self.p > 0.5 * (self.alpha - 1.0):
-            raise DomainError(f"C(p) residual {resid} exceeds tolerance")
+            tol += abs(C - coupling_C(self.alpha, self.p - 4.0 * math.ulp(self.p)))
+            if resid > tol:
+                raise DomainError(f"C(p) residual {resid} exceeds tolerance {tol}")
         if self.lam < self.lambda_star - LAMBDA_SLACK:
             raise DomainError("lambda below lambda_star")
 

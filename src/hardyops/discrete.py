@@ -4,22 +4,23 @@ The quadratic form (nonlocal difference form for alpha < 2, Dirichlet energy
 for alpha = 2, plus the inverse-power Hardy potential) is realized on
 piecewise-linear hats over a mesh graded toward the boundary.  For alpha < 2
 the domain is truncated at X with a Dirichlet condition understood as
-extension by zero: the assembled form is the half-line form of the extended
-function, i.e. the regional form on (0, X) plus the exact exterior "killing"
-potential coming from (X, infinity).
+extension by zero.  The regional form on (0, X) is the whole-line form of the
+zero-extended hats minus the exterior potential
+(A/alpha)(x^{-alpha} + (X - x)^{-alpha}), which is tridiagonal on hats; the
+killing potential from (X, infinity) is then added back, lumped onto the
+diagonal as its nodal value times the midpoint weight.  Every stiffness is
+thus a dense part (zero at alpha = 2) plus three bands.
 
-The regional form is assembled in closed form: with hat basis functions the
+The whole-line form is assembled in closed form: with hat basis functions the
 double integral reduces, via two integrations by parts, to cell-pair
 integrals of one kernel family k(r) = r^{1-alpha}/(alpha(alpha-1)) (-ln r at
-alpha = 1), whose second derivative is the kernel r^{-1-alpha}.  The pieces
-k(|t - tau|), k(max) and k(X - min) are integrated through explicit
-antiderivatives of k, so no singular quadrature is needed anywhere (including
-the diagonal cell pairs); the k(X - min) piece is the k(max) piece measured
-from X.  Where those closed forms would cancel catastrophically (cells far
-from the singular point compared with their size), midpoint-Taylor and Gauss
-rules on the smooth integrand take over.  The exterior killing potential is
-not integrated exactly: it is lumped onto the diagonal as its nodal value
-times the midpoint weight.
+alpha = 1), whose second derivative is the kernel r^{-1-alpha}.  The pairs of
+k(|t - tau|) and the single-cell integrals of k seen from 0 and from X, which
+give the exterior bands, come from explicit antiderivatives of k, so no
+singular quadrature is needed anywhere (including the diagonal cell pairs).
+Where those closed forms would cancel catastrophically (cells far from the
+singular point compared with their size), midpoint-Taylor and Gauss rules on
+the smooth integrand take over.
 
 Spectral calculus is a generalized symmetric eigendecomposition against the
 lumped mass: the tridiagonal MRRR solver at alpha = 2, dense eigh for
@@ -165,44 +166,38 @@ def _cell_integrals(near: np.ndarray, far: np.ndarray, h: np.ndarray,
     return first, second
 
 
-def _cellpair_weights(grid: Grid1D, alpha: float, regional: bool) -> np.ndarray:
-    """Integrals of the double-parts-integrated kernel over all cell pairs.
+def _contract_slopes(P: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Apply hat slopes (+1/h_i on cell i, -1/h_{i+1} on cell i+1) to P,
+    overwriting it.  Exactly symmetric when P is: an entry and its mirror add
+    the same pairs."""
+    P /= np.outer(h, h)
+    K = P[:-1, :-1] + P[1:, 1:]
+    K -= P[1:, :-1] + P[:-1, 1:]
+    return K
 
-    Returns P with P[c, c'] = integral over cell_c x cell_c' of
-    w(min(t,tau), max(t,tau)), where w(a, b) = k(b - a) - k(b) - k(X - a) is,
-    up to a constant, the double integral of |x - y|^{-1-alpha} over
-    {y < a} x {x > b} intersected with (0, X)^2 (regional=True) or with the
-    full line (regional=False, only k(b - a) is left).  Constants drop
-    because hat slopes integrate to zero.
-    """
+
+def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
+    """Whole-line form of the zero-extended hats (see assemble_fullline_form)."""
     P = _diag_singular_pairs(grid, alpha)
-    if not regional:
-        return P
+    return normalization_A(1, alpha) * _contract_slopes(P, grid.cell_lengths)
+
+
+def _exterior_bands(grid: Grid1D, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the regional minus the whole-line form, over A; on hats this
+    is -(1/alpha) int phi_i phi_j (x^{-alpha} + (X - x)^{-alpha}), the pieces
+    -k(b) - k(X - a) of the parts-integrated kernel at a = min, b = max.  m is
+    the mean of k over a cell, f that of k(max) over its square, seen from 0
+    or (mX, fX) from X; hat i spans cells i and i + 1.
+    """
     v = grid.vertices
     h = grid.cell_lengths
-    # the max-variable piece k(b) sees each cell from 0; the min-variable
-    # piece k(X - a) is the same piece seen from X
-    cell_max, same_max = _cell_integrals(v[:-1], v[1:], h, alpha)
-    cell_min, same_min = _cell_integrals(grid.X - v[1:], grid.X - v[:-1], h, alpha)
-    # c < c': the maximum lives in cell c', the minimum in cell c
-    upper = np.triu(np.outer(h, cell_max) + np.outer(cell_min, h), k=1)
-    P -= upper
-    P -= upper.T
-    del upper
-    P[np.diag_indices_from(P)] -= same_max + same_min
-    return P
-
-
-def _contract_slopes(P: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply hat-function slopes (+1/h_i on cell i, -1/h_{i+1} on cell i+1)."""
-    Q = P[:-1, :] / h[:-1, None] - P[1:, :] / h[1:, None]
-    return Q[:, :-1] / h[None, :-1] - Q[:, 1:] / h[None, 1:]
-
-
-def _nonlocal_stiffness(alpha: float, grid: Grid1D, regional: bool) -> np.ndarray:
-    P = _cellpair_weights(grid, alpha, regional)
-    K = normalization_A(1, alpha) * _contract_slopes(P, grid.cell_lengths)
-    return 0.5 * (K + K.T)
+    first, second = _cell_integrals(v[:-1], v[1:], h, alpha)
+    m, f = first / h, second / h ** 2
+    first, second = _cell_integrals(grid.X - v[1:], grid.X - v[:-1], h, alpha)
+    mX, fX = first / h, second / h ** 2
+    diag = 2.0 * m[1:] - f[:-1] - f[1:] + 2.0 * mX[:-1] - fX[:-1] - fX[1:]
+    off = f[1:-1] - m[1:-1] + fX[1:-1] - mX[1:-1]
+    return diag, off
 
 
 def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
@@ -211,31 +206,30 @@ def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return d[:-1] + d[1:], -d[1:-1]
 
 
-def _local_stiffness(grid: Grid1D) -> np.ndarray:
-    """Classical P1 Dirichlet stiffness (alpha = 2) as a dense matrix."""
-    diag, off = _local_bands(grid)
-    K = np.diag(diag)
-    idx = np.arange(len(off))
-    K[idx, idx + 1] = off
-    K[idx + 1, idx] = off
-    return K
-
-
 @functools.lru_cache(maxsize=8)   # stiffness bases are expensive at N ~ 2000
 def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """(lambda-independent stiffness, Hardy potential diagonal).
 
-    Both are cached and shared by every operator on (alpha, grid), so they
-    are read-only.
+    The stiffness is a dense part plus three bands (see the module
+    docstring).  Both are cached and shared by every operator on
+    (alpha, grid), so they are read-only.
     """
     hardy = grid.weights * grid.nodes ** (-alpha)
+    n = len(grid.nodes)
     if alpha == 2.0:
-        base = _local_stiffness(grid)
+        base = np.zeros((n, n))
+        diag, off = _local_bands(grid)
     else:
-        base = _nonlocal_stiffness(alpha, grid, regional=True)
+        base = _nonlocal_stiffness(alpha, grid)
+        A = normalization_A(1, alpha)
+        diag, off = _exterior_bands(grid, alpha)
         # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
-        kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
-        base[np.diag_indices_from(base)] += grid.weights * kill
+        kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
+        diag, off = A * diag + grid.weights * kill, A * off
+    i = np.arange(n - 1)
+    base[np.diag_indices(n)] += diag
+    base[i, i + 1] += off
+    base[i + 1, i] += off
     base.flags.writeable = False
     hardy.flags.writeable = False
     return base, hardy
@@ -285,14 +279,14 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D,
 def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
     """Stiffness of the whole-line fractional form for zero-extended hats.
 
-    Only the translation-invariant kernel piece survives (hat slopes have
-    zero mean, so the constant parts of the double antiderivative drop);
-    used to cross-check the regional + exterior + comparison-potential
-    decomposition of the whole-line energy.
+    Only the translation-invariant kernel piece k(|t - tau|) survives (hat
+    slopes have zero mean, so the constant parts of the double antiderivative
+    drop).  This is the dense part of every alpha < 2 stiffness: assemble_form
+    adds the exterior bands, the lumped killing term and the Hardy potential.
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"alpha must lie in (0, 2), got {alpha!r}")
-    return _nonlocal_stiffness(alpha, grid, regional=False)
+    return _nonlocal_stiffness(alpha, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -230,6 +231,17 @@ class TestCouplingParams:
         assert der.q == min(cp.p, 0.5)
         assert der.r >= 0.0
         assert cp.lambda_zero is not None and cp.lambda_zero > 0.0
+
+    def test_check_accepts_roots_near_the_pole(self):
+        # at lam = 1e6 one ulp of p moves C by more than 1e-10 lam; a p off
+        # by 1e-9 relative must still be rejected there and at lam = 1
+        for alpha in (0.5, 1.0, 1.5, 1.9, 1.98):
+            for lam in (1.0, 1e6):
+                cp = make_coupling(1, alpha, lam)
+                cp.check()
+                for shift in (1.0 - 1e-9, 1.0 + 1e-9):
+                    with pytest.raises(DomainError):
+                        dataclasses.replace(cp, p=cp.p * shift).check()
 
     def test_second_order_has_no_comparison_constant(self):
         cp = make_coupling(1, 2.0, 0.3)

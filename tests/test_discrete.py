@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from hardyops.coupling import lambda_star, lambda_zero, normalization_A
-from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _nonlocal_stiffness,
-                               assemble_form,
+from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _exterior_bands,
+                               _local_bands, assemble_form,
                                assemble_fullline_form, boundary_bump,
                                build_grid, commutator_norm,
                                commutator_with_multiplier, cutoff_product,
@@ -41,6 +41,16 @@ class TestGrid:
             build_grid(1.0, 100, 0.5)
 
 
+def banded(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def regional_form(alpha, grid):
+    """Regional form on (0, X): the whole-line form plus the exterior bands."""
+    return assemble_fullline_form(alpha, grid) \
+        + normalization_A(1, alpha) * banded(*_exterior_bands(grid, alpha))
+
+
 class TestAssembly:
     def test_classical_tridiagonal(self):
         g = build_grid(1.0, 16, 1.0)
@@ -60,11 +70,16 @@ class TestAssembly:
             # diagonal terms are added in place: same entries as the dense sums
             base = assemble_form(alpha, 0.0, grid).stiffness
             assert np.array_equal(K, base + 0.3 * np.diag(op.hardy))
+            # the base is a dense part plus three bands, added in place
             if alpha < 2.0:
-                kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
-                dense = _nonlocal_stiffness(alpha, grid, regional=True) \
-                    + np.diag(grid.weights * kill)
-                assert np.array_equal(base, dense)
+                A = normalization_A(1, alpha)
+                kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
+                diag, off = _exterior_bands(grid, alpha)
+                dense = assemble_fullline_form(alpha, grid) \
+                    + banded(A * diag + grid.weights * kill, A * off)
+            else:
+                dense = banded(*_local_bands(grid))
+            assert np.array_equal(base, dense)
 
     def test_positivity_fractional(self):
         dec = eigendecompose(assemble_form(0.5, 0.0, build_grid(1.0, 200, 1.0)))
@@ -85,18 +100,52 @@ class TestAssembly:
         # the min-variable piece is the max-variable piece seen from X
         grid = build_grid(3.0, 64, 1.0)
         for alpha in (0.5, 1.0, 1.5):
-            K = _nonlocal_stiffness(alpha, grid, True)
+            K = regional_form(alpha, grid)
             assert np.max(np.abs(K - K[::-1, ::-1])) <= 1e-12 * np.max(np.abs(K))
 
     def test_continuous_across_alpha_one(self):
         # the alpha = 1 log branch is the limit of the power-law kernel piece
         grid = build_grid(10.0, 400, 2.0)
         delta = 1e-3
-        for regional in (True, False):
-            K1 = _nonlocal_stiffness(1.0, grid, regional)
+        for form in (regional_form, assemble_fullline_form):
+            K1 = form(1.0, grid)
             for alpha in (1.0 - delta, 1.0 + delta):
-                diff = np.max(np.abs(_nonlocal_stiffness(alpha, grid, regional) - K1))
-                assert diff <= 2e-2 * np.max(np.abs(K1)), (regional, alpha, diff)
+                diff = np.max(np.abs(form(alpha, grid) - K1))
+                assert diff <= 2e-2 * np.max(np.abs(K1)), (form, alpha, diff)
+
+    def test_exterior_bands_quadrature_oracle(self):
+        # regional minus whole-line form: -(1/alpha) int phi_i phi_j
+        # (x^{-alpha} + (X - x)^{-alpha}), integrated cell by cell; hat i
+        # rises on cell i and falls on cell i + 1
+        for X, N, g in ((1.0, 16, 1.0), (10.0, 40, 2.0), (10.0, 40, 4.0)):
+            grid = build_grid(X, N, g)
+            v = grid.vertices
+            for alpha in (0.5, 1.0, 1.5):
+                def cell(c, rise_i, rise_j):
+                    a, b = v[c], v[c + 1]
+
+                    def f(x):
+                        pi = x - a if rise_i else b - x
+                        pj = x - a if rise_j else b - x
+                        return pi * pj / (b - a) ** 2 * (x ** -alpha + (X - x) ** -alpha)
+                    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+                ref_diag = np.array([cell(i, True, True) + cell(i + 1, False, False)
+                                     for i in range(N - 1)]) / -alpha
+                ref_off = np.array([cell(i + 1, False, True) for i in range(N - 2)]) / -alpha
+                diag, off = _exterior_bands(grid, alpha)
+                scale = np.max(np.abs(ref_diag))
+                assert np.max(np.abs(diag - ref_diag)) <= 1e-13 * scale, (X, g, alpha)
+                assert np.max(np.abs(off - ref_off)) <= 1e-13 * scale, (X, g, alpha)
+
+    def test_base_is_fullline_form_off_the_bands(self):
+        # the exterior pieces vanish exactly on hats with disjoint supports
+        grid = build_grid(10.0, 200, 2.0)
+        far = np.abs(np.subtract.outer(np.arange(199), np.arange(199))) > 1
+        for alpha in (0.5, 1.0, 1.5):
+            base = assemble_form(alpha, 0.0, grid).stiffness
+            diff = base - assemble_fullline_form(alpha, grid)
+            assert np.all(diff[far] == 0.0), (alpha, np.max(np.abs(diff[far])))
 
     def test_cached_parts_are_read_only(self):
         grid = build_grid(5.0, 60, 2.0)
