@@ -22,12 +22,12 @@ Where those closed forms would cancel catastrophically (cells far from the
 singular point compared with their size), midpoint-Taylor and Gauss rules on
 the smooth integrand take over.
 
+Assembled stiffnesses are dense, so assembly first checks N <= DENSE_SOLVER_CAP.
 Spectral calculus is a generalized symmetric eigendecomposition against the
 lumped mass: the tridiagonal MRRR solver at alpha = 2, dense eigh for
-alpha < 2, both capped at DENSE_SOLVER_CAP because the eigenvectors are
-dense.  The Hardy minimum needs only the lowest eigenvalue: bisection on the
-bands at alpha = 2 (any N), and for alpha < 2 a Cholesky factor of the dense
-form with Lanczos on its inverse (capped at DENSE_SOLVER_CAP).
+alpha < 2.  The Hardy minimum needs only the lowest eigenvalue: bisection on
+the bands at alpha = 2 (no assembly, any N), and for alpha < 2 a Cholesky
+factor of the assembled form with Lanczos on its inverse.
 """
 
 from __future__ import annotations
@@ -206,7 +206,9 @@ def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return d[:-1] + d[1:], -d[1:-1]
 
 
-@functools.lru_cache(maxsize=8)   # stiffness bases are expensive at N ~ 2000
+# the lam and 0 operators of a check share an entry, and commutator_scaling
+# moves between two grids: two entries keep every hit the benchmark makes
+@functools.lru_cache(maxsize=2)
 def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """(lambda-independent stiffness, Hardy potential diagonal).
 
@@ -246,13 +248,17 @@ class DiscreteOperator:
     hardy: np.ndarray      # diagonal of the Hardy weight, weights * x^{-alpha}
     mass: np.ndarray       # lumped mass diagonal (= grid.weights)
 
-    def form(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
-        v = u if v is None else v
-        return float(u @ (self.stiffness @ v))
+    def form(self, u: np.ndarray) -> float:
+        return float(u @ (self.stiffness @ u))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Operator action in the mass inner product: M^{-1} K u."""
         return (self.stiffness @ u) / self.mass
+
+
+def _check_dense_cap(grid: Grid1D) -> None:
+    if grid.N > DENSE_SOLVER_CAP:
+        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
 
 
 def assemble_form(alpha: float, lam: float, grid: Grid1D,
@@ -260,10 +266,12 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D,
     """Assemble the discrete quadratic form for coupling lam.
 
     lam below the sharp constant is allowed (indefinite forms are useful
-    optimality probes); a warning is emitted unless suppressed.
+    optimality probes); a warning is emitted unless suppressed.  The stiffness
+    is dense, so N > DENSE_SOLVER_CAP is rejected before any work.
     """
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
+    _check_dense_cap(grid)
     from hardyops.coupling import lambda_star
     if warn_below_sharp and lam < lambda_star(alpha) - 1e-12:
         import warnings
@@ -286,6 +294,7 @@ def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
     """
     if not (0.0 < alpha < 2.0):
         raise DomainError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _check_dense_cap(grid)
     return _nonlocal_stiffness(alpha, grid)
 
 
@@ -319,11 +328,6 @@ class SpectralDecomposition:
         return float(np.max(num / den))
 
 
-def _check_dense_cap(grid: Grid1D) -> None:
-    if grid.N > DENSE_SOLVER_CAP:
-        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
-
-
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition against the lumped mass.
 
@@ -331,9 +335,8 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     M^{-1/2} on both sides, go to the tridiagonal MRRR solver (LAPACK stemr),
     which keeps the lowest modes' residuals at the level of dense eigh; for
     alpha < 2 the scaled matrix goes to dense eigh.  The eigenvectors are a
-    dense n x n matrix either way, so N is capped at DENSE_SOLVER_CAP.
+    dense n x n matrix either way, bounded by assemble_form's DENSE_SOLVER_CAP.
     """
-    _check_dense_cap(op.grid)
     rw = np.sqrt(op.mass)
     if op.alpha == 2.0:
         K = op.stiffness
@@ -382,7 +385,8 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     formed, so any N runs.  The tiny tol leaves bisection to its relative
     stopping rule; the default absolute one, eps * ||T||_1, grows as N^2.
 
-    For alpha < 2 the form K is dense, so N is capped at DENSE_SOLVER_CAP.
+    For alpha < 2 the form K is dense, so assemble_form caps N at
+    DENSE_SOLVER_CAP before building it.
     The minimum is 1/mu for the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}:
     K is Cholesky-factored in place and Lanczos (ARPACK) runs on the inverse
     through triangular solves, from the fixed start vector H^{1/2}.  A form
@@ -396,7 +400,6 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
                                 eigvals_only=True, select="i", select_range=(0, 0),
                                 tol=np.finfo(float).tiny)
         return float(vals[0])
-    _check_dense_cap(grid)
     op = assemble_form(alpha, 0.0, grid)
     # the stiffness is symmetric, so its transpose is a Fortran-ordered view
     # that LAPACK factors without a copy
@@ -453,41 +456,39 @@ def smoothstep(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def taper(x: np.ndarray, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    """Plateau envelope: 1 on (0, lo], smooth descent to 0 at hi."""
-    return 1.0 - smoothstep((x - lo) / (hi - lo))
+def taper(x: np.ndarray) -> np.ndarray:
+    """Plateau envelope: 1 on (0, 1/2], smooth descent to 0 at 2."""
+    return 1.0 - smoothstep((x - 0.5) / (2.0 - 0.5))
 
 
-def boundary_bump(grid: Grid1D, eps: float, gamma_exp: float,
-                  lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
+def boundary_bump(grid: Grid1D, eps: float, gamma_exp: float) -> np.ndarray:
     """min(x/eps, 1)^gamma times the plateau envelope, on grid nodes."""
     x = grid.nodes
-    return np.minimum(x / eps, 1.0) ** gamma_exp * taper(x, lo, hi)
+    return np.minimum(x / eps, 1.0) ** gamma_exp * taper(x)
 
 
-def interior_bump(grid: Grid1D, center: float = 2.0, halfwidth: float = 1.5) -> np.ndarray:
-    """Smooth bump around center, scaled >= 1 on the inner half of its support."""
-    s = (grid.nodes - center) / halfwidth
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    edge = min(0.25, (0.5 / halfwidth) ** 2)
-    return out / math.exp(1.0 - 1.0 / (1.0 - edge))
-
-
-def dilate_bump(grid: Grid1D, R: float) -> np.ndarray:
-    """Interior bump dilated by R (mass moves outward with R)."""
-    s = (grid.nodes / R - 2.0) / 1.5
+def _bump(s: np.ndarray) -> np.ndarray:
+    """exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside."""
     out = np.zeros_like(s)
     inside = np.abs(s) < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
     return out
 
 
-def singular_profile(grid: Grid1D, p_exp: float,
-                     lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
-    """x^p profile running to the grid floor, tapered to zero by hi."""
-    return grid.nodes ** p_exp * taper(grid.nodes, lo, hi)
+def interior_bump(grid: Grid1D, center: float = 2.0, halfwidth: float = 1.5) -> np.ndarray:
+    """Smooth bump around center, scaled >= 1 on the inner half of its support."""
+    edge = min(0.25, (0.5 / halfwidth) ** 2)
+    return _bump((grid.nodes - center) / halfwidth) / math.exp(1.0 - 1.0 / (1.0 - edge))
+
+
+def dilate_bump(grid: Grid1D, R: float) -> np.ndarray:
+    """Interior bump dilated by R (mass moves outward with R)."""
+    return _bump((grid.nodes / R - 2.0) / 1.5)
+
+
+def singular_profile(grid: Grid1D, p_exp: float) -> np.ndarray:
+    """x^p profile running to the grid floor, tapered to zero by 2."""
+    return grid.nodes ** p_exp * taper(grid.nodes)
 
 
 def decay_profile(grid: Grid1D, p_exp: float, alpha: float) -> np.ndarray:

@@ -77,9 +77,17 @@ def _finalize(name, params, measured, tolerances, notes="") -> VerificationRepor
                               notes=notes)
 
 
+def dump_json(obj, stream) -> None:
+    """Strict JSON with a trailing newline: NaN and infinities become null."""
+    # floats round-trip exactly through repr; only the non-finite ones change
+    obj = json.loads(json.dumps(obj, default=float), parse_constant=lambda _: None)
+    json.dump(obj, stream, indent=1, allow_nan=False)
+    stream.write("\n")
+
+
 def write_reports_json(reports: list[VerificationReport], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=1)
+        dump_json([r.as_dict() for r in reports], fh)
 
 
 def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
@@ -117,20 +125,15 @@ def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
     return _decompose(alpha, lam, grid)
 
 
-def _grid_from(cfg: dict) -> Grid1D:
-    return build_grid(cfg["X"], int(cfg["N"]), cfg["g"])
-
-
 def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float:
     """|| x^{power/2} u || in the lumped mass norm."""
     return float(math.sqrt(np.sum(grid.weights * grid.nodes ** power * u * u)))
 
 
-def eps_family(grid: Grid1D, gamma_exp: float, n: int = 8,
-               eps0: float = 0.2) -> list[tuple[float, np.ndarray]]:
-    """Boundary-bump family over halved concentration scales."""
+def eps_family(grid: Grid1D, gamma_exp: float, n: int = 8) -> list[tuple[float, np.ndarray]]:
+    """Boundary-bump family over halved concentration scales from 0.2."""
     out = []
-    eps = eps0
+    eps = 0.2
     for _ in range(n):
         h_local = np.min(np.diff(grid.vertices[grid.vertices <= 2 * eps]),
                          initial=np.inf)
@@ -165,7 +168,7 @@ def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None 
     monotonically (domain-gap probe through a mollified inverse-power seed).
     """
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
-    grid = _grid_from(cfg)
+    grid = build_grid(**cfg)
     if not (0.0 < s <= 2.0):
         raise DomainError("s must lie in (0, 2]")
     p = exponent_p(alpha, lam)
@@ -244,7 +247,7 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
                             slope_tol: float = 0.2, n_eps: int = 8) -> VerificationReport:
     """Weighted-norm bound below threshold; windowed blow-up rate above it."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
-    grid = _grid_from(cfg)
+    grid = build_grid(**cfg)
     p = exponent_p(alpha, lam)
     d = 1
     threshold = min((1.0 + 2.0 * p) / alpha, 2.0 * d / alpha)
@@ -306,8 +309,7 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
     return _finalize("generalized_hardy", params, measured, tol, "; ".join(notes))
 
 
-def _reversed_family(grid: Grid1D, p: float,
-                     dec: dm.SpectralDecomposition | None = None,
+def _reversed_family(grid: Grid1D, p: float, dec: dm.SpectralDecomposition,
                      n_eps: int = 8) -> list[np.ndarray]:
     """~40 test functions: boundary bumps at three decay rates, dilates,
     interior translates and semigroup mollifications."""
@@ -319,11 +321,10 @@ def _reversed_family(grid: Grid1D, p: float,
             fam.append(dilate_bump(grid, R))
     for c in (1.0, 1.5, 2.0, 2.5, 3.0):
         fam.append(interior_bump(grid, center=c, halfwidth=0.4 * c))
-    if dec is not None:
-        base = boundary_bump(grid, 0.05, p + 0.51)
-        for t in (1e-3, 1e-2, 0.1):
-            fam.append(heat_apply(dec, t, base))
-        fam.append(heat_apply(dec, 0.05, interior_bump(grid)))
+    base = boundary_bump(grid, 0.05, p + 0.51)
+    for t in (1e-3, 1e-2, 0.1):
+        fam.append(heat_apply(dec, t, base))
+    fam.append(heat_apply(dec, 0.05, interior_bump(grid)))
     return fam
 
 
@@ -332,7 +333,7 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
                          n_eps: int = 8) -> VerificationReport:
     """|| (L_lam^{s/2} - L_0^{s/2}) u || controlled by the Hardy-weight norm."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
-    grid = _grid_from(cfg)
+    grid = build_grid(**cfg)
     if not (0.0 < s <= 2.0):
         raise DomainError("s must lie in (0, 2]")
     p = exponent_p(alpha, lam)
@@ -792,7 +793,7 @@ def run_all(config: dict | None = None, seed: int = 0) -> list[VerificationRepor
         for section, raw in config.items():
             name = section.split(":")[0].strip()
             if name not in CHECKS:
-                raise DomainError(f"unknown check {name!r}")
+                raise DomainError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
             params = inspect.signature(CHECKS[name]).parameters
             kwargs = {k: _coerce(section, params, k, v) for k, v in raw.items()}
             missing = [k for k, p in params.items()

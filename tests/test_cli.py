@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hardyops import discrete
 from hardyops.cli import main, read_table
 
 
@@ -10,6 +11,13 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which strict JSON lacks."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestExponent:
@@ -42,6 +50,15 @@ class TestExponent:
         assert rc == 2
         assert "parameter error" in err
 
+    def test_undefined_lambda_zero_is_json_null(self, capsys):
+        # lambda_zero is not defined at alpha = 2
+        rc, out, _ = run(capsys, "exponent", "--alpha", "2", "--lambda", "1",
+                         "--format", "json")
+        assert rc == 0
+        rec = strict_json(out)[0]
+        assert rec["lambda_zero"] is None
+        assert rec["p"] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-12)
+
 
 class TestKernelTable:
     def test_csv_round_trip(self, capsys, tmp_path):
@@ -64,6 +81,14 @@ class TestKernelTable:
                              "--format", "json")
             assert rc == 0
             assert json.loads(out)[0]["value"] > 0.0
+
+    def test_infinite_value_is_json_null(self, capsys):
+        # the Riesz envelope is infinite on the diagonal x = y
+        rc, out, _ = run(capsys, "kernel", "--kind", "riesz-envelope",
+                         "--alpha", "1.5", "--lambda", "1", "--t", "0.7",
+                         "--x", "0.5", "--y", "0.5", "--format", "json")
+        assert rc == 0
+        assert strict_json(out)[0]["value"] is None
 
 
 class TestDiscretize:
@@ -114,6 +139,20 @@ class TestDiscretize:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.25
 
+    def test_dense_cap_is_checked_before_assembly(self, capsys, tmp_path, monkeypatch):
+        def entered(alpha, grid):
+            raise AssertionError(f"assembly entered at N={grid.N}")
+        monkeypatch.setattr(discrete, "_nonlocal_stiffness", entered)
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("[equivalence]\nalpha = 1.5\nlam = 1\ns = 1\n"
+                       "grid_cfg = 10 4001 2\n")
+        for argv in (["discretize", "--alpha", "1.5", "--N", "4001"],
+                     ["verify", "--config", str(cfg)]):
+            rc, out, err = run(capsys, *argv)
+            assert rc == 2
+            assert err.startswith("parameter error: ") and "dense solver capped" in err
+            assert out == ""
+
 
 class TestParameterErrors:
     @pytest.mark.parametrize("argv, name", [
@@ -140,10 +179,14 @@ class TestParameterErrors:
          "--count"),
         (["discretize", "--hardy-min", "--spectrum", "--alpha", "2", "--N", "250"],
          "--spectrum"),
+        (["exponent", "--alpha", "1", "--lambda", "0.5", "--lambda-star"], "--lambda"),
+        (["exponent", "--alpha", "1", "--lambda", "0.5", "--lambda-zero"], "--lambda"),
+        (["exponent", "--alpha", "1", "--lambda-star", "--lambda-zero"], "--lambda-zero"),
     ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
-            "hardy-min-spectrum"])
+            "hardy-min-spectrum", "exponent-lambda-with-star",
+            "exponent-lambda-with-zero", "exponent-star-with-zero"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2

@@ -139,6 +139,21 @@ class TestReportsAndCampaign:
         assert lines[0].startswith("check_name,")
         assert len(lines) > 2
 
+    def test_non_finite_values_are_json_null(self, tmp_path):
+        report = V.VerificationReport(
+            check_name="equivalence", params={"alpha": 1.5},
+            measured={"ratio_max": float("nan"),
+                      "ratio_curve": [[0.2, float("inf")], [0.1, 2.0]]},
+            tolerances={"ratio_max": 1e3}, verdict=False)
+        jpath = tmp_path / "reports.json"
+        V.write_reports_json([report], str(jpath))
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        data = json.loads(jpath.read_text(), parse_constant=reject)
+        assert data[0]["measured"] == {"ratio_max": None,
+                                       "ratio_curve": [[0.2, None], [0.1, 2.0]]}
+
     def test_determinism_under_seed(self):
         a = V.check_lemma_integral(N=1, betas=(0.5,), nsamples=15, seed=11)
         b = V.check_lemma_integral(N=1, betas=(0.5,), nsamples=15, seed=11)
