@@ -5,7 +5,9 @@ VerificationReport with measured ratios, fitted constants and slopes, and a
 verdict against declared tolerances.  Comparability statements carry
 unspecified constants, so checks fit and cap constants rather than asserting
 exact values; exact form identities (the s = 1 and s = 2 reductions) are the
-only places where agreement at rounding level is demanded.
+only places where agreement at rounding level is demanded.  Every fitted
+constant is held to the one cap CAP = 1e3; the verdict bounds are constants
+of their checks, not parameters.
 
 All checks are deterministic given their parameters; the two that draw random
 sample points (difference_bound, lemma_integral) take them from a seed.  The
@@ -40,6 +42,8 @@ from hardyops.specfun import DomainError
 
 DEFAULT_GRID = dict(X=10.0, N=2000, g=2.0)
 FAST_GRID = dict(X=10.0, N=400, g=2.0)
+# cap on every fitted comparability constant
+CAP = 1e3
 
 
 @dataclass
@@ -69,6 +73,8 @@ class VerificationReport:
 
 
 def _finalize(name, params, measured, tolerances, notes="") -> VerificationReport:
+    if not tolerances:
+        raise DomainError(f"{name} has no bound to check")
     ok = all(measured[k] <= tolerances[k] for k in tolerances)
     clean = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
              for k, v in measured.items()}
@@ -130,11 +136,11 @@ def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float:
     return float(math.sqrt(np.sum(grid.weights * grid.nodes ** power * u * u)))
 
 
-def eps_family(grid: Grid1D, gamma_exp: float, n: int = 8) -> list[tuple[float, np.ndarray]]:
-    """Boundary-bump family over halved concentration scales from 0.2."""
+def eps_family(grid: Grid1D, gamma_exp: float) -> list[tuple[float, np.ndarray]]:
+    """Boundary-bump family over eight halved concentration scales from 0.2."""
     out = []
     eps = 0.2
-    for _ in range(n):
+    for _ in range(8):
         h_local = np.min(np.diff(grid.vertices[grid.vertices <= 2 * eps]),
                          initial=np.inf)
         if not np.isfinite(h_local) or h_local > eps / 3.0:
@@ -144,6 +150,11 @@ def eps_family(grid: Grid1D, gamma_exp: float, n: int = 8) -> list[tuple[float, 
     if len(out) < 4:
         raise DomainError("grid too coarse for the requested bump family")
     return out
+
+
+def _require_count(key: str, n: int) -> None:
+    if n < 1:
+        raise DomainError(f"{key} must be at least 1, got {n}")
 
 
 def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -157,13 +168,12 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
 # Norm-equivalence and Hardy checks (discrete spectral calculus)
 # ---------------------------------------------------------------------------
 
-def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None = None,
-                      cap: float = 1e3, family_cap: float = 10.0,
-                      n_eps: int = 8) -> VerificationReport:
+def check_equivalence(alpha: float, lam: float, s: float,
+                      grid_cfg: dict | None = None) -> VerificationReport:
     """Comparability of the two fractional Sobolev norms, plus identities.
 
     Below the threshold s < (1 + 2 min(p, p0))/alpha the ratio curve over the
-    boundary-concentration family must stay within family_cap; when lam < 0
+    boundary-concentration family must stay within a spread of 10; when lam < 0
     and s exceeds (1+2p)/alpha, the inverse ratio must instead grow
     monotonically (domain-gap probe through a mollified inverse-power seed).
     """
@@ -202,7 +212,7 @@ def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None 
     threshold = (1.0 + 2.0 * min(p, p0)) / alpha
     measured["threshold"] = threshold
     if s < threshold:
-        fam = eps_family(grid, p + 0.51, n=n_eps)
+        fam = eps_family(grid, p + 0.51)
         ratios = []
         for eps, uu in fam:
             ratios.append(sobolev_norm(dec_l, s, uu) / sobolev_norm(dec_0, s, uu))
@@ -211,8 +221,8 @@ def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None 
         ratios = np.array(ratios)
         measured["ratio_max"] = float(np.max(np.maximum(ratios, 1.0 / ratios)))
         measured["family_spread"] = float(np.max(ratios) / np.min(ratios))
-        tol["ratio_max"] = cap
-        tol["family_spread"] = family_cap
+        tol["ratio_max"] = CAP
+        tol["family_spread"] = 10.0
     elif lam < 0.0:
         # above-threshold domain-gap probe: the critical boundary profile x^p
         # is adapted to L_lam (its image under L_lam is supported away from
@@ -220,7 +230,7 @@ def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None 
         # bounded while the comparison norm picks the singular content up
         seed_vec = dm.singular_profile(grid, p)
         inv_ratios = []
-        eps_list = [0.2 * 2.0 ** (-j) for j in range(max(6, n_eps))]
+        eps_list = [0.2 * 2.0 ** (-j) for j in range(8)]
         for eps in eps_list:
             ueps = heat_apply(dec_l, eps ** alpha, seed_vec)
             inv_ratios.append(sobolev_norm(dec_0, s, ueps)
@@ -243,11 +253,12 @@ def check_equivalence(alpha: float, lam: float, s: float, grid_cfg: dict | None 
 
 
 def check_generalized_hardy(alpha: float, lam: float, s: float,
-                            grid_cfg: dict | None = None, cap: float = 1e3,
-                            slope_tol: float = 0.2, n_eps: int = 8) -> VerificationReport:
+                            grid_cfg: dict | None = None) -> VerificationReport:
     """Weighted-norm bound below threshold; windowed blow-up rate above it."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
     grid = build_grid(**cfg)
+    if not (0.0 < s <= 2.0):
+        raise DomainError("s must lie in (0, 2]")
     p = exponent_p(alpha, lam)
     d = 1
     threshold = min((1.0 + 2.0 * p) / alpha, 2.0 * d / alpha)
@@ -256,13 +267,13 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
     tol: dict = {}
     notes = []
     if s < threshold:
-        fam = eps_family(grid, p + 0.51, n=n_eps)
+        fam = eps_family(grid, p + 0.51)
         sup = 0.0
         for _, uu in fam:
             sup = max(sup, weighted_norm(grid, uu, -alpha * s)
                       / sobolev_norm(dec, s, uu))
         measured["sup_ratio"] = sup
-        tol["sup_ratio"] = cap
+        tol["sup_ratio"] = CAP
     else:
         # necessity probe: u = L^{-s/2} phi behaves like x^p at the boundary;
         # windowed weighted norms against the fixed denominator ||phi|| grow
@@ -273,7 +284,7 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
                                            - mass_norm(dec.operator, phi)) \
             / mass_norm(dec.operator, phi)
         tol["riesz_seed_resid"] = 1e-8
-        eps_list = np.array([0.05 * 2.0 ** (-j) for j in range(max(6, n_eps))])
+        eps_list = np.array([0.05 * 2.0 ** (-j) for j in range(8)])
         vals, oracle = [], []
         # boundary amplitude for the closed-form window oracle
         fit_mask = (grid.nodes >= 1e-3) & (grid.nodes <= 0.05)
@@ -301,7 +312,7 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
                                           / np.min(vals / np.array(oracle)))
         ups = np.sum(np.diff(vals) > 0.0) if rate > 0 else 4
         measured["monotone_deficit"] = float(max(0, 4 - ups))
-        tol["slope_err"] = slope_tol
+        tol["slope_err"] = 0.2
         tol["monotone_deficit"] = 0.0
         notes.append("necessity probe: windowed weighted norms of the "
                      "inverse-power image of an interior bump")
@@ -309,13 +320,13 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
     return _finalize("generalized_hardy", params, measured, tol, "; ".join(notes))
 
 
-def _reversed_family(grid: Grid1D, p: float, dec: dm.SpectralDecomposition,
-                     n_eps: int = 8) -> list[np.ndarray]:
+def _reversed_family(grid: Grid1D, p: float,
+                     dec: dm.SpectralDecomposition) -> list[np.ndarray]:
     """~40 test functions: boundary bumps at three decay rates, dilates,
     interior translates and semigroup mollifications."""
-    fam = [u for _, u in eps_family(grid, p + 0.51, n=n_eps)]
-    fam += [u for _, u in eps_family(grid, p + 1.1, n=n_eps)]
-    fam += [u for _, u in eps_family(grid, p + 2.0, n=n_eps)]
+    fam = [u for _, u in eps_family(grid, p + 0.51)]
+    fam += [u for _, u in eps_family(grid, p + 1.1)]
+    fam += [u for _, u in eps_family(grid, p + 2.0)]
     for R in (0.5, 0.8, 1.2, 1.8, 2.4):
         if 3.5 * R < grid.X:
             fam.append(dilate_bump(grid, R))
@@ -329,8 +340,7 @@ def _reversed_family(grid: Grid1D, p: float, dec: dm.SpectralDecomposition,
 
 
 def check_reversed_hardy(alpha: float, lam: float, s: float,
-                         grid_cfg: dict | None = None, cap: float = 1e3,
-                         n_eps: int = 8) -> VerificationReport:
+                         grid_cfg: dict | None = None) -> VerificationReport:
     """|| (L_lam^{s/2} - L_0^{s/2}) u || controlled by the Hardy-weight norm."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
     grid = build_grid(**cfg)
@@ -341,7 +351,7 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
     dec_0 = get_dec(alpha, 0.0, grid)
     measured: dict = {"p": p}
     tol: dict = {}
-    fam = _reversed_family(grid, p, dec=dec_l, n_eps=n_eps)
+    fam = _reversed_family(grid, p, dec=dec_l)
     sup = 0.0
     for u in fam:
         diff = power_apply(dec_l, s, u) - power_apply(dec_0, s, u)
@@ -350,7 +360,7 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
         sup = max(sup, num / den)
     measured["sup_ratio"] = sup
     measured["n_family"] = len(fam)
-    tol["sup_ratio"] = cap
+    tol["sup_ratio"] = CAP
     # s = 2 reduction: the ratio is exactly |lam|
     u = boundary_bump(grid, 0.05, p + 0.51)
     diff2 = dec_l.operator.apply(u) - dec_0.operator.apply(u)
@@ -369,17 +379,18 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
 # Exact-kernel checks (second-order operator)
 # ---------------------------------------------------------------------------
 
-def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), d: int = 2,
-                        cap_k2k1: float = 1e3, n_log: int = 7) -> VerificationReport:
+def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> VerificationReport:
     """Sandwich the exact kernel between envelopes with Gaussian constants.
 
     Lower envelope uses the exact constant 1/4; the upper constant is fitted
     below 1/4.  Reports k2/k1 per coupling over a log-grid of
-    (t, x_d, y_d, transverse gap).
+    (t, x_d, y_d, transverse gap) in the half-plane, d = 2.
     """
+    _require_count("n_log", n_log)
+    d = 2
     tvals = np.logspace(-2.0, 2.0, n_log)
     xvals = np.logspace(-2.0, 2.0, n_log)
-    gaps = [0.0] if d == 1 else [0.0, 0.3, 3.0]
+    gaps = [0.0, 0.3, 3.0]
     c_candidates = (0.05, 0.1, 0.15, 0.2, 0.24)
     measured: dict = {}
     tol: dict = {}
@@ -392,8 +403,8 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), d: int = 2,
             for xd in xvals:
                 for yd in xvals:
                     for gap in gaps:
-                        x = pt(xd, *([0.0] * (d - 1)))
-                        y = pt(yd) if d == 1 else pt(yd, gap, *([0.0] * (d - 2)))
+                        x = pt(xd, 0.0)
+                        y = pt(yd, gap)
                         e = km.heat_exact_halfspace(d, lam, t, x, y)
                         if e <= 0.0 or not math.isfinite(e):
                             continue
@@ -415,7 +426,7 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), d: int = 2,
         measured[key] = best
         measured[f"c_upper_lam{lam:g}"] = best_c
         measured[f"k1_lam{lam:g}"] = k1
-        tol[key] = cap_k2k1
+        tol[key] = CAP
     params = dict(lams=list(lams), d=d, n_log=n_log)
     return _finalize("heat_envelope", params, measured, tol,
                      "lower envelope at the exact Gaussian constant 1/4; "
@@ -441,10 +452,10 @@ def _duhamel_rhs(lam: float, t: float, x: float, y: float) -> float:
     return lam * val
 
 
-def check_difference_bound(lams=(0.5, 2.0), cap: float = 1e3,
-                           duhamel_tol: float = 0.05, n_duhamel: int = 5,
+def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
                            seed: int = 0) -> VerificationReport:
     """Difference of exact kernels against the two-piece majorant (d = 1)."""
+    _require_count("n_duhamel", n_duhamel)
     rng = np.random.default_rng(seed)
     tvals = np.logspace(-1.0, 1.0, 5)
     xvals = np.logspace(-1.5, 1.0, 7)
@@ -465,7 +476,7 @@ def check_difference_bound(lams=(0.5, 2.0), cap: float = 1e3,
                         worst = max(worst, diff / (J + M))
             best = min(best, worst)
         measured[f"C_lam{lam:g}"] = best
-        tol[f"C_lam{lam:g}"] = cap
+        tol[f"C_lam{lam:g}"] = CAP
     # Duhamel spot checks
     worst = 0.0
     for _ in range(n_duhamel):
@@ -477,13 +488,12 @@ def check_difference_bound(lams=(0.5, 2.0), cap: float = 1e3,
         rhs = _duhamel_rhs(lam, t, x, y)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     measured["duhamel_max_err"] = worst
-    tol["duhamel_max_err"] = duhamel_tol
+    tol["duhamel_max_err"] = 0.05
     params = dict(lams=list(lams), n_duhamel=n_duhamel, seed=seed)
     return _finalize("difference_bound", params, measured, tol)
 
 
-def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5,
-                           cap: float = 1e3) -> VerificationReport:
+def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5) -> VerificationReport:
     """Semigroup image of a bump against its boundary/Gaussian majorant."""
     p = exponent_p(2.0, lam)
     sup_y = 2.0
@@ -502,7 +512,7 @@ def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5,
                     * math.exp(-0.2 * max(0.0, x - sup_y) ** 2 / t) for x in xs])
     ratio = vals / maj
     measured = {"sup_ratio": float(np.max(ratio))}
-    tol = {"sup_ratio": cap}
+    tol = {"sup_ratio": CAP}
     # x -> 0 boundary exponent: psi/x^p stabilizes
     small = xs[xs <= 1e-2]
     lead = vals[xs <= 1e-2] / small ** p
@@ -555,11 +565,11 @@ def _lemma_lhs(N: int, beta: float, r: float, s: float, delta: float) -> float:
 
 
 def check_lemma_integral(N: int = 1, betas=(0.5, 1.0, 2.0), nsamples: int = 200,
-                         max_over_median_cap: float = 10.0,
                          seed: int = 0) -> VerificationReport:
     """Convolution bound: LHS/RHS ratios finite and tightly clustered."""
     if N not in (1, 2, 3):
         raise DomainError("N must be 1, 2 or 3")
+    _require_count("nsamples", nsamples)
     rng = np.random.default_rng(seed)
     measured: dict = {}
     tol: dict = {}
@@ -578,7 +588,7 @@ def check_lemma_integral(N: int = 1, betas=(0.5, 1.0, 2.0), nsamples: int = 200,
         measured[f"ratio_median_beta{beta:g}"] = float(np.median(ratios))
         measured[f"max_over_median_beta{beta:g}"] = float(np.max(ratios)
                                                           / np.median(ratios))
-        tol[f"max_over_median_beta{beta:g}"] = max_over_median_cap
+        tol[f"max_over_median_beta{beta:g}"] = 10.0
     params = dict(N=N, betas=list(betas), nsamples=n, seed=seed)
     return _finalize("lemma_integral", params, measured, tol)
 
@@ -622,7 +632,7 @@ def _schur_scale_integral(alpha: float, r: float, beta: float) -> float:
 
 
 def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
-                     cap: float = 1e3, n_x: int = 7) -> VerificationReport:
+                     n_x: int = 7) -> VerificationReport:
     """Row integrals of the reduced kernel: finite suprema, scale-free rows.
 
     The weight exponent beta sits at the midpoint of its admissible window
@@ -630,6 +640,7 @@ def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
     the single scale-variable integral by the change of variables; the
     measured deviation quantifies that identity numerically.
     """
+    _require_count("n_x", n_x)
     xs = np.logspace(-2.0, 2.0, n_x)
     measured: dict = {}
     tol: dict = {}
@@ -641,7 +652,7 @@ def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
         measured[f"row_spread_r{rr:g}"] = float(np.max(rows) / np.min(rows) - 1.0)
         measured[f"scale_identity_dev_r{rr:g}"] = float(
             np.max(np.abs(rows / scale_val - 1.0)))
-        tol[f"sup_row_r{rr:g}"] = cap
+        tol[f"sup_row_r{rr:g}"] = CAP
         tol[f"row_spread_r{rr:g}"] = 1e-5
         tol[f"scale_identity_dev_r{rr:g}"] = 1e-5
     # divergence trend toward r = 1/2 (the beta window closes)
@@ -660,8 +671,7 @@ def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
 # ---------------------------------------------------------------------------
 
 def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
-                             X_r: float = 30.0, X_R: float = 500.0,
-                             g: float = 2.0, t_r: float = 0.25, t_R: float = 0.02,
+                             X_R: float = 500.0,
                              slope_tol: float = 0.15) -> VerificationReport:
     """Cutoff-commutator norms against the predicted r- and R-rates.
 
@@ -675,6 +685,7 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     is what the check asserts there (``slope_R_local_err``); ``slope_R_err``
     against the fractional rate is still reported at every alpha.
     """
+    X_r, g, t_r, t_R = 30.0, 2.0, 0.25, 0.02
     p = exponent_p(alpha, lam)
     measured: dict = {"p": p}
     tol: dict = {}
@@ -776,8 +787,8 @@ def default_campaign() -> list[tuple[str, dict]]:
         ("pointwise_bounds", dict(lam=1.0, t=0.5)),
         ("lemma_integral", dict(N=1, betas=(0.7,), nsamples=60)),
         ("schur_prop", dict(alpha=1.2, r_values=(0.0, 0.2, 0.4), n_x=5)),
-        ("commutator_scaling", dict(alpha=1.5, lam=0.0, N=800, X_r=30.0,
-                                    X_R=250.0, slope_tol=0.35)),
+        ("commutator_scaling", dict(alpha=1.5, lam=0.0, N=800, X_R=250.0,
+                                    slope_tol=0.35)),
     ]
 
 

@@ -219,10 +219,12 @@ class TestVerify:
     def test_config_campaign_failure_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text(
-            "[lemma_integral]\n"
-            "betas = 0.5\n"
-            "nsamples = 10\n"
-            "max_over_median_cap = 1e-9\n"
+            "[commutator_scaling]\n"
+            "alpha = 1.5\n"
+            "lam = 0\n"
+            "N = 400\n"
+            "X_R = 250\n"
+            "slope_tol = 0\n"
         )
         out = tmp_path / "reports.json"
         rc = main(["verify", "--config", str(cfg), "--out", str(out)])
@@ -243,8 +245,22 @@ class TestVerify:
         ("[pointwise_bounds]\nt = soon\n", "t = 'soon'"),
         ("[equivalence]\nalpha = 2\n", "lam, s"),
         ("[schur_prop]\nseed = 3\n", "'seed'"),
+        ("[lemma_integral]\nmax_over_median_cap = 1e-9\n", "'max_over_median_cap'"),
+        ("[generalized_hardy]\nalpha = 2\nlam = 0\ngrid_cfg = 10 400 2\ns = -1\n", "s must"),
+        ("[generalized_hardy]\nalpha = 2\nlam = 0\ngrid_cfg = 10 400 2\ns = 0\n", "s must"),
+        ("[generalized_hardy]\nalpha = 2\nlam = 0\ngrid_cfg = 10 400 2\ns = 2.5\n",
+         "s must"),
+        ("[lemma_integral]\nbetas =\n", "lemma_integral"),
+        ("[heat_envelope]\nlams =\n", "heat_envelope"),
+        ("[lemma_integral]\nnsamples = 0\n", "nsamples"),
+        ("[lemma_integral]\nnsamples = -3\n", "nsamples"),
+        ("[heat_envelope]\nn_log = 0\n", "n_log"),
+        ("[schur_prop]\nn_x = 0\n", "n_x"),
+        ("[difference_bound]\nn_duhamel = 0\n", "n_duhamel"),
     ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys",
-            "seed-for-deterministic-check"])
+            "seed-for-deterministic-check", "deleted-key", "s-negative", "s-zero",
+            "s-above-two", "no-betas", "no-lams", "nsamples-zero", "nsamples-negative",
+            "n-log-zero", "n-x-zero", "n-duhamel-zero"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(section)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hardyops import coupling, kernels
 from hardyops import verify as V
 
 FAST = dict(X=10.0, N=400, g=2.0)
@@ -109,8 +110,7 @@ class TestLemmaAndSchur:
 
 class TestCommutator:
     def test_slopes_fast(self):
-        r = V.check_commutator_scaling(1.5, 0.0, N=800, X_r=30.0, X_R=250.0,
-                                       slope_tol=0.35)
+        r = V.check_commutator_scaling(1.5, 0.0, N=800, X_R=250.0, slope_tol=0.35)
         assert r.verdict
         assert r.measured["interior_flat_ratio"] <= 0.05
 
@@ -175,3 +175,18 @@ class TestReportsAndCampaign:
         from hardyops.specfun import DomainError
         with pytest.raises(DomainError):
             V.run_all({"no_such_check": {}})
+
+    def test_default_campaign_quadratures_converge(self, monkeypatch):
+        # with full_output=1, quad appends a message exactly when ier != 0
+        calls, unconverged = [], []
+        for mod in (coupling, kernels, V):
+            def recording(*args, _quad=mod.quad, _name=mod.__name__, **kwargs):
+                out = _quad(*args, **kwargs)
+                calls.append(_name)
+                if kwargs.get("full_output") and len(out) > 3:
+                    unconverged.append((_name, out[0], out[1], out[-1]))
+                return out
+            monkeypatch.setattr(mod, "quad", recording)
+        V.run_all(seed=0)
+        assert calls
+        assert unconverged == []
