@@ -7,7 +7,8 @@ Subcommands:
     verify      -- run verification checks, emit JSON reports + CSV summary
 
 Exit codes: 0 success, 1 verification failure, 2 parameter error.
-CSV output: comma-separated, header row, '.' decimal point, no locale.
+CSV output: comma-separated, header row, '.' decimal point, no locale,
+'\n' line ends.
 JSON output: strict, a non-finite number is written as null.
 Config files for `verify`: INI-style sections per check, flat key=value pairs.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 
 import numpy as np
@@ -30,8 +32,13 @@ from hardyops.kernels import (KernelEnvelope, diff_envelope, heat_envelope,
 from hardyops.specfun import DomainError
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _floats(flag: str, text: str) -> list[float]:
+    """The comma-separated values of flag: at least one, all finite."""
+    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not vals or not all(math.isfinite(v) for v in vals):
+        raise DomainError(f"{flag} needs one or more finite comma-separated "
+                          f"numbers, got {text!r}")
+    return vals
 
 
 def write_table(stream, header: list[str], rows: list[list]) -> None:
@@ -106,9 +113,11 @@ def cmd_exponent(args) -> int:
 
 def cmd_kernel(args) -> int:
     lam = args.lam if args.lam is not None else 0.0
-    xs = _floats(args.x)
-    ys = _floats(args.y)
-    ts = _floats(args.t) if args.t else [1.0]
+    if not math.isfinite(lam):
+        raise DomainError(f"--lambda must be finite, got {lam!r}")
+    xs = _floats("--x", args.x)
+    ys = _floats("--y", args.y)
+    ts = _floats("--t", args.t)
     d = 1 if args.d is None else args.d
     c_exp = 0.25 if args.c_exp is None else args.c_exp
     if args.kind == "heat-exact":
@@ -164,7 +173,7 @@ def cmd_discretize(args) -> int:
     if count < 1:
         raise DomainError(f"--count must be at least 1, got {count}")
     grid = build_grid(args.X, args.N, args.g)
-    dec = eigendecompose(assemble_form(args.alpha, lam, grid, warn_below_sharp=False))
+    dec = eigendecompose(assemble_form(args.alpha, lam, grid))
     k = min(count, len(dec.eigenvalues))
     rows = [[i, dec.eigenvalues[i]] for i in range(k)]
     _emit(args, ["index", "eigenvalue"], rows)

@@ -153,6 +153,8 @@ def exponent_p(alpha: float, lam: float) -> float:
     where one ulp of p moves C by about 1e-8 relative.
     """
     _check_alpha(alpha, include_two=True)
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     lstar = lambda_star(alpha)
     if lam < lstar - LAMBDA_SLACK:
         raise DomainError(f"lambda={lam!r} below the sharp constant {lstar!r}")

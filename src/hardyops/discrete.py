@@ -75,12 +75,12 @@ class Grid1D:
 
 def build_grid(X: float, N: int, g: float) -> Grid1D:
     """Graded mesh with node_k = X*(k/N)^g and midpoint cell weights."""
-    if not X > 0.0:
-        raise DomainError(f"X must be positive, got {X!r}")
+    if not 0.0 < X < math.inf:
+        raise DomainError(f"X must be positive and finite, got {X!r}")
     if N < 16:
         raise DomainError(f"N must be at least 16, got {N!r}")
-    if g < 1.0:
-        raise DomainError(f"grading exponent must be >= 1, got {g!r}")
+    if not 1.0 <= g < math.inf:
+        raise DomainError(f"grading exponent must be finite and >= 1, got {g!r}")
     k = np.arange(N + 1, dtype=float)
     vertices = X * (k / N) ** g
     nodes = vertices[1:-1]
@@ -261,22 +261,18 @@ def _check_dense_cap(grid: Grid1D) -> None:
         raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
 
 
-def assemble_form(alpha: float, lam: float, grid: Grid1D,
-                  warn_below_sharp: bool = True) -> DiscreteOperator:
+def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
     """Assemble the discrete quadratic form for coupling lam.
 
-    lam below the sharp constant is allowed (indefinite forms are useful
-    optimality probes); a warning is emitted unless suppressed.  The stiffness
-    is dense, so N > DENSE_SOLVER_CAP is rejected before any work.
+    lam must be finite; below the sharp constant it is allowed (indefinite
+    forms are useful optimality probes).  The stiffness is dense, so
+    N > DENSE_SOLVER_CAP is rejected before any work.
     """
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
     _check_dense_cap(grid)
-    from hardyops.coupling import lambda_star
-    if warn_below_sharp and lam < lambda_star(alpha) - 1e-12:
-        import warnings
-        warnings.warn(f"lambda={lam} below the sharp constant; form is indefinite",
-                      stacklevel=2)
     base, hardy = _base_parts(alpha, grid)
     K = base.copy()
     K[np.diag_indices_from(K)] += lam * hardy
@@ -328,6 +324,12 @@ class SpectralDecomposition:
         return float(np.max(num / den))
 
 
+def _scaled_bands(diag: np.ndarray, off: np.ndarray,
+                  rw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of R^{-1} T R^{-1} for the tridiagonal T = (diag, off), R = diag(rw)."""
+    return diag / rw / rw, off / rw[:-1] / rw[1:]
+
+
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition against the lumped mass.
 
@@ -340,9 +342,8 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     rw = np.sqrt(op.mass)
     if op.alpha == 2.0:
         K = op.stiffness
-        vals, Y = eigh_tridiagonal(np.diagonal(K) / rw / rw,
-                                   np.diagonal(K, 1) / rw[:-1] / rw[1:],
-                                   lapack_driver="stemr")
+        diag, off = _scaled_bands(np.diagonal(K), np.diagonal(K, 1), rw)
+        vals, Y = eigh_tridiagonal(diag, off, lapack_driver="stemr")
     else:
         B = op.stiffness / rw[:, None] / rw[None, :]
         vals, Y = eigh(B)
@@ -394,9 +395,8 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     form is positive) raises DomainError.
     """
     if alpha == 2.0:
-        diag, off = _local_bands(grid)
         rw = np.sqrt(grid.weights * grid.nodes ** (-alpha))
-        vals = eigh_tridiagonal(diag / rw / rw, off / rw[:-1] / rw[1:],
+        vals = eigh_tridiagonal(*_scaled_bands(*_local_bands(grid), rw),
                                 eigvals_only=True, select="i", select_range=(0, 0),
                                 tol=np.finfo(float).tiny)
         return float(vals[0])

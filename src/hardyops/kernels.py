@@ -54,8 +54,10 @@ class KernelEnvelope:
     c_exp: float = 0.25
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0) or self.d < 1 or self.c_exp <= 0.0:
-            raise DomainError("invalid envelope parameters")
+        if not (0.0 < self.alpha <= 2.0 and self.d >= 1
+                and 0.0 < self.c_exp < math.inf):
+            raise DomainError(f"invalid envelope parameters: alpha={self.alpha!r}, "
+                              f"d={self.d!r}, c_exp={self.c_exp!r}")
 
 
 def heat_envelope(env: KernelEnvelope, t: float, x: HalfSpacePoint,
@@ -68,12 +70,17 @@ def heat_envelope(env: KernelEnvelope, t: float, x: HalfSpacePoint,
     """
     if not t > 0.0:
         raise DomainError("t must be positive")
-    a, d, p = env.alpha, env.d, env.p
+    return _envelope(env.alpha, env.d, env.p, env.c_exp, t, x, y)
+
+
+def _envelope(a: float, d: int, p: float, c_exp: float, t: float,
+              x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+    """heat_envelope's shape from plain parameters, unchecked."""
     ta = t ** (1.0 / a)
     bnd = min(1.0, x.xd / ta) ** p * min(1.0, y.xd / ta) ** p
     r = dist(x, y)
     if a == 2.0:
-        bulk = t ** (-0.5 * d) * math.exp(-env.c_exp * r * r / t)
+        bulk = t ** (-0.5 * d) * math.exp(-c_exp * r * r / t)
     else:
         off = 1.0 if r == 0.0 else min(1.0, ta / r) ** (d + a)
         bulk = t ** (-d / a) * off
@@ -86,7 +93,7 @@ def heat_exact_halfline(lam: float, t: float, r: float, s: float) -> float:
     (2t)^{-1} (rs)^{1/2} exp(-(r-s)^2/4t) * [e^{-z} I_mu(z)] with z = rs/2t
     and mu = sqrt(lam + 1/4); overflow-safe for all argument sizes.
     """
-    if lam < -0.25 - 1e-12:
+    if not lam >= -0.25 - 1e-12:
         raise DomainError(f"lambda must be >= -1/4, got {lam!r}")
     if not (t > 0.0 and r > 0.0 and s > 0.0):
         raise DomainError("t, r, s must be positive")
@@ -220,7 +227,7 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
                         c_exp: float = 0.25) -> tuple[float, float]:
     """The two difference-kernel majorant pieces (boundary part, bulk part).
 
-    The first carries the boundary factors with exponent q = min(p, (a-1)_+)
+    The first is the heat envelope's shape at exponent q = min(p, (a-1)_+)
     and lives where either point is within t^{1/a} of the boundary or the
     points are far apart; the second carries the t/(x_d v y_d)^a damping on
     the complementary near-diagonal region.
@@ -228,23 +235,22 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
     if not t > 0.0:
         raise DomainError("t must be positive")
     _check_d(d)
-    if not c_exp > 0.0:
-        raise DomainError(f"c_exp must be positive, got {c_exp!r}")
+    if not 0.0 < c_exp < math.inf:
+        raise DomainError(f"c_exp must be positive and finite, got {c_exp!r}")
     q = min(p, max(alpha - 1.0, 0.0))
     ta = t ** (1.0 / alpha)
     r = dist(x, y)
     m = max(x.xd, y.xd)
     n = min(x.xd, y.xd)
-    if alpha == 2.0:
-        bulk = math.exp(-c_exp * r * r / t)
-    else:
-        bulk = 1.0 if r == 0.0 else min(1.0, t ** (1.0 + d / alpha) / r ** (d + alpha))
     J = 0.0
     if m <= ta or r >= 0.5 * n:
-        J = min(1.0, x.xd / ta) ** q * min(1.0, y.xd / ta) ** q \
-            * t ** (-d / alpha) * bulk
+        J = _envelope(alpha, d, q, c_exp, t, x, y)
     M = 0.0
     if m >= ta and r <= 0.5 * n:
+        if alpha == 2.0:
+            bulk = math.exp(-c_exp * r * r / t)
+        else:
+            bulk = 1.0 if r == 0.0 else min(1.0, t ** (1.0 + d / alpha) / r ** (d + alpha))
         M = t ** (1.0 - d / alpha) / m ** alpha * bulk
     return J, M
 

@@ -98,7 +98,7 @@ def write_reports_json(reports: list[VerificationReport], path: str) -> None:
 
 def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["check_name", "key_measured", "measured", "cap", "verdict"])
         for r in reports:
             for key, cap in r.tolerances.items():
@@ -113,7 +113,7 @@ def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _decompose(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
-    dec = eigendecompose(assemble_form(alpha, lam, grid, warn_below_sharp=False))
+    dec = eigendecompose(assemble_form(alpha, lam, grid))
     # shared by every later caller with the same key
     for arr in (dec.eigenvalues, dec.eigenvectors, dec.mass,
                 dec.operator.stiffness, dec.operator.mass):
@@ -168,6 +168,16 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
 # Norm-equivalence and Hardy checks (discrete spectral calculus)
 # ---------------------------------------------------------------------------
 
+def _norm_setup(alpha: float, lam: float, s: float,
+                grid_cfg: dict | None) -> tuple[dict, Grid1D, float]:
+    """Grid config (DEFAULT_GRID if None), its grid and p of a norm check."""
+    cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
+    grid = build_grid(**cfg)
+    if not (0.0 < s <= 2.0):
+        raise DomainError("s must lie in (0, 2]")
+    return cfg, grid, exponent_p(alpha, lam)
+
+
 def check_equivalence(alpha: float, lam: float, s: float,
                       grid_cfg: dict | None = None) -> VerificationReport:
     """Comparability of the two fractional Sobolev norms, plus identities.
@@ -177,11 +187,7 @@ def check_equivalence(alpha: float, lam: float, s: float,
     and s exceeds (1+2p)/alpha, the inverse ratio must instead grow
     monotonically (domain-gap probe through a mollified inverse-power seed).
     """
-    cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
-    grid = build_grid(**cfg)
-    if not (0.0 < s <= 2.0):
-        raise DomainError("s must lie in (0, 2]")
-    p = exponent_p(alpha, lam)
+    cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
     p0 = max(alpha - 1.0, 0.0)
     dec_l = get_dec(alpha, lam, grid)
     dec_0 = get_dec(alpha, 0.0, grid)
@@ -255,11 +261,7 @@ def check_equivalence(alpha: float, lam: float, s: float,
 def check_generalized_hardy(alpha: float, lam: float, s: float,
                             grid_cfg: dict | None = None) -> VerificationReport:
     """Weighted-norm bound below threshold; windowed blow-up rate above it."""
-    cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
-    grid = build_grid(**cfg)
-    if not (0.0 < s <= 2.0):
-        raise DomainError("s must lie in (0, 2]")
-    p = exponent_p(alpha, lam)
+    cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
     d = 1
     threshold = min((1.0 + 2.0 * p) / alpha, 2.0 * d / alpha)
     dec = get_dec(alpha, lam, grid)
@@ -342,11 +344,7 @@ def _reversed_family(grid: Grid1D, p: float,
 def check_reversed_hardy(alpha: float, lam: float, s: float,
                          grid_cfg: dict | None = None) -> VerificationReport:
     """|| (L_lam^{s/2} - L_0^{s/2}) u || controlled by the Hardy-weight norm."""
-    cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
-    grid = build_grid(**cfg)
-    if not (0.0 < s <= 2.0):
-        raise DomainError("s must lie in (0, 2]")
-    p = exponent_p(alpha, lam)
+    cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
     dec_l = get_dec(alpha, lam, grid)
     dec_0 = get_dec(alpha, 0.0, grid)
     measured: dict = {"p": p}
@@ -392,6 +390,8 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
     xvals = np.logspace(-2.0, 2.0, n_log)
     gaps = [0.0, 0.3, 3.0]
     c_candidates = (0.05, 0.1, 0.15, 0.2, 0.24)
+    samples = [(t, pt(xd, 0.0), pt(yd, gap))
+               for t in tvals for xd in xvals for yd in xvals for gap in gaps]
     measured: dict = {}
     tol: dict = {}
     for lam in lams:
@@ -399,18 +399,13 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
         env_low = KernelEnvelope(alpha=2.0, d=d, p=p, c_exp=0.25)
         exact, elow = [], []
         pts = []
-        for t in tvals:
-            for xd in xvals:
-                for yd in xvals:
-                    for gap in gaps:
-                        x = pt(xd, 0.0)
-                        y = pt(yd, gap)
-                        e = km.heat_exact_halfspace(d, lam, t, x, y)
-                        if e <= 0.0 or not math.isfinite(e):
-                            continue
-                        exact.append(e)
-                        elow.append(heat_envelope(env_low, t, x, y))
-                        pts.append((t, x, y))
+        for t, x, y in samples:
+            e = km.heat_exact_halfspace(d, lam, t, x, y)
+            if e <= 0.0 or not math.isfinite(e):
+                continue
+            exact.append(e)
+            elow.append(heat_envelope(env_low, t, x, y))
+            pts.append((t, x, y))
         exact = np.array(exact)
         k1 = float(np.min(exact / np.array(elow)))
         best = math.inf
@@ -456,6 +451,8 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
                            seed: int = 0) -> VerificationReport:
     """Difference of exact kernels against the two-piece majorant (d = 1)."""
     _require_count("n_duhamel", n_duhamel)
+    if not lams:
+        raise DomainError("lams must hold at least one coupling")
     rng = np.random.default_rng(seed)
     tvals = np.logspace(-1.0, 1.0, 5)
     xvals = np.logspace(-1.5, 1.0, 7)
@@ -463,17 +460,16 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
     tol: dict = {}
     for lam in lams:
         p = exponent_p(2.0, lam)
+        # the kernel differences do not depend on the Gaussian constant
+        diffs = [(t, pt(xd), pt(yd), abs(heat_exact_halfline(0.0, t, xd, yd)
+                                         - heat_exact_halfline(lam, t, xd, yd)))
+                 for t in tvals for xd in xvals for yd in xvals]
         best = math.inf
         for c in (0.1, 0.15, 0.2):
             worst = 0.0
-            for t in tvals:
-                for xd in xvals:
-                    for yd in xvals:
-                        diff = abs(heat_exact_halfline(0.0, t, xd, yd)
-                                   - heat_exact_halfline(lam, t, xd, yd))
-                        J, M = diff_envelope_parts(2.0, 1, p, t, pt(xd), pt(yd),
-                                                   c_exp=c)
-                        worst = max(worst, diff / (J + M))
+            for t, x, y, diff in diffs:
+                J, M = diff_envelope_parts(2.0, 1, p, t, x, y, c_exp=c)
+                worst = max(worst, diff / (J + M))
             best = min(best, worst)
         measured[f"C_lam{lam:g}"] = best
         tol[f"C_lam{lam:g}"] = CAP
@@ -593,23 +589,26 @@ def check_lemma_integral(N: int = 1, betas=(0.5, 1.0, 2.0), nsamples: int = 200,
     return _finalize("lemma_integral", params, measured, tol)
 
 
+def _log_line_integral(f, x: float, epsrel: float) -> float:
+    """int_0^inf f: (x 1e-4, x 1e4) split at x/2, x, 2x, plus the two ends
+    after y = x u and y = x/u, each at ten times epsrel."""
+    mid = quad(f, x * 1e-4, x * 1e4, points=[0.5 * x, x, 2.0 * x], limit=400,
+               epsabs=1e-14, epsrel=epsrel, full_output=1)[0]
+    head = quad(lambda u: f(x * u) * x, 0.0, 1e-4, limit=100,
+                epsrel=10.0 * epsrel, full_output=1)[0]
+    tail = quad(lambda u: f(x / u) * x / (u * u), 0.0, 1e-4, limit=100,
+                epsrel=10.0 * epsrel, full_output=1)[0]
+    return mid + head + tail
+
+
 def _schur_row_integral(alpha: float, r: float, beta: float, x: float) -> float:
     """Weighted row integral (over y) of the reduced one-dimensional kernel."""
-    def k(y: float) -> float:
-        hi, lo = max(x, y), min(x, y)
-        return (hi / math.sqrt(x * y)) ** (2.0 * r) * hi ** alpha \
-            / max(abs(x - y), lo) ** (1.0 + alpha)
-
     def f(y: float) -> float:
-        return (x / y) ** beta * k(y)
+        hi, lo = max(x, y), min(x, y)
+        return (x / y) ** beta * ((hi / math.sqrt(x * y)) ** (2.0 * r) * hi ** alpha
+                                  / max(abs(x - y), lo) ** (1.0 + alpha))
 
-    mid = quad(f, x * 1e-4, x * 1e4, points=[0.5 * x, x, 2.0 * x], limit=400,
-               epsabs=1e-14, epsrel=1e-8, full_output=1)[0]
-    head = quad(lambda u: f(x * u) * x, 0.0, 1e-4, limit=100, epsrel=1e-7,
-                full_output=1)[0]
-    tail = quad(lambda u: f(x / u) * x / (u * u), 0.0, 1e-4, limit=100,
-                epsrel=1e-7, full_output=1)[0]
-    return mid + head + tail
+    return _log_line_integral(f, x, 1e-8)
 
 
 def _schur_scale_integral(alpha: float, r: float, beta: float) -> float:
@@ -622,13 +621,7 @@ def _schur_scale_integral(alpha: float, r: float, beta: float) -> float:
         return t ** (-beta - r) * max(1.0, t) ** (alpha + 2.0 * r) \
             / max(abs(1.0 - t), min(1.0, t)) ** (1.0 + alpha)
 
-    mid = quad(f, 1e-4, 1e4, points=[0.5, 1.0, 2.0], limit=400,
-               epsabs=1e-14, epsrel=1e-9, full_output=1)[0]
-    head = quad(lambda u: f(u), 0.0, 1e-4, limit=100, epsrel=1e-8,
-                full_output=1)[0]
-    tail = quad(lambda u: f(1.0 / u) / (u * u), 0.0, 1e-4, limit=100,
-                epsrel=1e-8, full_output=1)[0]
-    return mid + head + tail
+    return _log_line_integral(f, 1.0, 1e-9)
 
 
 def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),

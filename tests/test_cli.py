@@ -5,6 +5,7 @@ import pytest
 
 from hardyops import discrete
 from hardyops.cli import main, read_table
+from hardyops.verify import VerificationReport, write_reports_csv
 
 
 def run(capsys, *argv):
@@ -182,11 +183,32 @@ class TestParameterErrors:
         (["exponent", "--alpha", "1", "--lambda", "0.5", "--lambda-star"], "--lambda"),
         (["exponent", "--alpha", "1", "--lambda", "0.5", "--lambda-zero"], "--lambda"),
         (["exponent", "--alpha", "1", "--lambda-star", "--lambda-zero"], "--lambda-zero"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--X", "inf"], "X must"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--g", "inf"], "grading"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--g", "nan"], "grading"),
+        (["discretize", "--alpha", "2", "--N", "100", "--lambda", "nan"], "lambda"),
+        (["exponent", "--alpha", "1", "--lambda", "nan"], "lambda must be finite"),
+        (["kernel", "--kind", "heat-exact", "--x", "inf", "--y", "1"], "--x"),
+        (["kernel", "--kind", "heat-exact", "--lambda", "nan", "--x", "1", "--y", "1"],
+         "lambda"),
+        (["kernel", "--kind", "heat-exact", "--lambda", "inf", "--x", "1", "--y", "1"],
+         "--lambda"),
+        (["kernel", "--kind", "heat-exact", "--x", ",", "--y", "1"], "--x"),
+        (["kernel", "--kind", "diff-envelope", "--t", "nan", "--x", "1", "--y", "2"],
+         "--t"),
+        (["kernel", "--kind", "heat-envelope", "--lambda", "nan", "--x", "1", "--y", "2"],
+         "lambda must be finite"),
+        (["kernel", "--kind", "heat-envelope", "--c-exp", "nan", "--x", "1", "--y", "2"],
+         "c_exp"),
     ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
             "hardy-min-spectrum", "exponent-lambda-with-star",
-            "exponent-lambda-with-zero", "exponent-star-with-zero"])
+            "exponent-lambda-with-zero", "exponent-star-with-zero",
+            "discretize-X-inf", "discretize-g-inf", "discretize-g-nan",
+            "discretize-lambda-nan", "exponent-lambda-nan", "heat-exact-x-inf",
+            "heat-exact-lambda-nan", "heat-exact-lambda-inf", "heat-exact-empty-x", "diff-t-nan",
+            "heat-envelope-lambda-nan", "heat-envelope-c-exp-nan"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
@@ -215,6 +237,15 @@ class TestVerify:
         assert rc == 0
         assert json.loads(out)[0]["check_name"] == "schur_prop"
         assert summary.read_text().startswith("check_name,")
+
+    def test_summary_has_the_table_line_end(self, tmp_path):
+        summary = tmp_path / "summary.csv"
+        report = VerificationReport("schur_prop", {}, {"sup_row_r0": 3.0},
+                                    {"sup_row_r0": 1e3}, True)
+        write_reports_csv([report, report], str(summary))
+        data = summary.read_bytes()
+        assert b"\r" not in data
+        assert data.count(b"\n") == 3 and data.endswith(b"pass\n")
 
     def test_config_campaign_failure_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "campaign.cfg"
@@ -257,10 +288,13 @@ class TestVerify:
         ("[heat_envelope]\nn_log = 0\n", "n_log"),
         ("[schur_prop]\nn_x = 0\n", "n_x"),
         ("[difference_bound]\nn_duhamel = 0\n", "n_duhamel"),
+        ("[difference_bound]\nlams =\n", "lams"),
+        ("[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = inf 400 2\n", "X must"),
     ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys",
             "seed-for-deterministic-check", "deleted-key", "s-negative", "s-zero",
             "s-above-two", "no-betas", "no-lams", "nsamples-zero", "nsamples-negative",
-            "n-log-zero", "n-x-zero", "n-duhamel-zero"])
+            "n-log-zero", "n-x-zero", "n-duhamel-zero", "difference-bound-no-lams",
+            "grid-cfg-inf"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(section)

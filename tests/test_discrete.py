@@ -200,10 +200,6 @@ class TestAssembly:
                 assert K_regional[i, j] == pytest.approx(0.5 * A * val,
                                                          rel=2e-5, abs=1e-10)
 
-    def test_below_sharp_warns(self):
-        with pytest.warns(UserWarning):
-            assemble_form(2.0, -0.3, build_grid(1.0, 32, 1.0))
-
 
 @pytest.fixture(scope="module")
 def dec():
@@ -301,8 +297,7 @@ class TestSpectralGuarantees:
     def test_form_nonnegative_at_sharp_constant(self):
         for alpha in (1.5, 2.0):
             grid = build_grid(10.0, 400, 2.0)
-            op = assemble_form(alpha, lambda_star(alpha), grid,
-                               warn_below_sharp=False)
+            op = assemble_form(alpha, lambda_star(alpha), grid)
             dec = eigendecompose(op)
             assert dec.eigenvalues[0] >= -1e-10
 

@@ -117,6 +117,10 @@ class TestExactKernel:
         with pytest.raises(DomainError):
             heat_exact_halfline(0.0, -1.0, 1.0, 1.0)
 
+    def test_nan_coupling_rejected(self):
+        with pytest.raises(DomainError, match="lambda"):
+            heat_exact_halfline(math.nan, 1.0, 1.0, 1.0)
+
 
 class TestSandwich:
     def test_exact_kernel_between_envelopes(self):
