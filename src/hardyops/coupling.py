@@ -175,13 +175,12 @@ def exponent_p(alpha: float, lam: float) -> float:
     else:
         gap = min(1e-3, 0.05 * (alpha + 1.0))
         p_hi = alpha - gap
-        for _ in range(200):
-            if coupling_C(alpha, p_hi) >= lam:
-                break
+        while coupling_C(alpha, p_hi) < lam:
             gap /= 16.0
             p_hi = alpha - gap
-        else:
-            raise DomainError(f"failed to bracket p for lambda={lam!r}")
+            if not p_hi < alpha:
+                raise DomainError(f"lambda={lam!r} is too large at alpha={alpha!r}: its "
+                                  f"p lies within rounding of the pole at p = alpha")
     return brentq(lambda p: coupling_C(alpha, p) - lam, p_lo, p_hi,
                   xtol=1e-15, rtol=4.0 * math.ulp(1.0))
 

@@ -23,6 +23,13 @@ singular point compared with their size), midpoint-Taylor and Gauss rules on
 the smooth integrand take over.
 
 Assembled stiffnesses are dense, so assembly first checks N <= DENSE_SOLVER_CAP.
+The whole-line form is written into one preallocated n x n array, a block of
+rows at a time, from the columns at or right of the diagonal; each block's
+transpose fills the mirror entries.  Every temporary is one block of about
+_BLOCK_BYTES, so assembly needs the output plus a few such blocks.  A form,
+band or Hardy weight that is not finite in double precision (an extreme X)
+raises DomainError.
+
 Spectral calculus is a generalized symmetric eigendecomposition against the
 lumped mass: the tridiagonal MRRR solver at alpha = 2, dense eigh for
 alpha < 2.  The Hardy minimum needs only the lowest eigenvalue: bisection on
@@ -44,6 +51,8 @@ from hardyops.coupling import normalization_A
 from hardyops.specfun import DomainError
 
 DENSE_SOLVER_CAP = 4000
+# bytes per row-block temporary of the alpha < 2 assembly
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +102,16 @@ def build_grid(X: float, N: int, g: float) -> Grid1D:
 # Stiffness assembly
 # ---------------------------------------------------------------------------
 
+def _form_at(alpha: float, grid: Grid1D) -> str:
+    return (f"the discrete form at alpha={alpha}, X={grid.X}, N={grid.N}, "
+            f"g={grid.grading}")
+
+
+def _require_finite(alpha: float, grid: Grid1D, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise DomainError(f"{_form_at(alpha, grid)} is not finite in double precision")
+
+
 def _antider(r: np.ndarray, alpha: float, n: int) -> np.ndarray:
     """n-th antiderivative (n = 0, 1, 2) of the kernel piece k at r >= 0.
 
@@ -114,8 +133,9 @@ def _antider(r: np.ndarray, alpha: float, n: int) -> np.ndarray:
     return kap * r ** (3.0 - alpha) / ((2.0 - alpha) * (3.0 - alpha))
 
 
-def _diag_singular_pairs(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Cell-pair integrals of k(|t - tau|), the diagonal-singular piece.
+def _diag_singular_pairs(grid: Grid1D, alpha: float, a: int, b: int) -> np.ndarray:
+    """Cell-pair integrals of k(|t - tau|) over h h', the diagonal-singular
+    piece, for cells a..b-1 against cells a..N-1.
 
     The exact four-point antiderivative formula cancels catastrophically when
     the pair separation is large compared to the geometric mean of the cell
@@ -123,19 +143,21 @@ def _diag_singular_pairs(grid: Grid1D, alpha: float) -> np.ndarray:
     O(D^2 k(D))).  Far pairs therefore use a midpoint Taylor rule instead,
     which at that separation is accurate to O((h/D)^4).
     """
-    v = grid.vertices
-    h = grid.cell_lengths
-    Pphi = _antider(np.abs(v[:, None] - v[None, :]), alpha, 2)
+    v = grid.vertices[a:]
+    h = np.diff(v)
+    r = b - a
+    Pphi = _antider(np.abs(v[:r + 1, None] - v[None, :]), alpha, 2)
     P = Pphi[1:, :-1] + Pphi[:-1, 1:] - Pphi[:-1, :-1] - Pphi[1:, 1:]
     del Pphi
     mid = 0.5 * (v[:-1] + v[1:])
-    D = np.abs(mid[:, None] - mid[None, :])
-    hh = np.outer(h, h)
-    span = h[:, None] + h[None, :]
+    D = np.abs(mid[:r, None] - mid[None, :])
+    hh = np.outer(h[:r], h)
+    span = h[:r, None] + h[None, :]
     far = D > np.maximum(300.0 * np.sqrt(hh), 6.0 * span)
     Df = D[far]
-    corr = (h[:, None] ** 2 + h[None, :] ** 2)[far] / 24.0
+    corr = (h[:r, None] ** 2 + h[None, :] ** 2)[far] / 24.0
     P[far] = hh[far] * (_antider(Df, alpha, 0) + corr * Df ** (-1.0 - alpha))
+    P /= hh
     return P
 
 
@@ -166,20 +188,28 @@ def _cell_integrals(near: np.ndarray, far: np.ndarray, h: np.ndarray,
     return first, second
 
 
-def _contract_slopes(P: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply hat slopes (+1/h_i on cell i, -1/h_{i+1} on cell i+1) to P,
-    overwriting it.  Exactly symmetric when P is: an entry and its mirror add
-    the same pairs."""
-    P /= np.outer(h, h)
-    K = P[:-1, :-1] + P[1:, 1:]
-    K -= P[1:, :-1] + P[:-1, 1:]
-    return K
-
-
 def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
-    """Whole-line form of the zero-extended hats (see assemble_fullline_form)."""
-    P = _diag_singular_pairs(grid, alpha)
-    return normalization_A(1, alpha) * _contract_slopes(P, grid.cell_lengths)
+    """Whole-line form of the zero-extended hats (see assemble_fullline_form).
+
+    Built in blocks of rows, each from the columns at or right of its
+    diagonal; the form is exactly symmetric (an entry and its mirror add the
+    same pairs), so each block's transpose fills the mirror entries below it.
+    Hat i has slope +1/h_i on cell i and -1/h_{i+1} on cell i + 1.
+    """
+    n = grid.N - 1
+    K = np.empty((n, n))
+    rows = max(1, _BLOCK_BYTES // (8 * grid.N))
+    with np.errstate(all="ignore"):
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            P = _diag_singular_pairs(grid, alpha, a, b + 1)
+            blk = K[a:b, a:]
+            np.add(P[:-1, :-1], P[1:, 1:], out=blk)
+            blk -= P[1:, :-1] + P[:-1, 1:]
+            _require_finite(alpha, grid, blk)
+            K[b:, a:b] = blk[:, b - a:].T
+    K *= normalization_A(1, alpha)
+    return K
 
 
 def _exterior_bands(grid: Grid1D, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -214,20 +244,23 @@ def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
 
     The stiffness is a dense part plus three bands (see the module
     docstring).  Both are cached and shared by every operator on
-    (alpha, grid), so they are read-only.
+    (alpha, grid), so they are read-only.  An extreme X that takes any of
+    them out of double precision raises DomainError.
     """
-    hardy = grid.weights * grid.nodes ** (-alpha)
     n = len(grid.nodes)
-    if alpha == 2.0:
-        base = np.zeros((n, n))
-        diag, off = _local_bands(grid)
-    else:
-        base = _nonlocal_stiffness(alpha, grid)
-        A = normalization_A(1, alpha)
-        diag, off = _exterior_bands(grid, alpha)
-        # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
-        kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
-        diag, off = A * diag + grid.weights * kill, A * off
+    with np.errstate(all="ignore"):
+        hardy = grid.weights * grid.nodes ** (-alpha)
+        if alpha == 2.0:
+            base = np.zeros((n, n))
+            diag, off = _local_bands(grid)
+        else:
+            base = _nonlocal_stiffness(alpha, grid)
+            A = normalization_A(1, alpha)
+            diag, off = _exterior_bands(grid, alpha)
+            # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
+            kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
+            diag, off = A * diag + grid.weights * kill, A * off
+    _require_finite(alpha, grid, diag, off, hardy)
     i = np.arange(n - 1)
     base[np.diag_indices(n)] += diag
     base[i, i + 1] += off
@@ -395,10 +428,12 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     form is positive) raises DomainError.
     """
     if alpha == 2.0:
-        rw = np.sqrt(grid.weights * grid.nodes ** (-alpha))
-        vals = eigh_tridiagonal(*_scaled_bands(*_local_bands(grid), rw),
-                                eigvals_only=True, select="i", select_range=(0, 0),
-                                tol=np.finfo(float).tiny)
+        with np.errstate(all="ignore"):
+            rw = np.sqrt(grid.weights * grid.nodes ** (-alpha))
+            bands = _scaled_bands(*_local_bands(grid), rw)
+        _require_finite(alpha, grid, rw, *bands)
+        vals = eigh_tridiagonal(*bands, eigvals_only=True, select="i",
+                                select_range=(0, 0), tol=np.finfo(float).tiny)
         return float(vals[0])
     op = assemble_form(alpha, 0.0, grid)
     # the stiffness is symmetric, so its transpose is a Fortran-ordered view
@@ -406,9 +441,8 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     try:
         factor = cho_factor(op.stiffness.T, overwrite_a=True)
     except LinAlgError:
-        raise DomainError(f"the discrete form at alpha={alpha}, X={grid.X}, "
-                          f"N={grid.N}, g={grid.grading} is not positive "
-                          f"definite, so it has no Hardy minimum") from None
+        raise DomainError(f"{_form_at(alpha, grid)} is not positive definite, "
+                          f"so it has no Hardy minimum") from None
     rw = np.sqrt(op.hardy)
     inverse = LinearOperator(op.stiffness.shape, dtype=float,
                              matvec=lambda x: rw * cho_solve(factor, rw * x.ravel()))

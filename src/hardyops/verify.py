@@ -750,6 +750,13 @@ CHECKS = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _coerce(section: str, params, key: str, raw: str):
     """Typed value of one config entry, from the check's signature."""
     if key not in params:
@@ -761,8 +768,8 @@ def _coerce(section: str, params, key: str, raw: str):
             X, N, g = raw.split()
             return dict(X=float(X), N=int(N), g=float(g))
         if isinstance(param.default, tuple):
-            return tuple(float(v) for v in raw.split())
-        return {"int": int, "float": float}[param.annotation](raw)
+            return tuple(_finite(v) for v in raw.split())
+        return {"int": int, "float": _finite}[param.annotation](raw)
     except ValueError as exc:
         raise DomainError(f"[{section}] {key} = {raw!r}: {exc}") from None
 

@@ -200,6 +200,15 @@ class TestParameterErrors:
          "lambda must be finite"),
         (["kernel", "--kind", "heat-envelope", "--c-exp", "nan", "--x", "1", "--y", "2"],
          "c_exp"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--X", "1e300"],
+         "alpha=1.5, X=1e+300, N=100, g=2.0"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--X", "1e-300"],
+         "alpha=1.5, X=1e-300, N=100, g=2.0"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--spectrum", "--X", "1e-200"],
+         "alpha=1.5, X=1e-200, N=100, g=2.0"),
+        (["discretize", "--hardy-min", "--alpha", "2", "--N", "250", "--X", "1e-300"],
+         "alpha=2.0, X=1e-300, N=250, g=2.0"),
+        (["exponent", "--alpha", "1", "--lambda", "1e300"], "lambda=1e+300 is too large"),
     ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
@@ -208,7 +217,9 @@ class TestParameterErrors:
             "discretize-X-inf", "discretize-g-inf", "discretize-g-nan",
             "discretize-lambda-nan", "exponent-lambda-nan", "heat-exact-x-inf",
             "heat-exact-lambda-nan", "heat-exact-lambda-inf", "heat-exact-empty-x", "diff-t-nan",
-            "heat-envelope-lambda-nan", "heat-envelope-c-exp-nan"])
+            "heat-envelope-lambda-nan", "heat-envelope-c-exp-nan", "discretize-X-huge",
+            "discretize-X-tiny", "spectrum-X-tiny", "hardy-min-alpha-2-X-tiny",
+            "exponent-lambda-huge"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
@@ -290,11 +301,14 @@ class TestVerify:
         ("[difference_bound]\nn_duhamel = 0\n", "n_duhamel"),
         ("[difference_bound]\nlams =\n", "lams"),
         ("[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = inf 400 2\n", "X must"),
+        ("[pointwise_bounds]\nt = inf\n", "[pointwise_bounds] t"),
+        ("[schur_prop]\nalpha = nan\n", "[schur_prop] alpha"),
+        ("[lemma_integral]\nbetas = nan\n", "[lemma_integral] betas"),
     ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys",
             "seed-for-deterministic-check", "deleted-key", "s-negative", "s-zero",
             "s-above-two", "no-betas", "no-lams", "nsamples-zero", "nsamples-negative",
             "n-log-zero", "n-x-zero", "n-duhamel-zero", "difference-bound-no-lams",
-            "grid-cfg-inf"])
+            "grid-cfg-inf", "t-inf", "alpha-nan", "betas-nan"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(section)

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from hardyops.coupling import lambda_star, lambda_zero, normalization_A
-from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _exterior_bands,
+from hardyops import discrete
+from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _antider, _exterior_bands,
                                _local_bands, assemble_form,
                                assemble_fullline_form, boundary_bump,
                                build_grid, commutator_norm,
@@ -45,6 +47,25 @@ def banded(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def oneshot_fullline_form(alpha, grid):
+    """The whole-line form from full (N+1)^2 cell-pair arrays, in the same
+    elementwise operations as the row blocks of assemble_fullline_form."""
+    v, h = grid.vertices, grid.cell_lengths
+    Pphi = _antider(np.abs(v[:, None] - v[None, :]), alpha, 2)
+    P = Pphi[1:, :-1] + Pphi[:-1, 1:] - Pphi[:-1, :-1] - Pphi[1:, 1:]
+    mid = 0.5 * (v[:-1] + v[1:])
+    D = np.abs(mid[:, None] - mid[None, :])
+    hh = np.outer(h, h)
+    far = D > np.maximum(300.0 * np.sqrt(hh), 6.0 * (h[:, None] + h[None, :]))
+    Df = D[far]
+    corr = (h[:, None] ** 2 + h[None, :] ** 2)[far] / 24.0
+    P[far] = hh[far] * (_antider(Df, alpha, 0) + corr * Df ** (-1.0 - alpha))
+    P /= hh
+    K = P[:-1, :-1] + P[1:, 1:]
+    K -= P[1:, :-1] + P[:-1, 1:]
+    return normalization_A(1, alpha) * K
+
+
 def regional_form(alpha, grid):
     """Regional form on (0, X): the whole-line form plus the exterior bands."""
     return assemble_fullline_form(alpha, grid) \
@@ -80,6 +101,30 @@ class TestAssembly:
             else:
                 dense = banded(*_local_bands(grid))
             assert np.array_equal(base, dense)
+
+    @pytest.mark.parametrize("N", [16, 300])
+    @pytest.mark.parametrize("g", [1.0, 2.0, 6.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_row_blocks_match_oneshot_form(self, monkeypatch, alpha, g, N):
+        # one block, blocks of one row, and blocks of 4 rows, which divide
+        # neither n = 15 nor n = 299: every seam gives the same bits
+        grid = build_grid(10.0, N, g)
+        ref = oneshot_fullline_form(alpha, grid)
+        for block_bytes in (discrete._BLOCK_BYTES, 8 * N, 4 * 8 * N):
+            monkeypatch.setattr(discrete, "_BLOCK_BYTES", block_bytes)
+            K = assemble_fullline_form(alpha, grid)
+            assert np.array_equal(K, ref), (block_bytes, np.max(np.abs(K - ref)))
+            assert np.array_equal(K, K.T)
+
+    def test_assembly_memory_is_output_plus_blocks(self):
+        grid = build_grid(10.0, 2000, 2.0)
+        tracemalloc.start()
+        try:
+            K = assemble_fullline_form(1.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * K.nbytes, peak / K.nbytes
 
     def test_positivity_fractional(self):
         dec = eigendecompose(assemble_form(0.5, 0.0, build_grid(1.0, 200, 1.0)))
