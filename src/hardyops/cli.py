@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from hardyops import verify as V
-from hardyops.coupling import (exponent_p, lambda_star, lambda_zero,
-                               make_coupling)
+from hardyops.coupling import (coupling_C, exponent_p, lambda_star,
+                               lambda_zero, make_coupling)
 from hardyops.discrete import assemble_form, build_grid, eigendecompose, hardy_quotient_min
 from hardyops.kernels import (KernelEnvelope, diff_envelope, heat_envelope,
                               heat_exact_halfline, pt, riesz_envelope)
@@ -100,7 +100,6 @@ def cmd_exponent(args) -> int:
         lam = args.lam
     params = make_coupling(args.d, alpha, lam)
     der = params.derived
-    from hardyops.coupling import coupling_C
     resid = abs(coupling_C(alpha, params.p) - lam)
     header = ["alpha", "lambda", "p", "lambda_star", "lambda_zero", "q", "r",
               "p0", "residual"]

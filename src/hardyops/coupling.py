@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import poch
 
 from hardyops.specfun import DomainError, _sinpi
 
@@ -73,6 +74,8 @@ def coupling_C(alpha: float, p: float) -> float:
     The product Gamma(alpha-p) * sin(pi(2p-alpha)/2) is rewritten through the
     reflection formula whenever alpha - p < 1/2; that removes the pole/zero
     pairs exactly (in particular the alpha = 2 line, where C(p) = p(p-1)).
+    There Gamma(1+p)/Gamma(1-alpha+p) is the Pochhammer symbol, which a
+    log-Gamma difference would lose to cancellation at large p.
     """
     _check_alpha(alpha, include_two=True)
     if not (-1.0 < p < branch_upper(alpha)):
@@ -89,8 +92,7 @@ def coupling_C(alpha: float, p: float) -> float:
             ratio = 1.0
         else:
             ratio = s_num / s_den
-        second = math.pi * math.exp(math.lgamma(1.0 + p) - math.lgamma(1.0 - alpha + p)) \
-            * ratio
+        second = math.pi * poch(1.0 - alpha + p, alpha) * ratio
     return (first + second) / math.pi
 
 
@@ -143,14 +145,14 @@ def gamma_closed(alpha: float, p: float) -> float:
 def exponent_p(alpha: float, lam: float) -> float:
     """Unique p in [(alpha-1)/2, M) with C(p) = lam, on the increasing branch.
 
-    The root is bracketed between the branch start and a point where C >= lam,
-    then found by Brent's method (scipy.optimize.brentq) to
-    |dp| <= 1e-15 + 4 eps |p|.  C is flat at the branch start, so just above
-    lambda_star p carries about the square root of the rounding in C: at
-    alpha = 2 it is off by 7e-13 at lam - lambda_star = 1e-8 and by 8e-11 at
-    1e-12.  Residual |C(p) - lam| <= 1e-10 max(1,|lam|) for lam <= 1e3.
-    Beyond that p nears the pole at alpha (alpha - p ~ 2e-8 at lam = 1e6),
-    where one ulp of p moves C by about 1e-8 relative.
+    At alpha = 2, C(p) = p(p-1), so p = 1/2 + sqrt(lam + 1/4) in closed form.
+    For alpha < 2 the root is bracketed between the branch start and a point
+    below the pole at alpha where C >= lam, then found by Brent's method
+    (scipy.optimize.brentq) to |dp| <= 1e-15 + 4 eps |p|.  C is flat at the
+    branch start, so just above lambda_star p carries about the square root
+    of the rounding in C.  Residual |C(p) - lam| <= 1e-10 max(1,|lam|) for
+    lam <= 1e3.  Beyond that p nears the pole (alpha - p ~ 2e-8 at
+    lam = 1e6), where one ulp of p moves C by about 1e-8 relative.
     """
     _check_alpha(alpha, include_two=True)
     if not math.isfinite(lam):
@@ -163,24 +165,17 @@ def exponent_p(alpha: float, lam: float) -> float:
     # residual at p_lo is negative, which the root bracket needs.
     if lam <= max(lstar, coupling_C(alpha, p_lo)):
         return p_lo
-    # Geometric bracket growth until C exceeds lam.
     if alpha == 2.0:
-        p_hi = p_lo + 1.0
-        for _ in range(200):
-            if coupling_C(alpha, p_hi) >= lam:
-                break
-            p_hi = 2.0 * p_hi + 1.0
-        else:
-            raise DomainError(f"failed to bracket p for lambda={lam!r}")
-    else:
-        gap = min(1e-3, 0.05 * (alpha + 1.0))
+        return 0.5 + math.sqrt(lam + 0.25)
+    # Geometric bracket growth until C exceeds lam.
+    gap = min(1e-3, 0.05 * (alpha + 1.0))
+    p_hi = alpha - gap
+    while coupling_C(alpha, p_hi) < lam:
+        gap /= 16.0
         p_hi = alpha - gap
-        while coupling_C(alpha, p_hi) < lam:
-            gap /= 16.0
-            p_hi = alpha - gap
-            if not p_hi < alpha:
-                raise DomainError(f"lambda={lam!r} is too large at alpha={alpha!r}: its "
-                                  f"p lies within rounding of the pole at p = alpha")
+        if not p_hi < alpha:
+            raise DomainError(f"lambda={lam!r} is too large at alpha={alpha!r}: its "
+                              f"p lies within rounding of the pole at p = alpha")
     return brentq(lambda p: coupling_C(alpha, p) - lam, p_lo, p_hi,
                   xtol=1e-15, rtol=4.0 * math.ulp(1.0))
 

@@ -26,7 +26,9 @@ Assembled stiffnesses are dense, so assembly first checks N <= DENSE_SOLVER_CAP.
 The whole-line form is written into one preallocated n x n array, a block of
 rows at a time, from the columns at or right of the diagonal; each block's
 transpose fills the mirror entries.  Every temporary is one block of about
-_BLOCK_BYTES, so assembly needs the output plus a few such blocks.  A form,
+_BLOCK_BYTES, so assembly needs the output plus a few such blocks.  The bands
+and the Hardy potential are then added to that array in place: nothing here
+is cached, and each operator owns the only copy of its stiffness.  A form,
 band or Hardy weight that is not finite in double precision (an extreme X)
 raises DomainError.
 
@@ -39,7 +41,6 @@ factor of the assembled form with Lanczos on its inverse.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +75,7 @@ class Grid1D:
         return (self.X, self.grading, self.N)
 
     # build_grid makes the arrays a function of the key, so grids that share
-    # a key share cached stiffnesses and decompositions
+    # a key share cached decompositions
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid1D) and self.key() == other.key()
 
@@ -236,40 +237,6 @@ def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return d[:-1] + d[1:], -d[1:-1]
 
 
-# the lam and 0 operators of a check share an entry, and commutator_scaling
-# moves between two grids: two entries keep every hit the benchmark makes
-@functools.lru_cache(maxsize=2)
-def _base_parts(alpha: float, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda-independent stiffness, Hardy potential diagonal).
-
-    The stiffness is a dense part plus three bands (see the module
-    docstring).  Both are cached and shared by every operator on
-    (alpha, grid), so they are read-only.  An extreme X that takes any of
-    them out of double precision raises DomainError.
-    """
-    n = len(grid.nodes)
-    with np.errstate(all="ignore"):
-        hardy = grid.weights * grid.nodes ** (-alpha)
-        if alpha == 2.0:
-            base = np.zeros((n, n))
-            diag, off = _local_bands(grid)
-        else:
-            base = _nonlocal_stiffness(alpha, grid)
-            A = normalization_A(1, alpha)
-            diag, off = _exterior_bands(grid, alpha)
-            # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
-            kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
-            diag, off = A * diag + grid.weights * kill, A * off
-    _require_finite(alpha, grid, diag, off, hardy)
-    i = np.arange(n - 1)
-    base[np.diag_indices(n)] += diag
-    base[i, i + 1] += off
-    base[i + 1, i] += off
-    base.flags.writeable = False
-    hardy.flags.writeable = False
-    return base, hardy
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
     """Symmetric matrix realization of the quadratic form on a Grid1D."""
@@ -299,16 +266,35 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
 
     lam must be finite; below the sharp constant it is allowed (indefinite
     forms are useful optimality probes).  The stiffness is dense, so
-    N > DENSE_SOLVER_CAP is rejected before any work.
+    N > DENSE_SOLVER_CAP is rejected before any work.  It is a dense part
+    plus three bands (see the module docstring) plus lam times the Hardy
+    potential diagonal, built in one fresh array.  An extreme X that takes
+    any of them out of double precision raises DomainError.
     """
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
     _check_dense_cap(grid)
-    base, hardy = _base_parts(alpha, grid)
-    K = base.copy()
-    K[np.diag_indices_from(K)] += lam * hardy
+    n = len(grid.nodes)
+    with np.errstate(all="ignore"):
+        hardy = grid.weights * grid.nodes ** (-alpha)
+        if alpha == 2.0:
+            K = np.zeros((n, n))
+            diag, off = _local_bands(grid)
+        else:
+            K = _nonlocal_stiffness(alpha, grid)
+            A = normalization_A(1, alpha)
+            diag, off = _exterior_bands(grid, alpha)
+            # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
+            kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
+            diag, off = A * diag + grid.weights * kill, A * off
+    _require_finite(alpha, grid, diag, off, hardy)
+    i = np.arange(n - 1)
+    K[np.diag_indices(n)] += diag
+    K[i, i + 1] += off
+    K[i + 1, i] += off
+    K[np.diag_indices(n)] += lam * hardy
     return DiscreteOperator(alpha=alpha, lam=lam, grid=grid, stiffness=K,
                             hardy=hardy, mass=grid.weights.copy())
 

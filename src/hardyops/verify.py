@@ -116,7 +116,7 @@ def _decompose(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecompositi
     dec = eigendecompose(assemble_form(alpha, lam, grid))
     # shared by every later caller with the same key
     for arr in (dec.eigenvalues, dec.eigenvectors, dec.mass,
-                dec.operator.stiffness, dec.operator.mass):
+                dec.operator.stiffness, dec.operator.hardy, dec.operator.mass):
         arr.flags.writeable = False
     return dec
 

@@ -60,6 +60,15 @@ class TestExponent:
         assert rec["lambda_zero"] is None
         assert rec["p"] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-12)
 
+    def test_second_order_huge_coupling(self, capsys):
+        # p = 1/2 + sqrt(lambda + 1/4) is representable although lambda is huge
+        rc, out, _ = run(capsys, "exponent", "--alpha", "2", "--lambda", "1e300",
+                         "--format", "json")
+        assert rc == 0
+        rec = strict_json(out)[0]
+        assert rec["p"] == pytest.approx(1e150, rel=1e-15)
+        assert rec["residual"] <= 1e-15 * 1e300
+
 
 class TestKernelTable:
     def test_csv_round_trip(self, capsys, tmp_path):

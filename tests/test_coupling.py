@@ -59,6 +59,11 @@ class TestCouplingFunction:
         for p in np.linspace(-0.99, 5.99, 400):
             assert abs(coupling_C(2.0, p) - p * (p - 1.0)) <= 1e-11
 
+    def test_second_order_large_p(self):
+        # a log-Gamma difference for Gamma(1+p)/Gamma(p-1) cancels here
+        for p in (10.0, 1e5, 1e8, 1e12, 1e20, 1e150):
+            assert coupling_C(2.0, p) == pytest.approx(p * (p - 1.0), rel=1e-15)
+
     def test_order_one_cotangent_form(self):
         for p in (-0.7, -0.2, 0.3, 0.76, 0.93):
             ref = (1.0 - math.pi * p / math.tan(math.pi * p)) / math.pi

@@ -192,17 +192,20 @@ class TestAssembly:
             diff = base - assemble_fullline_form(alpha, grid)
             assert np.all(diff[far] == 0.0), (alpha, np.max(np.abs(diff[far])))
 
-    def test_cached_parts_are_read_only(self):
+    def test_operators_are_independent(self):
         grid = build_grid(5.0, 60, 2.0)
         for alpha in (1.5, 2.0):
             op = assemble_form(alpha, 0.0, grid)
-            hardy = op.hardy.copy()
-            with pytest.raises(ValueError):
-                op.hardy[:] *= 2.0
-            op.stiffness[0, 0] = 0.0  # the stiffness is the caller's own copy
             again = assemble_form(alpha, 0.0, grid)
-            assert np.array_equal(again.hardy, hardy)
-            assert again.stiffness[0, 0] != 0.0
+            ref = assemble_form(alpha, 0.0, grid)
+            for mine, theirs in ((op.stiffness, again.stiffness), (op.hardy, again.hardy)):
+                assert mine is not theirs and not np.shares_memory(mine, theirs)
+                assert mine.flags.writeable
+            op.stiffness[:] = 0.0
+            op.hardy[:] = 0.0
+            later = assemble_form(alpha, 0.0, grid)
+            assert np.array_equal(later.stiffness, ref.stiffness)
+            assert np.array_equal(later.hardy, ref.hardy)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_brute_force_quadrature_oracle(self):
@@ -384,6 +387,18 @@ class TestHardyQuotient:
         ref = eigh(0.5 * (B + B.T), eigvals_only=True, subset_by_index=[0, 0])[0]
         del op, B
         assert hardy_quotient_min(alpha, grid) == pytest.approx(ref, rel=1e-9)
+
+    def test_factors_the_only_copy(self):
+        # the form is assembled into one array and factored in place there
+        grid = build_grid(10.0, 2000, 2.0)
+        n = grid.N - 1
+        tracemalloc.start()
+        try:
+            hardy_quotient_min(1.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * 8 * n * n, peak / (8 * n * n)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_scale_invariant(self, alpha):

@@ -8,6 +8,18 @@ from hardyops import verify as V
 FAST = dict(X=10.0, N=400, g=2.0)
 
 
+class TestDecompositionCache:
+    def test_cached_arrays_are_read_only(self):
+        # every later caller with the same key gets these arrays
+        from hardyops.discrete import build_grid
+        dec = V.get_dec(1.5, 0.0, build_grid(5.0, 60, 2.0))
+        op = dec.operator
+        for arr in (dec.eigenvalues, dec.eigenvectors, dec.mass,
+                    op.stiffness, op.hardy, op.mass):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestEquivalence:
     def test_below_threshold_bounded(self):
         r = V.check_equivalence(2.0, 1.0, 1.3, grid_cfg=FAST)
