@@ -1,11 +1,12 @@
 """Heat and Riesz kernels on the half-space: exact forms and envelopes.
 
-The second-order operator has an explicit half-line heat kernel (a Bessel
-kernel), extended to the half-space by separation of variables; everything
-else is handled through two-sided envelope formulas whose implied constants
-are deliberately NOT baked in (all comparisons downstream fit and report
-constants instead).  The exact kernel is evaluated in exponentially scaled
-form so that large rs/t never overflows.
+The second-order operator has explicit half-line heat (Bessel) and Riesz
+(hypergeometric) kernels, extended to the half-space by separation of
+variables; everything else is handled through two-sided envelope formulas
+whose implied constants are deliberately NOT baked in (all comparisons
+downstream fit and report constants instead).  The layer evaluates formulas
+and integrates nothing.  The exact heat kernel is evaluated in exponentially
+scaled form so that large rs/t never overflows.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import quad
-from scipy.special import ive
+# unused, but bench/tracer.py wraps this module's ``quad`` binding by name
+from scipy.integrate import quad  # noqa: F401
+from scipy.special import gammainc, gammaincc, gammaln, hyp2f1, ive
 
 from hardyops.coupling import CouplingParams, _check_d
 from hardyops.specfun import DomainError
@@ -100,7 +101,15 @@ def heat_exact_halfline(lam: float, t: float, r: float, s: float) -> float:
     mu = math.sqrt(max(lam + 0.25, 0.0))
     z = r * s / (2.0 * t)
     gauss = math.exp(-((r - s) ** 2) / (4.0 * t))
-    return 0.5 / t * math.sqrt(r * s) * gauss * float(ive(mu, z))
+    if z > max(1e8, 1e6 * mu * mu):
+        # ive is NaN from z ~ 1.08e9; three terms of DLMF 10.40.1 leave a
+        # relative error below 1e-19 here
+        m, u = 4.0 * mu * mu, 0.125 / z
+        scaled = (1.0 - (m - 1.0) * u * (1.0 - 0.5 * (m - 9.0) * u)) \
+            / math.sqrt(2.0 * math.pi * z)
+    else:
+        scaled = float(ive(mu, z))
+    return 0.5 / t * math.sqrt(r * s) * gauss * scaled
 
 
 def heat_images_halfline(t: float, r: float, s: float) -> float:
@@ -166,9 +175,8 @@ def master_time_integral(alpha: float, d: int, p: float, s: float,
 
     integral over tau of tau^{-2-s/2} * B(tau) * (1 ^ (tau/T)^{1/a})^p
     * (1 ^ (tau/S)^{1/a})^p, with B the fractional plateau 1 ^ tau^{d/a+1}
-    for alpha < 2 and tau^{d/2+1} e^{-c tau} for alpha = 2.  Split at the
-    regime boundaries {S, T, 1}; power tail integrated in closed form for
-    alpha < 2.
+    for alpha < 2 and tau^{d/2+1} e^{-c tau} for alpha = 2, summed in closed
+    form over the pieces between the regime boundaries {1, T, S}.
     """
     if not (T > 0.0 and S > 0.0):
         raise DomainError("T, S must be positive")
@@ -177,31 +185,29 @@ def master_time_integral(alpha: float, d: int, p: float, s: float,
     if abs(T ** (-1.0 / alpha) - S ** (-1.0 / alpha)) > 1.0 + 1e-9:
         raise DomainError("pair (T, S) violates |T^(-1/a) - S^(-1/a)| <= 1")
 
-    inv_a = 1.0 / alpha
-
-    def integrand(tau: float) -> float:
-        if alpha == 2.0:
-            bulk = tau ** (0.5 * d + 1.0) * math.exp(-c_exp * tau)
-        else:
-            bulk = min(1.0, tau ** (d * inv_a + 1.0))
-        fT = min(1.0, (tau / T) ** inv_a) ** p
-        fS = min(1.0, (tau / S) ** inv_a) ** p
-        return tau ** (-2.0 - 0.5 * s) * bulk * fT * fS
-
-    cut = max(1.0, T, S)
-    pts = sorted({v for v in (S, T, 1.0) if 0.0 < v < cut})
+    # On each interval between consecutive points of {0, 1, T, S, inf} every
+    # min() keeps one branch, so the integrand is c tau^(e-1) there, times
+    # e^(-c_exp tau) at alpha = 2: integrate each piece exactly.
+    pts = sorted({0.0, 1.0, T, S, math.inf})
     total = 0.0
-    lo = 0.0
-    for hi in pts + [cut]:
-        total += quad(integrand, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10,
-                      full_output=1)[0]
-        lo = hi
-    if alpha == 2.0:
-        total += quad(integrand, cut, np.inf, limit=200, epsrel=1e-10,
-                      full_output=1)[0]
-    else:
-        # beyond max(1, T, S) every bounded factor equals 1: pure power tail
-        total += cut ** (-1.0 - 0.5 * s) / (1.0 + 0.5 * s)
+    for lo, hi in zip(pts, pts[1:]):
+        below = [v for v in (T, S) if hi <= v]
+        e = -1.0 - 0.5 * s + len(below) * p / alpha
+        log_c = -p / alpha * sum(math.log(v) for v in below)
+        if alpha == 2.0 or hi <= 1.0:
+            e += d / alpha + 1.0
+        if alpha == 2.0:
+            # the window s < d at alpha = 2 makes every e positive; the smaller
+            # incomplete Gamma tail keeps the digits of a piece's mass
+            a, b = c_exp * lo, c_exp * hi
+            mass = (gammainc(e, b) - gammainc(e, a) if b < e
+                    else gammaincc(e, a) - gammaincc(e, b))
+            total += math.exp(log_c + gammaln(e) - e * math.log(c_exp)) * float(mass)
+        elif lo == 0.0:
+            total += math.exp(log_c + e * math.log(hi)) / e
+        else:
+            x = math.log(hi / lo)
+            total += math.exp(log_c + e * math.log(lo)) * (math.expm1(e * x) / e if e else x)
     return total
 
 
@@ -247,11 +253,7 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
         J = _envelope(alpha, d, q, c_exp, t, x, y)
     M = 0.0
     if m >= ta and r <= 0.5 * n:
-        if alpha == 2.0:
-            bulk = math.exp(-c_exp * r * r / t)
-        else:
-            bulk = 1.0 if r == 0.0 else min(1.0, t ** (1.0 + d / alpha) / r ** (d + alpha))
-        M = t ** (1.0 - d / alpha) / m ** alpha * bulk
+        M = t / m ** alpha * _envelope(alpha, d, 0.0, c_exp, t, x, y)
     return J, M
 
 
@@ -262,11 +264,12 @@ def diff_envelope(alpha: float, d: int, p: float, t: float, x: HalfSpacePoint,
 
 
 def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:
-    """Riesz kernel of the half-line second-order operator by time quadrature.
+    """Riesz kernel of the half-line second-order operator in closed form.
 
-    (1/Gamma(s/2)) * integral of the exact heat kernel against t^{s/2-1}.
-    Valid for s in (0, min(1, 1 + 2p)); the far tail is integrated after the
-    substitution u = 1/t so the power decay is resolved exactly.
+    (1/Gamma(s/2)) * integral of t^{s/2-1} times the exact heat kernel, a
+    Laplace transform of I_mu (DLMF 10.43, 15.8); with M = r v rho, q = (r ^ rho)/M:
+    2^{1-s} M^{s-1} q^{mu+1/2} Gamma(mu+1-s/2) / (Gamma(s/2) Gamma(mu+1))
+    * 2F1(mu+1-s/2, 1-s/2; mu+1; q^2), for s in (0, min(1, 1 + 2p)).
     """
     mu = math.sqrt(max(lam + 0.25, 0.0))
     p = mu + 0.5
@@ -274,14 +277,10 @@ def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:
         raise DomainError(f"s must lie in (0, {min(1.0, 1.0 + 2.0 * p)}), got {s!r}")
     if r == rho:
         return math.inf  # kernel is diagonally singular for s < 2d/alpha
-
-    def f(t: float) -> float:
-        return heat_exact_halfline(lam, t, r, rho) * t ** (0.5 * s - 1.0)
-
-    tcut = 50.0 * max(r * rho, (r - rho) ** 2, 1e-8)
-    pts = sorted({v for v in ((r - rho) ** 2, r * rho) if 0.0 < v < tcut})
-    bulk = quad(f, 0.0, tcut, points=pts or None, limit=400,
-                epsabs=1e-13, epsrel=1e-9, full_output=1)[0]
-    tail = quad(lambda u: f(1.0 / u) / (u * u), 0.0, 1.0 / tcut,
-                limit=200, epsabs=1e-13, epsrel=1e-9, full_output=1)[0]
-    return (bulk + tail) / math.gamma(0.5 * s)
+    # the argument q^2 keeps near-diagonal digits that (2 r rho/(r^2+rho^2))^2 loses
+    m = max(r, rho)
+    q = min(r, rho) / m
+    a = mu + 1.0 - 0.5 * s
+    log_pre = ((1.0 - s) * math.log(2.0) + (s - 1.0) * math.log(m) + p * math.log(q)
+               + gammaln(a) - gammaln(0.5 * s) - gammaln(mu + 1.0))
+    return math.exp(log_pre) * float(hyp2f1(a, 1.0 - 0.5 * s, mu + 1.0, q * q))

@@ -158,6 +158,17 @@ class TestAssembly:
                 diff = np.max(np.abs(form(alpha, grid) - K1))
                 assert diff <= 2e-2 * np.max(np.abs(K1)), (form, alpha, diff)
 
+    def test_converges_to_second_order_as_alpha_tends_to_two(self):
+        # the alpha < 2 form tends to the alpha = 2 bands linearly in 2 - alpha;
+        # a wrong constant in normalization_A leaves the gap at O(1)
+        grid = build_grid(10.0, 400, 2.0)
+        K2 = assemble_form(2.0, 0.0, grid).stiffness
+        gaps = np.array([1e-2, 1e-3, 1e-4])
+        errs = [np.max(np.abs(assemble_form(2.0 - g, 0.0, grid).stiffness - K2))
+                / np.max(np.abs(K2)) for g in gaps]
+        slope = np.polyfit(np.log(gaps), np.log(errs), 1)[0]
+        assert slope == pytest.approx(1.0, abs=0.05), errs
+
     def test_exterior_bands_quadrature_oracle(self):
         # regional minus whole-line form: -(1/alpha) int phi_i phi_j
         # (x^{-alpha} + (X - x)^{-alpha}), integrated cell by cell; hat i

@@ -93,12 +93,13 @@ class TestExactKernel:
 
     def test_mpmath_closed_form_oracle(self):
         # sqrt(rs)/(2t) exp(-(r^2+s^2)/4t) I_mu(rs/2t) at 40 digits, over the
-        # orders mu = sqrt(lam + 1/4) <= 10 the package uses
+        # orders mu = sqrt(lam + 1/4) <= 10 the package uses; t down to 1e-12
+        # takes rs/2t past 1.08e9, where scipy's ive returns NaN
         worst = 0.0
         with mp.workdps(40):
             for lam in (-0.25, 0.0, 0.5, 3.0, 100.0):
                 mu = mp.sqrt(mp.mpf(lam) + mp.mpf(1) / 4)
-                for t in np.logspace(-3, 2, 6):
+                for t in np.logspace(-12, 2, 15):
                     for r in np.logspace(-2, 1.5, 6):
                         for s in np.logspace(-2, 1.5, 6):
                             T, R, S = (mp.mpf(float(v)) for v in (t, r, s))
@@ -108,6 +109,7 @@ class TestExactKernel:
                             if ref < 1e-290:
                                 continue
                             got = heat_exact_halfline(lam, float(t), float(r), float(s))
+                            assert math.isfinite(got), (lam, t, r, s)
                             worst = max(worst, abs(got / ref - 1.0))
         assert worst <= 1e-10
 
@@ -236,6 +238,44 @@ class TestMasterTimeIntegral:
         with pytest.raises(DomainError):
             master_time_integral(1.2, 1, 0.8, 0.5, 1e-6, 1.0)
 
+    @pytest.mark.parametrize("alpha, d, p, s, T, S, c_exp", [
+        *[(1.2, 1, p, 0.5, T, S, 1.0) for p in (0.5, 0.75, 1.1)
+          for T, S in ((0.7, 0.9), (3.0, 2.0), (1e3, 4.0), (0.01, 0.0098))],
+        (0.6, 2, -0.1, 1.5, 50.0, 1.5, 1.0),
+        (0.6, 2, -0.1, 0.5, 1e-3, 1e-3, 1.0),
+        (0.3, 1, 0.75, 1.95, 1e4, 1.0, 1.0),
+        (0.6, 2, 0.75, 1.95, 1e4, 1e4, 1.0),
+        (1.5, 1, 0.7, 0.6, 2.0, 1.5, 1.0),
+        (2.0, 1, 1.618, 0.7, 0.3, 0.1255, 1.0),
+        (2.0, 1, 1.618, 0.7, 1e3, 10.0, 0.25),
+        (2.0, 1, 1.618, 0.7, 10.0, 10.0, 0.25),
+        (2.0, 1, 1.618033988749895, 0.7, 1e5, 10.0, 1.0),
+        (2.0, 2, 0.5, 1.5, 1e-4, 9.85e-5, 1.0),
+        (2.0, 2, 2.5, 0.05, 1e-3, 1e-3, 0.25),
+    ])
+    def test_mpmath_piecewise_oracle(self, alpha, d, p, s, T, S, c_exp):
+        # 30-digit mp.quad of the same integrand, split at {1, T, S}, where
+        # every min() switches branch; p = 0.75 at alpha = 1.2, s = 0.5 makes
+        # one piece tau^-1, adaptive quadrature was 3.9e-8 off at s = 1.95,
+        # T = 1e4 and 2.9e-4 at criterion 7's alpha = 2, T = 1e5, S = 10, and
+        # the last case has a piece whose mass is a difference of upper
+        # incomplete Gamma tails near one
+        with mp.workdps(30):
+            a, c = mp.mpf(alpha), mp.mpf(c_exp)
+
+            def f(tau):
+                if alpha == 2.0:
+                    bulk = tau ** (d / a + 1) * mp.exp(-c * tau)
+                else:
+                    bulk = min(1, tau ** (d / a + 1))
+                return tau ** (-2 - mp.mpf(s) / 2) * bulk \
+                    * min(1, (tau / T) ** (1 / a)) ** p * min(1, (tau / S) ** (1 / a)) ** p
+
+            ref = mp.quad(f, sorted({0, 1, T, S}) + [mp.inf])
+        got = master_time_integral(alpha, d, p, s, T, S, c_exp)
+        assert type(got) is float
+        assert got == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
 
 class TestDifferenceEnvelope:
     def test_indicator_regions(self):
@@ -304,3 +344,37 @@ class TestRieszExact:
     def test_s_window(self):
         with pytest.raises(DomainError):
             riesz_exact_halfline(1.0, 1.2, 1.0, 2.0)
+
+    def test_mpmath_oracle(self):
+        # away from the diagonal at lam <= 2 and the ends of the s window, the
+        # 20-digit time integral of the heat kernel checks the closed form;
+        # everywhere, down to |r - rho| = 1e-6 r where time quadrature returned
+        # NaN, mpmath's 40-digit 2F1 of the same closed form checks its
+        # double-precision evaluation
+        pairs = ((1.0, 1.2), (0.05, 2.0), (0.3, 0.4), (2.0, 0.01),
+                 (1.0, 1.001), (5.0, 4.995), (1.0, 1.000001))
+        worst = 0.0
+        with mp.workdps(40):
+            for lam in (-0.25, 0.0, 1.0, 3.0, 100.0):
+                mu = mp.sqrt(mp.mpf(lam) + mp.mpf(1) / 4)
+                for s in (0.01, 0.5, 0.7, 0.99):
+                    S = mp.mpf(s)
+                    for r, rho in pairs:
+                        R, P = mp.mpf(r), mp.mpf(rho)
+                        M = max(R, P)
+                        q = min(R, P) / M
+                        refs = [2 ** (1 - S) * M ** (S - 1) * q ** (mu + 0.5)
+                                * mp.gamma(mu + 1 - S / 2) / (mp.gamma(S / 2) * mp.gamma(mu + 1))
+                                * mp.hyp2f1(mu + 1 - S / 2, 1 - S / 2, mu + 1, q * q)]
+                        if lam <= 2.0 and s in (0.01, 0.99) and abs(r - rho) > 1e-2 * r:
+                            def heat(t):
+                                return mp.sqrt(R * P) / (2 * t) * t ** (S / 2 - 1) \
+                                    * mp.exp(-(R * R + P * P) / (4 * t)) \
+                                    * mp.besseli(mu, R * P / (2 * t))
+                            with mp.workdps(20):
+                                refs.append(mp.quad(heat, sorted({0, (R - P) ** 2, R * P})
+                                                    + [mp.inf]) / mp.gamma(S / 2))
+                        got = riesz_exact_halfline(lam, s, r, rho)
+                        assert math.isfinite(got), (lam, s, r, rho)
+                        worst = max([worst] + [abs(got / float(ref) - 1.0) for ref in refs])
+        assert worst <= 1e-10
