@@ -34,9 +34,14 @@ raises DomainError.
 
 Spectral calculus is a generalized symmetric eigendecomposition against the
 lumped mass: the tridiagonal MRRR solver at alpha = 2, dense eigh for
-alpha < 2.  The Hardy minimum needs only the lowest eigenvalue: bisection on
-the bands at alpha = 2 (no assembly, any N), and for alpha < 2 a Cholesky
-factor of the assembled form with Lanczos on its inverse.
+alpha < 2.  The forms are homogeneous, and the graded meshes keep that
+exactly: build_grid(c X, N, g) is build_grid(X, N, g) dilated by c, on which
+the stiffness scales by c^{1-alpha} and the mass by c.  So dilate carries a
+decomposition to any X with the eigenvalues scaled by c^{-alpha} and the
+eigenvectors by c^{-1/2}, and no second solve.  The Hardy minimum needs only
+the lowest eigenvalue: bisection on the bands at alpha = 2 (no assembly, any
+N), and for alpha < 2 a Cholesky factor of the assembled form with Lanczos on
+its inverse.
 """
 
 from __future__ import annotations
@@ -70,17 +75,6 @@ class Grid1D:
     @property
     def cell_lengths(self) -> np.ndarray:
         return np.diff(self.vertices)
-
-    def key(self) -> tuple:
-        return (self.X, self.grading, self.N)
-
-    # build_grid makes the arrays a function of the key, so grids that share
-    # a key share cached decompositions
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Grid1D) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
 
 def build_grid(X: float, N: int, g: float) -> Grid1D:
@@ -371,6 +365,37 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
                                  mass=op.mass.copy(), operator=op)
 
 
+def dilate(dec: SpectralDecomposition, grid: Grid1D) -> SpectralDecomposition:
+    """The decomposition of the same form on grid, a dilate of dec's grid.
+
+    The forms are homogeneous: under x -> c x, with c = grid.X / X0 for dec's
+    X0, the graded mesh's vertices scale by c, the stiffness (nonlocal part,
+    bands and Hardy term alike) by c^{1-alpha} and the lumped mass by c.  So
+    the eigenvalues scale by c^{-alpha} and the mass-orthonormal eigenvectors
+    by c^{-1/2}; nothing is solved again.  A scaling that leaves double
+    precision (an extreme X) raises DomainError.
+    """
+    op = dec.operator
+    if (grid.N, grid.grading) != (op.grid.N, op.grid.grading):
+        raise DomainError(f"cannot dilate a decomposition on N={op.grid.N}, "
+                          f"g={op.grid.grading} to N={grid.N}, g={grid.grading}")
+    alpha = op.alpha
+    with np.errstate(all="ignore"):
+        c = np.float64(grid.X) / op.grid.X
+        scale = c ** (1.0 - alpha)
+        mass = c * dec.mass
+        out = SpectralDecomposition(
+            eigenvalues=c ** (-alpha) * dec.eigenvalues,
+            eigenvectors=dec.eigenvectors / np.sqrt(c),
+            mass=mass,
+            operator=DiscreteOperator(alpha=alpha, lam=op.lam, grid=grid,
+                                      stiffness=scale * op.stiffness,
+                                      hardy=scale * op.hardy, mass=mass))
+    _require_finite(alpha, grid, out.eigenvalues, out.eigenvectors, mass,
+                    out.operator.stiffness, out.operator.hardy)
+    return out
+
+
 def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarray:
     """exp(-t L) u through the spectral representation."""
     if t < 0.0:
@@ -409,9 +434,11 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     DENSE_SOLVER_CAP before building it.
     The minimum is 1/mu for the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}:
     K is Cholesky-factored in place and Lanczos (ARPACK) runs on the inverse
-    through triangular solves, from the fixed start vector H^{1/2}.  A form
-    that is not positive definite (a failed assembly, since the lambda = 0
-    form is positive) raises DomainError.
+    through triangular solves, from the fixed start vector H^{1/2}.
+    cho_factor scans the form for non-finite entries once; the solves skip
+    that O(n^2) scan, and a minimum that is not finite raises DomainError.
+    A form that is not positive definite (a failed assembly, since the
+    lambda = 0 form is positive) raises DomainError too.
     """
     if alpha == 2.0:
         with np.errstate(all="ignore"):
@@ -431,9 +458,15 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
                           f"so it has no Hardy minimum") from None
     rw = np.sqrt(op.hardy)
     inverse = LinearOperator(op.stiffness.shape, dtype=float,
-                             matvec=lambda x: rw * cho_solve(factor, rw * x.ravel()))
+                             matvec=lambda x: rw * cho_solve(factor, rw * x.ravel(),
+                                                              check_finite=False))
     mu = eigsh(inverse, k=1, which="LA", v0=rw, tol=0, return_eigenvectors=False)
-    return float(1.0 / mu[0])
+    with np.errstate(all="ignore"):
+        nu = float(1.0 / mu[0])
+    if not math.isfinite(nu):
+        raise DomainError(f"the Hardy minimum of {_form_at(alpha, grid)} is not "
+                          f"finite in double precision")
+    return nu
 
 
 def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,

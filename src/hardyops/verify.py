@@ -111,24 +111,30 @@ def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
 # Shared machinery
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _decompose(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
-    dec = eigendecompose(assemble_form(alpha, lam, grid))
-    # shared by every later caller with the same key
+def _freeze(dec: dm.SpectralDecomposition) -> dm.SpectralDecomposition:
     for arr in (dec.eigenvalues, dec.eigenvectors, dec.mass,
                 dec.operator.stiffness, dec.operator.hardy, dec.operator.mass):
         arr.flags.writeable = False
     return dec
 
 
-def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
-    """Cached decomposition of the (alpha, lam) operator on grid.
+@functools.lru_cache(maxsize=8)
+def _decompose(alpha: float, lam: float, N: int, g: float) -> dm.SpectralDecomposition:
+    # shared by every later caller with the same key, at any X
+    return _freeze(eigendecompose(assemble_form(alpha, lam, build_grid(1.0, N, g))))
 
-    A plain public function around the cache: the benchmark tracer
+
+def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
+    """Decomposition of the (alpha, lam) operator on grid, read-only.
+
+    The spectrum depends on X only through the dilation law (see
+    discrete.dilate), so the cache holds one decomposition per
+    (alpha, lam, N, g), computed at X = 1, and each call dilates it to
+    grid.X.  A plain public function around the cache: the benchmark tracer
     (bench/tracer.py) times it and counts a miss for each eigendecompose
     it reaches.
     """
-    return _decompose(alpha, lam, grid)
+    return _freeze(dm.dilate(_decompose(alpha, lam, grid.N, grid.grading), grid))
 
 
 def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float:
@@ -150,6 +156,24 @@ def eps_family(grid: Grid1D, gamma_exp: float) -> list[tuple[float, np.ndarray]]
     if len(out) < 4:
         raise DomainError("grid too coarse for the requested bump family")
     return out
+
+
+def _norm(check: str, grid: Grid1D, what: str, value: float) -> float:
+    """value, the norm of test function what that check divides by.
+
+    Test functions live at fixed scales (bumps at eps <= 0.2, a taper to 2,
+    interior bumps out to 3.5), so on a grid far smaller or larger than those
+    one can vanish on every node or leave double precision; its norm is then
+    zero or not finite, and DomainError names it.
+    """
+    if not 0.0 < value < math.inf:
+        raise _unresolved(check, grid, f"the test function {what} has norm {value!r}")
+    return value
+
+
+def _unresolved(check: str, grid: Grid1D, what: str) -> DomainError:
+    return DomainError(f"{check}: {what} on the grid X={grid.X}, N={grid.N}, "
+                       f"g={grid.grading}, which does not resolve its scale")
 
 
 def _require_count(key: str, n: int) -> None:
@@ -188,6 +212,7 @@ def check_equivalence(alpha: float, lam: float, s: float,
     monotonically (domain-gap probe through a mollified inverse-power seed).
     """
     cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
+    norm = functools.partial(_norm, "equivalence", grid)
     p0 = max(alpha - 1.0, 0.0)
     dec_l = get_dec(alpha, lam, grid)
     dec_0 = get_dec(alpha, 0.0, grid)
@@ -200,8 +225,8 @@ def check_equivalence(alpha: float, lam: float, s: float,
 
     # s = 1 identity: squared-ratio equals 1 + lam <u, x^-a u>/||L0^(1/2)u||^2
     u = boundary_bump(grid, 0.05, p + 0.51)
-    n0 = sobolev_norm(dec_0, 1.0, u)
-    nl = sobolev_norm(dec_l, 1.0, u)
+    n0 = norm("boundary bump eps=0.05", sobolev_norm(dec_0, 1.0, u))
+    nl = norm("boundary bump eps=0.05", sobolev_norm(dec_l, 1.0, u))
     hardy_term = float(np.sum(dec_l.operator.hardy * u * u))
     lhs = (nl / n0) ** 2
     rhs = 1.0 + lam * hardy_term / n0 ** 2
@@ -221,7 +246,9 @@ def check_equivalence(alpha: float, lam: float, s: float,
         fam = eps_family(grid, p + 0.51)
         ratios = []
         for eps, uu in fam:
-            ratios.append(sobolev_norm(dec_l, s, uu) / sobolev_norm(dec_0, s, uu))
+            what = f"boundary bump eps={eps:g}"
+            ratios.append(norm(what, sobolev_norm(dec_l, s, uu))
+                          / norm(what, sobolev_norm(dec_0, s, uu)))
         measured["ratio_curve"] = [[eps, float(r)]
                                    for (eps, _), r in zip(fam, ratios)]
         ratios = np.array(ratios)
@@ -239,8 +266,9 @@ def check_equivalence(alpha: float, lam: float, s: float,
         eps_list = [0.2 * 2.0 ** (-j) for j in range(8)]
         for eps in eps_list:
             ueps = heat_apply(dec_l, eps ** alpha, seed_vec)
-            inv_ratios.append(sobolev_norm(dec_0, s, ueps)
-                              / sobolev_norm(dec_l, s, ueps))
+            what = f"heat image t={eps ** alpha:g} of the singular profile"
+            inv_ratios.append(norm(what, sobolev_norm(dec_0, s, ueps))
+                              / norm(what, sobolev_norm(dec_l, s, ueps)))
         measured["ratio_curve"] = [[eps, float(r)]
                                    for eps, r in zip(eps_list, inv_ratios)]
         inv_ratios = np.array(inv_ratios)
@@ -262,6 +290,7 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
                             grid_cfg: dict | None = None) -> VerificationReport:
     """Weighted-norm bound below threshold; windowed blow-up rate above it."""
     cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
+    norm = functools.partial(_norm, "generalized_hardy", grid)
     d = 1
     threshold = min((1.0 + 2.0 * p) / alpha, 2.0 * d / alpha)
     dec = get_dec(alpha, lam, grid)
@@ -271,9 +300,10 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
     if s < threshold:
         fam = eps_family(grid, p + 0.51)
         sup = 0.0
-        for _, uu in fam:
-            sup = max(sup, weighted_norm(grid, uu, -alpha * s)
-                      / sobolev_norm(dec, s, uu))
+        for eps, uu in fam:
+            what = f"boundary bump eps={eps:g}"
+            sup = max(sup, norm(what, weighted_norm(grid, uu, -alpha * s))
+                      / norm(what, sobolev_norm(dec, s, uu)))
         measured["sup_ratio"] = sup
         tol["sup_ratio"] = CAP
     else:
@@ -281,15 +311,17 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
         # windowed weighted norms against the fixed denominator ||phi|| grow
         # like eps^{-(alpha s/2 - p - 1/2)}
         phi = interior_bump(grid)
+        n_phi = norm("interior bump at 2", mass_norm(dec.operator, phi))
         u = power_apply(dec, -s, phi)
-        measured["riesz_seed_resid"] = abs(sobolev_norm(dec, s, u)
-                                           - mass_norm(dec.operator, phi)) \
-            / mass_norm(dec.operator, phi)
+        measured["riesz_seed_resid"] = abs(sobolev_norm(dec, s, u) - n_phi) / n_phi
         tol["riesz_seed_resid"] = 1e-8
         eps_list = np.array([0.05 * 2.0 ** (-j) for j in range(8)])
         vals, oracle = [], []
         # boundary amplitude for the closed-form window oracle
         fit_mask = (grid.nodes >= 1e-3) & (grid.nodes <= 0.05)
+        if not np.any(fit_mask):
+            raise _unresolved("generalized_hardy", grid,
+                              "the amplitude fit window [1e-3, 0.05] holds no node")
         c_fit = float(np.exp(np.mean(np.log(np.abs(u[fit_mask]))
                                      - p * np.log(grid.nodes[fit_mask]))))
         expo = 2.0 * p - alpha * s
@@ -303,6 +335,9 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
             vals.append(m)
             oracle.append(c_fit * math.sqrt(((2.0 * eps) ** (expo + 1.0)
                                              - eps ** (expo + 1.0)) / (expo + 1.0)))
+        if len(vals) < 2:
+            raise _unresolved("generalized_hardy", grid,
+                              "fewer than two windows [eps, 2 eps) hold a node")
         vals = np.array(vals)
         eps_used = eps_list[: len(vals)]
         rate = alpha * s / 2.0 - p - 0.5
@@ -323,21 +358,25 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
 
 
 def _reversed_family(grid: Grid1D, p: float,
-                     dec: dm.SpectralDecomposition) -> list[np.ndarray]:
-    """~40 test functions: boundary bumps at three decay rates, dilates,
-    interior translates and semigroup mollifications."""
-    fam = [u for _, u in eps_family(grid, p + 0.51)]
-    fam += [u for _, u in eps_family(grid, p + 1.1)]
-    fam += [u for _, u in eps_family(grid, p + 2.0)]
+                     dec: dm.SpectralDecomposition) -> list[tuple[str, np.ndarray]]:
+    """~40 named test functions: boundary bumps at three decay rates,
+    dilates, interior translates and semigroup mollifications."""
+    fam = []
+    for gamma_exp in (p + 0.51, p + 1.1, p + 2.0):
+        fam += [(f"boundary bump eps={eps:g}, exponent {gamma_exp:g}", u)
+                for eps, u in eps_family(grid, gamma_exp)]
     for R in (0.5, 0.8, 1.2, 1.8, 2.4):
         if 3.5 * R < grid.X:
-            fam.append(dilate_bump(grid, R))
+            fam.append((f"dilated bump R={R:g}", dilate_bump(grid, R)))
     for c in (1.0, 1.5, 2.0, 2.5, 3.0):
-        fam.append(interior_bump(grid, center=c, halfwidth=0.4 * c))
+        fam.append((f"interior bump at {c:g}",
+                    interior_bump(grid, center=c, halfwidth=0.4 * c)))
     base = boundary_bump(grid, 0.05, p + 0.51)
     for t in (1e-3, 1e-2, 0.1):
-        fam.append(heat_apply(dec, t, base))
-    fam.append(heat_apply(dec, 0.05, interior_bump(grid)))
+        fam.append((f"heat image t={t:g} of the boundary bump eps=0.05",
+                    heat_apply(dec, t, base)))
+    fam.append(("heat image t=0.05 of the interior bump at 2",
+                heat_apply(dec, 0.05, interior_bump(grid))))
     return fam
 
 
@@ -345,16 +384,17 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
                          grid_cfg: dict | None = None) -> VerificationReport:
     """|| (L_lam^{s/2} - L_0^{s/2}) u || controlled by the Hardy-weight norm."""
     cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
+    norm = functools.partial(_norm, "reversed_hardy", grid)
     dec_l = get_dec(alpha, lam, grid)
     dec_0 = get_dec(alpha, 0.0, grid)
     measured: dict = {"p": p}
     tol: dict = {}
     fam = _reversed_family(grid, p, dec=dec_l)
     sup = 0.0
-    for u in fam:
+    for what, u in fam:
+        den = norm(what, weighted_norm(grid, u, -alpha * s))
         diff = power_apply(dec_l, s, u) - power_apply(dec_0, s, u)
         num = mass_norm(dec_l.operator, diff)
-        den = weighted_norm(grid, u, -alpha * s)
         sup = max(sup, num / den)
     measured["sup_ratio"] = sup
     measured["n_family"] = len(fam)
@@ -362,7 +402,8 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
     # s = 2 reduction: the ratio is exactly |lam|
     u = boundary_bump(grid, 0.05, p + 0.51)
     diff2 = dec_l.operator.apply(u) - dec_0.operator.apply(u)
-    ratio2 = mass_norm(dec_l.operator, diff2) / weighted_norm(grid, u, -2.0 * alpha)
+    ratio2 = mass_norm(dec_l.operator, diff2) \
+        / norm("boundary bump eps=0.05", weighted_norm(grid, u, -2.0 * alpha))
     measured["identity_s2_err"] = abs(ratio2 - abs(lam)) / max(abs(lam), 1e-30) \
         if lam != 0.0 else ratio2
     tol["identity_s2_err"] = 1e-10

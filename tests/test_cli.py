@@ -313,11 +313,29 @@ class TestVerify:
         ("[pointwise_bounds]\nt = inf\n", "[pointwise_bounds] t"),
         ("[schur_prop]\nalpha = nan\n", "[schur_prop] alpha"),
         ("[lemma_integral]\nbetas = nan\n", "[lemma_integral] betas"),
+        *[(f"[reversed_hardy]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = {X} 200 2\n",
+           "reversed_hardy: the test function") for X in ("1e-100", "1e-6", "0.1", "1")],
+        *[(f"[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = {X} 200 2\n",
+           "generalized_hardy: the test function interior bump at 2")
+          for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100", "1e200")],
+        *[(f"[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = {X} 200 2\n",
+           "equivalence: the test function boundary bump") for X in ("1e6", "1e100")],
+        ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 2000 200 2\n",
+         "fewer than two windows"),
+        ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 4000 200 2\n",
+         "fit window"),
+        ("[reversed_hardy]\nalpha = 1.5\nlam = 1\ns = 1.3\ngrid_cfg = 1e-300 200 2\n",
+         "not finite in double precision"),
     ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys",
             "seed-for-deterministic-check", "deleted-key", "s-negative", "s-zero",
             "s-above-two", "no-betas", "no-lams", "nsamples-zero", "nsamples-negative",
             "n-log-zero", "n-x-zero", "n-duhamel-zero", "difference-bound-no-lams",
-            "grid-cfg-inf", "t-inf", "alpha-nan", "betas-nan"])
+            "grid-cfg-inf", "t-inf", "alpha-nan", "betas-nan",
+            *(f"reversed-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1")),
+            *(f"generalized-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100",
+                                                 "1e200")),
+            "equivalence-X1e6", "equivalence-X1e100", "generalized-hardy-no-windows",
+            "generalized-hardy-no-fit-window", "X-1e-300"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(section)
@@ -325,6 +343,18 @@ class TestVerify:
         assert rc == 2
         assert err.startswith("parameter error: ") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section", [
+        "[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\n",
+        "[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\n",
+        "[reversed_hardy]\nalpha = 2\nlam = 1\ns = 1.3\n",
+    ], ids=["equivalence", "generalized-hardy", "reversed-hardy"])
+    def test_small_grid_that_resolves_the_test_functions_passes(self, capsys, tmp_path,
+                                                                section):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(section + "grid_cfg = 3 200 2\n")
+        rc, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 0 and '"verdict": "pass"' in out
 
     @pytest.mark.parametrize("text", ["alpha = 2\n", "[schur_prop]\nn_x = 3\nn_x = 4\n"],
                              ids=["no-section-header", "duplicate-key"])

@@ -11,7 +11,7 @@ from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _antider, _exterio
                                _local_bands, assemble_form,
                                assemble_fullline_form, boundary_bump,
                                build_grid, commutator_norm,
-                               commutator_with_multiplier, cutoff_product,
+                               commutator_with_multiplier, cutoff_product, dilate,
                                eigendecompose, hardy_quotient_min, heat_apply,
                                interior_bump, mass_norm, power_apply,
                                singular_profile, sobolev_norm)
@@ -340,6 +340,43 @@ class TestSpectralCalculus:
         assert np.max(np.abs(v - u)) <= 1e-8 * np.max(np.abs(u))
 
 
+class TestDilation:
+    """dilate carries a unit-scale decomposition to X by the scaling law."""
+
+    @pytest.mark.parametrize("g", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_matches_direct_decomposition(self, alpha, lam, g):
+        unit = eigendecompose(assemble_form(alpha, lam, build_grid(1.0, 300, g)))
+        for X in (0.37, 10.0, 500.0):
+            grid = build_grid(X, 300, g)
+            moved = dilate(unit, grid)
+            ref = eigendecompose(assemble_form(alpha, lam, grid))
+            assert np.max(np.abs(moved.eigenvalues[:10] / ref.eigenvalues[:10] - 1.0)) \
+                <= 1e-9
+            u = np.exp(-((grid.nodes / X - 0.3) / 0.1) ** 2)
+            for image in (lambda d: heat_apply(d, 0.01 * X ** alpha, u),
+                          lambda d: power_apply(d, 1.3, u)):
+                want = image(ref)
+                err = mass_norm(ref, image(moved) - want) / mass_norm(ref, want)
+                assert err <= 1e-9, (X, err)
+            K, K_ref = moved.operator.stiffness, ref.operator.stiffness
+            assert np.max(np.abs(K - K_ref)) <= 1e-8 * np.max(np.abs(K_ref))
+
+    def test_mesh_mismatch_is_domain_error(self):
+        unit = eigendecompose(assemble_form(2.0, 0.0, build_grid(1.0, 40, 2.0)))
+        for grid in (build_grid(3.0, 41, 2.0), build_grid(3.0, 40, 3.0)):
+            with pytest.raises(DomainError, match="cannot dilate"):
+                dilate(unit, grid)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_extreme_scale_is_domain_error(self, alpha):
+        # c^{-alpha} overflows: the usual non-finite message, not OverflowError
+        unit = eigendecompose(assemble_form(alpha, 1.0, build_grid(1.0, 40, 2.0)))
+        with pytest.raises(DomainError, match="not finite in double precision"):
+            dilate(unit, build_grid(1e-300, 40, 2.0))
+
+
 class TestSpectralGuarantees:
     def test_trivial_two_by_two_eigenpairs(self):
         # hand-built diagonal operator: analytic eigenpairs
@@ -410,6 +447,11 @@ class TestHardyQuotient:
         finally:
             tracemalloc.stop()
         assert peak <= 1.8 * 8 * n * n, peak / (8 * n * n)
+
+    def test_non_finite_minimum_is_domain_error(self, monkeypatch):
+        monkeypatch.setattr(discrete, "eigsh", lambda *a, **k: np.zeros(1))
+        with pytest.raises(DomainError, match="Hardy minimum .* not finite"):
+            hardy_quotient_min(1.5, build_grid(10.0, 100, 2.0))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_scale_invariant(self, alpha):

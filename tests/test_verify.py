@@ -19,6 +19,16 @@ class TestDecompositionCache:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    def test_one_decomposition_serves_every_scale(self):
+        # a key no other test uses; the spectrum at X is a dilate of X = 1
+        from hardyops.discrete import build_grid
+        before = V._decompose.cache_info()
+        decs = [V.get_dec(1.5, 0.37, build_grid(X, 64, 2.0)) for X in (10.0, 30.0, 500.0)]
+        after = V._decompose.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 2
+        assert [d.operator.grid.X for d in decs] == [10.0, 30.0, 500.0]
+
 
 class TestEquivalence:
     def test_below_threshold_bounded(self):
