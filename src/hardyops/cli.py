@@ -26,7 +26,7 @@ import numpy as np
 from hardyops import verify as V
 from hardyops.coupling import (coupling_C, exponent_p, lambda_star,
                                lambda_zero, make_coupling)
-from hardyops.discrete import assemble_form, build_grid, eigendecompose, hardy_quotient_min
+from hardyops.discrete import build_grid, hardy_quotient_min
 from hardyops.kernels import (KernelEnvelope, diff_envelope, heat_envelope,
                               heat_exact_halfline, pt, riesz_envelope)
 from hardyops.specfun import DomainError
@@ -142,6 +142,11 @@ def cmd_kernel(args) -> int:
             return diff_envelope(args.alpha, d, p, t, pt(x), pt(y), c_exp=c_exp)
     # column order contract: (t_or_s, xd, yd, value)
     rows = [[t, x, y, value(t, x, y)] for t in ts for x in xs for y in ys]
+    for t, x, y, v in rows:
+        # the Riesz envelope's singular diagonal is the one exact infinity
+        if not (math.isfinite(v) or (args.kind == "riesz-envelope" and x == y)):
+            raise DomainError(f"--kind {args.kind} is {v!r} at t_or_s={t!r}, xd={x!r}, "
+                              f"yd={y!r}: not finite in double precision")
     _emit(args, ["t_or_s", "xd", "yd", "value"], rows)
     return 0
 
@@ -171,10 +176,8 @@ def cmd_discretize(args) -> int:
     count = 20 if args.count is None else args.count
     if count < 1:
         raise DomainError(f"--count must be at least 1, got {count}")
-    grid = build_grid(args.X, args.N, args.g)
-    dec = eigendecompose(assemble_form(args.alpha, lam, grid))
-    k = min(count, len(dec.eigenvalues))
-    rows = [[i, dec.eigenvalues[i]] for i in range(k)]
+    vals = V.get_dec(args.alpha, lam, build_grid(args.X, args.N, args.g)).eigenvalues
+    rows = [[i, v] for i, v in enumerate(vals[:count])]
     _emit(args, ["index", "eigenvalue"], rows)
     return 0
 
@@ -246,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--g", type=float, default=2.0)
     pd.add_argument("--spectrum", action="store_true", default=None,
                     help="eigenvalue table (the default mode)")
-    pd.add_argument("--hardy-min", dest="hardy_min", action="store_true")
+    pd.add_argument("--hardy-min", dest="hardy_min", action="store_true",
+                    help="Hardy-minimum table; the quotient is dilation-invariant, "
+                         "so --X does not change it")
     pd.add_argument("--count", type=int, default=None,
                     help="spectrum rows (default 20)")
     pd.set_defaults(func=cmd_discretize)

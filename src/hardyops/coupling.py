@@ -6,9 +6,9 @@ lambda_star, the nonlocal-form normalization A(d, -alpha), the comparison
 constant lambda_zero, and an auxiliary one-dimensional integral gamma(alpha, p)
 available both as a quadrature and in closed form.
 
-Conventions: alpha in (0, 2] is the operator order, lambda the coupling.  The
-principal branch of C is the increasing one on [(alpha-1)/2, M) with M = alpha
-for alpha < 2 and M = +inf for alpha = 2.
+Conventions: alpha in [ALPHA_MIN, 2] is the operator order, lambda the
+coupling.  The principal branch of C is the increasing one on [(alpha-1)/2, M)
+with M = alpha for alpha < 2 and M = +inf for alpha = 2.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from hardyops.specfun import DomainError, _sinpi
 # Coupling values computed by callers incur rounding near lambda_star; accept
 # them within this absolute slack instead of rejecting.
 LAMBDA_SLACK = 1e-12
+# Smallest accepted order: below about 4e-3 exponent_p's residual |C(p) - lam|
+# exceeds 1e-10 max(1, |lam|) (README, "Numerical notes").
+ALPHA_MIN = 0.01
 
 
 def branch_upper(alpha: float) -> float:
@@ -34,8 +37,8 @@ def branch_upper(alpha: float) -> float:
 
 def _check_alpha(alpha: float, include_two: bool) -> None:
     hi_ok = alpha <= 2.0 if include_two else alpha < 2.0
-    if not (0.0 < alpha and hi_ok):
-        rng = "(0, 2]" if include_two else "(0, 2)"
+    if not (ALPHA_MIN <= alpha and hi_ok):
+        rng = f"[{ALPHA_MIN}, 2]" if include_two else f"[{ALPHA_MIN}, 2)"
         raise DomainError(f"alpha must lie in {rng}, got {alpha!r}")
 
 

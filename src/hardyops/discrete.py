@@ -22,38 +22,33 @@ Where those closed forms would cancel catastrophically (cells far from the
 singular point compared with their size), midpoint-Taylor and Gauss rules on
 the smooth integrand take over.
 
-Assembled stiffnesses are dense, so assembly first checks N <= DENSE_SOLVER_CAP.
-The whole-line form is written into one preallocated n x n array, a block of
-rows at a time, from the columns at or right of the diagonal; each block's
-transpose fills the mirror entries.  Every temporary is one block of about
-_BLOCK_BYTES, so assembly needs the output plus a few such blocks.  The bands
-and the Hardy potential are then added to that array in place: nothing here
-is cached, and each operator owns the only copy of its stiffness.  A form,
-band or Hardy weight that is not finite in double precision (an extreme X)
-raises DomainError.
+Every form is built at one scale.  The forms are homogeneous and the graded
+meshes keep that exactly (build_grid(X, N, g) is build_grid(1, N, g) dilated
+by X), so assembly and eigensolves run on build_grid(1, N, g) and the caller's
+X enters only as the scalars DiscreteOperator documents: dilate moves a
+decomposition to another X without touching an array, and the Hardy quotient
+does not depend on X.
 
-Spectral calculus is a generalized symmetric eigendecomposition against the
-lumped mass: the tridiagonal MRRR solver at alpha = 2, dense eigh for
-alpha < 2.  The forms are homogeneous, and the graded meshes keep that
-exactly: build_grid(c X, N, g) is build_grid(X, N, g) dilated by c, on which
-the stiffness scales by c^{1-alpha} and the mass by c.  So dilate carries a
-decomposition to any X with the eigenvalues scaled by c^{-alpha} and the
-eigenvectors by c^{-1/2}, and no second solve.  The Hardy minimum needs only
-the lowest eigenvalue: bisection on the bands at alpha = 2 (no assembly, any
-N), and for alpha < 2 a Cholesky factor of the assembled form with Lanczos on
-its inverse.
+The whole-line form is written into one preallocated n x n array (N <=
+DENSE_SOLVER_CAP) a block of rows at a time, from the columns at or right of
+the diagonal, each block's transpose filling the mirror entries: assembly
+needs the output plus a few blocks of about _BLOCK_BYTES.  The bands and the
+Hardy potential are added in place, so each operator owns the only copy of
+its stiffness.  Spectra come from MRRR on the bands at alpha = 2 and dense
+eigh below; the Hardy minimum from bisection on the bands at alpha = 2 (any
+N) and below from a Cholesky factor with Lanczos on its inverse.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from hardyops.coupling import normalization_A
+from hardyops.coupling import _check_alpha, normalization_A
 from hardyops.specfun import DomainError
 
 DENSE_SOLVER_CAP = 4000
@@ -201,7 +196,6 @@ def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
             blk = K[a:b, a:]
             np.add(P[:-1, :-1], P[1:, 1:], out=blk)
             blk -= P[1:, :-1] + P[:-1, 1:]
-            _require_finite(alpha, grid, blk)
             K[b:, a:b] = blk[:, b - a:].T
     K *= normalization_A(1, alpha)
     return K
@@ -231,23 +225,37 @@ def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return d[:-1] + d[1:], -d[1:-1]
 
 
+def _power(grid: Grid1D, e: float) -> float:
+    """grid.X ** e, inf or 0 past the double range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.float64(grid.X) ** e)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Symmetric matrix realization of the quadratic form on a Grid1D."""
+    """Symmetric matrix realization of the quadratic form on a Grid1D.
+
+    The arrays are built on build_grid(1, grid.N, grid.grading), whatever
+    grid.X is.  At X = grid.X the stiffness and the Hardy weight are
+    X^{1-alpha} times them and the lumped mass is X times mass, so M^{-1} K
+    and its eigenvalues scale by X^{-alpha}, the mass-orthonormal
+    eigenvectors by X^{-1/2} and the mass norm by X^{1/2}.  Every method here
+    and in SpectralDecomposition applies these scalars to give the value at X.
+    """
 
     alpha: float
     lam: float
     grid: Grid1D
     stiffness: np.ndarray  # (N-1, N-1), includes the lambda-potential
     hardy: np.ndarray      # diagonal of the Hardy weight, weights * x^{-alpha}
-    mass: np.ndarray       # lumped mass diagonal (= grid.weights)
+    mass: np.ndarray       # lumped mass diagonal (= unit-grid weights)
 
     def form(self, u: np.ndarray) -> float:
-        return float(u @ (self.stiffness @ u))
+        return _power(self.grid, 1.0 - self.alpha) * float(u @ (self.stiffness @ u))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Operator action in the mass inner product: M^{-1} K u."""
-        return (self.stiffness @ u) / self.mass
+        return _power(self.grid, -self.alpha) * ((self.stiffness @ u) / self.mass)
 
 
 def _check_dense_cap(grid: Grid1D) -> None:
@@ -261,36 +269,35 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
     lam must be finite; below the sharp constant it is allowed (indefinite
     forms are useful optimality probes).  The stiffness is dense, so
     N > DENSE_SOLVER_CAP is rejected before any work.  It is a dense part
-    plus three bands (see the module docstring) plus lam times the Hardy
-    potential diagonal, built in one fresh array.  An extreme X that takes
-    any of them out of double precision raises DomainError.
+    plus three bands plus lam times the Hardy potential diagonal, built in
+    one fresh array at unit scale; a form that is not finite raises DomainError.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
+    _check_alpha(alpha, include_two=True)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
     _check_dense_cap(grid)
-    n = len(grid.nodes)
+    unit = build_grid(1.0, grid.N, grid.grading)
+    n, i = len(unit.nodes), np.arange(len(unit.nodes) - 1)
     with np.errstate(all="ignore"):
-        hardy = grid.weights * grid.nodes ** (-alpha)
+        hardy = unit.weights * unit.nodes ** (-alpha)
         if alpha == 2.0:
             K = np.zeros((n, n))
-            diag, off = _local_bands(grid)
+            diag, off = _local_bands(unit)
         else:
-            K = _nonlocal_stiffness(alpha, grid)
+            K = _nonlocal_stiffness(alpha, unit)
             A = normalization_A(1, alpha)
-            diag, off = _exterior_bands(grid, alpha)
+            diag, off = _exterior_bands(unit, alpha)
             # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
-            kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
-            diag, off = A * diag + grid.weights * kill, A * off
-    _require_finite(alpha, grid, diag, off, hardy)
-    i = np.arange(n - 1)
-    K[np.diag_indices(n)] += diag
-    K[i, i + 1] += off
-    K[i + 1, i] += off
-    K[np.diag_indices(n)] += lam * hardy
+            kill = A / alpha * (unit.X - unit.nodes) ** (-alpha)
+            diag, off = A * diag + unit.weights * kill, A * off
+        K[np.diag_indices(n)] += diag
+        K[i, i + 1] += off
+        K[i + 1, i] += off
+        K[np.diag_indices(n)] += lam * hardy
+    # a non-finite hardy entry shows in K too, as inf or as 0 * inf = nan
+    _require_finite(alpha, grid, K)
     return DiscreteOperator(alpha=alpha, lam=lam, grid=grid, stiffness=K,
-                            hardy=hardy, mass=grid.weights.copy())
+                            hardy=hardy, mass=unit.weights)
 
 
 def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
@@ -300,11 +307,13 @@ def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
     slopes have zero mean, so the constant parts of the double antiderivative
     drop).  This is the dense part of every alpha < 2 stiffness: assemble_form
     adds the exterior bands, the lumped killing term and the Hardy potential.
+    Like every stiffness here it is built at unit scale (see DiscreteOperator).
     """
-    if not (0.0 < alpha < 2.0):
-        raise DomainError(f"alpha must lie in (0, 2), got {alpha!r}")
+    _check_alpha(alpha, include_two=False)
     _check_dense_cap(grid)
-    return _nonlocal_stiffness(alpha, grid)
+    K = _nonlocal_stiffness(alpha, build_grid(1.0, grid.N, grid.grading))
+    _require_finite(alpha, grid, K)
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +322,29 @@ def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Mass-orthonormal eigenpairs of (stiffness, diag(mass))."""
+    """Mass-orthonormal eigenpairs of the operator's unit-scale arrays;
+    eigenvalues and the methods give them at its X (see DiscreteOperator)."""
 
-    eigenvalues: np.ndarray   # nondecreasing
-    eigenvectors: np.ndarray  # columns, v^T M w = delta
-    mass: np.ndarray
+    unit_eigenvalues: np.ndarray  # nondecreasing
+    eigenvectors: np.ndarray      # columns, v^T M w = delta at unit scale
     operator: DiscreteOperator
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum at the grid's X."""
+        return _power(self.operator.grid, -self.operator.alpha) * self.unit_eigenvalues
+
     def coefficients(self, u: np.ndarray) -> np.ndarray:
-        return self.eigenvectors.T @ (self.mass * u)
+        op = self.operator
+        return _power(op.grid, 0.5) * (self.eigenvectors.T @ (op.mass * u))
 
     def synthesize(self, coeff: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ coeff
+        return _power(self.operator.grid, -0.5) * (self.eigenvectors @ coeff)
 
     def residual(self) -> float:
-        """max_k |K v_k - mu_k M v_k| / |K v_k| over the spectrum."""
-        K = self.operator.stiffness
-        KV = K @ self.eigenvectors
-        MV = self.mass[:, None] * self.eigenvectors * self.eigenvalues[None, :]
+        """max_k |K v_k - mu_k M v_k| / |K v_k| over the spectrum (X-free)."""
+        KV = self.operator.stiffness @ self.eigenvectors
+        MV = self.operator.mass[:, None] * self.eigenvectors * self.unit_eigenvalues
         num = np.linalg.norm(KV - MV, axis=0)
         den = np.linalg.norm(KV, axis=0)
         den[den == 0.0] = 1.0
@@ -346,68 +360,54 @@ def _scaled_bands(diag: np.ndarray, off: np.ndarray,
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition against the lumped mass.
 
-    At alpha = 2 the stiffness is tridiagonal and its bands, scaled by
-    M^{-1/2} on both sides, go to the tridiagonal MRRR solver (LAPACK stemr),
-    which keeps the lowest modes' residuals at the level of dense eigh; for
-    alpha < 2 the scaled matrix goes to dense eigh.  The eigenvectors are a
-    dense n x n matrix either way, bounded by assemble_form's DENSE_SOLVER_CAP.
+    Solved on the unit-scale arrays.  At alpha = 2 the stiffness is
+    tridiagonal and its bands, scaled by M^{-1/2} on both sides, go to the
+    tridiagonal MRRR solver (LAPACK stemr), which keeps the lowest modes'
+    residuals at the level of dense eigh; for alpha < 2 the scaled matrix goes
+    to dense eigh.  A spectrum that leaves the normal double range at the
+    operator's X raises DomainError.
     """
     rw = np.sqrt(op.mass)
+    K = op.stiffness
     if op.alpha == 2.0:
-        K = op.stiffness
-        diag, off = _scaled_bands(np.diagonal(K), np.diagonal(K, 1), rw)
-        vals, Y = eigh_tridiagonal(diag, off, lapack_driver="stemr")
+        vals, Y = eigh_tridiagonal(*_scaled_bands(np.diagonal(K), np.diagonal(K, 1), rw),
+                                   lapack_driver="stemr")
     else:
-        B = op.stiffness / rw[:, None] / rw[None, :]
-        vals, Y = eigh(B)
-    V = Y / rw[:, None]
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=V,
-                                 mass=op.mass.copy(), operator=op)
+        vals, Y = eigh(K / rw[:, None] / rw[None, :])
+    return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
+                                        operator=op), op.grid)
 
 
 def dilate(dec: SpectralDecomposition, grid: Grid1D) -> SpectralDecomposition:
-    """The decomposition of the same form on grid, a dilate of dec's grid.
-
-    The forms are homogeneous: under x -> c x, with c = grid.X / X0 for dec's
-    X0, the graded mesh's vertices scale by c, the stiffness (nonlocal part,
-    bands and Hardy term alike) by c^{1-alpha} and the lumped mass by c.  So
-    the eigenvalues scale by c^{-alpha} and the mass-orthonormal eigenvectors
-    by c^{-1/2}; nothing is solved again.  A scaling that leaves double
-    precision (an extreme X) raises DomainError.
-    """
+    """The decomposition of the same form on grid, a dilate of dec's grid:
+    only the grid is rebound, every array is shared.  Another N or g, or a
+    spectrum at grid.X outside the normal double range (checked on the least
+    and greatest nonzero |unit eigenvalue|), is a DomainError."""
     op = dec.operator
     if (grid.N, grid.grading) != (op.grid.N, op.grid.grading):
         raise DomainError(f"cannot dilate a decomposition on N={op.grid.N}, "
                           f"g={op.grid.grading} to N={grid.N}, g={grid.grading}")
-    alpha = op.alpha
-    with np.errstate(all="ignore"):
-        c = np.float64(grid.X) / op.grid.X
-        scale = c ** (1.0 - alpha)
-        mass = c * dec.mass
-        out = SpectralDecomposition(
-            eigenvalues=c ** (-alpha) * dec.eigenvalues,
-            eigenvectors=dec.eigenvectors / np.sqrt(c),
-            mass=mass,
-            operator=DiscreteOperator(alpha=alpha, lam=op.lam, grid=grid,
-                                      stiffness=scale * op.stiffness,
-                                      hardy=scale * op.hardy, mass=mass))
-    _require_finite(alpha, grid, out.eigenvalues, out.eigenvectors, mass,
-                    out.operator.stiffness, out.operator.hardy)
-    return out
+    mags = np.abs(dec.unit_eigenvalues)
+    with np.errstate(over="ignore", under="ignore"):
+        lo, hi = _power(grid, -op.alpha) * np.array([np.min(mags[mags > 0.0]),
+                                                     np.max(mags)])
+    if not (np.isfinite(hi) and lo >= np.finfo(float).tiny):
+        what = "underflows" if np.isfinite(hi) else "is not finite"
+        raise DomainError(f"the spectrum of {_form_at(op.alpha, grid)} {what} "
+                          f"in double precision")
+    return replace(dec, operator=replace(op, grid=grid))
 
 
 def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarray:
     """exp(-t L) u through the spectral representation."""
     if t < 0.0:
         raise DomainError("heat_apply requires t >= 0")
-    c = dec.coefficients(u)
-    return dec.synthesize(np.exp(-t * dec.eigenvalues) * c)
+    return dec.synthesize(np.exp(-t * dec.eigenvalues) * dec.coefficients(u))
 
 
 def power_apply(dec: SpectralDecomposition, s: float, u: np.ndarray) -> np.ndarray:
     """L^{s/2} u; negative s gives the Riesz (inverse) powers."""
-    c = dec.coefficients(u)
-    return dec.synthesize(dec.eigenvalues ** (0.5 * s) * c)
+    return dec.synthesize(dec.eigenvalues ** (0.5 * s) * dec.coefficients(u))
 
 
 def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float:
@@ -417,37 +417,34 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float:
 
 
 def mass_norm(op_or_dec, u: np.ndarray) -> float:
-    mass = op_or_dec.mass
-    return float(math.sqrt(np.sum(mass * u * u)))
+    op = getattr(op_or_dec, "operator", op_or_dec)
+    return _power(op.grid, 0.5) * math.sqrt(np.sum(op.mass * u * u))
 
 
 def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     """Smallest generalized eigenvalue of (Form_{lambda=0}, Hardy weight).
 
-    Converges to |lambda_star(alpha)| from the sharp Hardy inequality as the
-    grid resolves the boundary.  At alpha = 2 the P1 bands, scaled by the
-    Hardy weight, go straight to bisection (LAPACK stebz): no matrix is
-    formed, so any N runs.  The tiny tol leaves bisection to its relative
-    stopping rule; the default absolute one, eps * ||T||_1, grows as N^2.
-
-    For alpha < 2 the form K is dense, so assemble_form caps N at
-    DENSE_SOLVER_CAP before building it.
-    The minimum is 1/mu for the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}:
-    K is Cholesky-factored in place and Lanczos (ARPACK) runs on the inverse
-    through triangular solves, from the fixed start vector H^{1/2}.
-    cho_factor scans the form for non-finite entries once; the solves skip
-    that O(n^2) scan, and a minimum that is not finite raises DomainError.
-    A form that is not positive definite (a failed assembly, since the
-    lambda = 0 form is positive) raises DomainError too.
+    Converges to |lambda_star(alpha)| as the grid resolves the boundary.
+    Form and weight scale alike, so grid.X only names the form in errors.  At
+    alpha = 2 the P1 bands, scaled by the Hardy weight, go straight to
+    bisection (LAPACK stebz): no matrix is formed, so any N runs.  The tiny
+    tol leaves bisection to its relative stopping rule; the default absolute
+    one, eps * ||T||_1, grows as N^2.  For alpha < 2 the minimum is 1/mu for
+    the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}: K (capped at
+    DENSE_SOLVER_CAP) is Cholesky-factored in place, and Lanczos (ARPACK) runs
+    on the inverse through triangular solves without re-scanning the factor,
+    from the start vector H^{1/2}.  A minimum that is not finite, or a form
+    that is not positive definite (a failed assembly, since the lambda = 0
+    form is positive), raises DomainError.
     """
     if alpha == 2.0:
+        unit = build_grid(1.0, grid.N, grid.grading)
         with np.errstate(all="ignore"):
-            rw = np.sqrt(grid.weights * grid.nodes ** (-alpha))
-            bands = _scaled_bands(*_local_bands(grid), rw)
+            rw = np.sqrt(unit.weights * unit.nodes ** (-alpha))
+            bands = _scaled_bands(*_local_bands(unit), rw)
         _require_finite(alpha, grid, rw, *bands)
-        vals = eigh_tridiagonal(*bands, eigvals_only=True, select="i",
-                                select_range=(0, 0), tol=np.finfo(float).tiny)
-        return float(vals[0])
+        return float(eigh_tridiagonal(*bands, eigvals_only=True, select="i",
+                                      select_range=(0, 0), tol=np.finfo(float).tiny)[0])
     op = assemble_form(alpha, 0.0, grid)
     # the stiffness is symmetric, so its transpose is a Fortran-ordered view
     # that LAPACK factors without a copy
@@ -478,7 +475,7 @@ def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,
     """
     K = op.stiffness
     v = K @ (m * u) - m * (K @ u)
-    return float(math.sqrt(np.sum(v * v / op.mass)))
+    return _power(op.grid, 0.5 - op.alpha) * math.sqrt(np.sum(v * v / op.mass))
 
 
 def commutator_norm(op: DiscreteOperator, u: np.ndarray, r: float, R: float) -> float:

@@ -92,6 +92,17 @@ class TestKernelTable:
             assert rc == 0
             assert json.loads(out)[0]["value"] > 0.0
 
+    @pytest.mark.parametrize("flags, row", [
+        (["--lambda", "1e300"], "t_or_s=1.0, xd=1.0, yd=1.0"),
+        (["--t", "5e-324"], "t_or_s=5e-324, xd=1.0, yd=1.0"),
+    ], ids=["lambda-1e300", "t-5e-324"])
+    def test_non_finite_cell_is_parameter_error(self, capsys, flags, row):
+        rc, out, err = run(capsys, "kernel", "--kind", "heat-exact", "--x", "1",
+                           "--y", "1", *flags)
+        assert rc == 2 and out == ""
+        assert err.startswith("parameter error: --kind heat-exact is nan at ")
+        assert row in err and "Traceback" not in err
+
     def test_infinite_value_is_json_null(self, capsys):
         # the Riesz envelope is infinite on the diagonal x = y
         rc, out, _ = run(capsys, "kernel", "--kind", "riesz-envelope",
@@ -148,6 +159,24 @@ class TestDiscretize:
         vals = [r[1] for r in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.25
+
+    def test_hardy_min_ignores_X(self, capsys):
+        # the quotient is dilation-invariant and computed at X = 1, so an X
+        # whose own form would leave double precision prints the X = 1 table
+        argv = ["discretize", "--hardy-min", "--alpha", "2", "--N", "250", "--X"]
+        rc, out, err = run(capsys, *argv, "1e-300")
+        assert rc == 0 and err == ""
+        assert out == run(capsys, *argv, "1")[1]
+
+    def test_spectrum_at_small_X_is_the_dilated_unit_spectrum(self, capsys):
+        # X^{-alpha} = 1e300 times the unit spectrum stays in double range
+        argv = ["discretize", "--alpha", "1.5", "--N", "100", "--count", "5",
+                "--format", "json", "--X"]
+        rc, out, _ = run(capsys, *argv, "1e-200")
+        assert rc == 0
+        unit = [r["eigenvalue"] for r in json.loads(run(capsys, *argv, "1")[1])]
+        tiny = [r["eigenvalue"] for r in strict_json(out)]
+        assert tiny == pytest.approx([1e300 * v for v in unit], rel=1e-14)
 
     def test_dense_cap_is_checked_before_assembly(self, capsys, tmp_path, monkeypatch):
         def entered(alpha, grid):
@@ -213,11 +242,13 @@ class TestParameterErrors:
          "alpha=1.5, X=1e+300, N=100, g=2.0"),
         (["discretize", "--alpha", "1.5", "--N", "100", "--X", "1e-300"],
          "alpha=1.5, X=1e-300, N=100, g=2.0"),
-        (["discretize", "--alpha", "1.5", "--N", "100", "--spectrum", "--X", "1e-200"],
-         "alpha=1.5, X=1e-200, N=100, g=2.0"),
-        (["discretize", "--hardy-min", "--alpha", "2", "--N", "250", "--X", "1e-300"],
-         "alpha=2.0, X=1e-300, N=250, g=2.0"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--spectrum", "--X", "1e-250"],
+         "alpha=1.5, X=1e-250, N=100, g=2.0"),
         (["exponent", "--alpha", "1", "--lambda", "1e300"], "lambda=1e+300 is too large"),
+        (["exponent", "--alpha", "5e-324", "--lambda", "1"], "alpha must lie in [0.01, 2]"),
+        (["exponent", "--alpha", "1e-7", "--lambda", "1"], "alpha must lie in [0.01, 2]"),
+        (["kernel", "--kind", "heat-envelope", "--alpha", "1e-300", "--x", "1", "--y", "2"],
+         "alpha must lie in [0.01, 2]"),
     ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
@@ -227,8 +258,9 @@ class TestParameterErrors:
             "discretize-lambda-nan", "exponent-lambda-nan", "heat-exact-x-inf",
             "heat-exact-lambda-nan", "heat-exact-lambda-inf", "heat-exact-empty-x", "diff-t-nan",
             "heat-envelope-lambda-nan", "heat-envelope-c-exp-nan", "discretize-X-huge",
-            "discretize-X-tiny", "spectrum-X-tiny", "hardy-min-alpha-2-X-tiny",
-            "exponent-lambda-huge"])
+            "discretize-X-tiny", "spectrum-X-tiny", "exponent-lambda-huge",
+            "exponent-alpha-subnormal", "exponent-alpha-below-min",
+            "heat-envelope-alpha-tiny"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
@@ -317,9 +349,13 @@ class TestVerify:
            "reversed_hardy: the test function") for X in ("1e-100", "1e-6", "0.1", "1")],
         *[(f"[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = {X} 200 2\n",
            "generalized_hardy: the test function interior bump at 2")
-          for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100", "1e200")],
+          for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100")],
+        # the spectrum itself, 1e-400 times the unit one, underflows first
+        ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 1e200 200 2\n",
+         "X=1e+200, N=200, g=2.0 underflows in double precision"),
+        # at 1e-100 the bump's squared norms are subnormal: too few digits
         *[(f"[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = {X} 200 2\n",
-           "equivalence: the test function boundary bump") for X in ("1e6", "1e100")],
+           "equivalence: the test function boundary bump") for X in ("1e6", "1e100", "1e-100")],
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 2000 200 2\n",
          "fewer than two windows"),
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 4000 200 2\n",
@@ -334,7 +370,8 @@ class TestVerify:
             *(f"reversed-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1")),
             *(f"generalized-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100",
                                                  "1e200")),
-            "equivalence-X1e6", "equivalence-X1e100", "generalized-hardy-no-windows",
+            "equivalence-X1e6", "equivalence-X1e100", "equivalence-X1e-100",
+            "generalized-hardy-no-windows",
             "generalized-hardy-no-fit-window", "X-1e-300"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"

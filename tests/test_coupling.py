@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hardyops.coupling import (DomainError, branch_upper,
+from hardyops.coupling import (ALPHA_MIN, DomainError, branch_upper,
                                coupling_C, exponent_p, gamma_closed,
                                gamma_integral, lambda_star, lambda_zero,
                                make_coupling, normalization_A)
@@ -192,6 +192,20 @@ class TestExponentInversion:
                 p = exponent_p(alpha, float(lam))
                 resid = abs(coupling_C(alpha, p) - lam)
                 assert resid <= 1e-10 * max(1.0, abs(lam))
+
+    def test_round_trip_at_the_smallest_order(self):
+        # the residual bound holds down to ALPHA_MIN; below about 4e-3 it fails
+        for alpha in (ALPHA_MIN, 0.015):
+            for lam in np.concatenate([lambda_star(alpha) + np.logspace(-6, 0, 20),
+                                       np.logspace(0, 3, 20)]):
+                p = exponent_p(alpha, float(lam))
+                assert abs(coupling_C(alpha, p) - lam) <= 1e-10 * max(1.0, abs(lam))
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-17, 1e-7, 0.009])
+    def test_order_below_minimum_rejected(self, alpha):
+        # exponent_p missed C(p) = 1 by 4e-9 at alpha = 1e-7 and 1.5 from 1e-17
+        with pytest.raises(DomainError, match=r"alpha must lie in \[0.01, 2\]"):
+            exponent_p(alpha, 1.0)
 
     def test_below_sharp_rejected(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from scipy import integrate
 from hardyops.coupling import lambda_star, lambda_zero, normalization_A
 from hardyops import discrete
 from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _antider, _exterior_bands,
-                               _local_bands, assemble_form,
+                               _local_bands, _nonlocal_stiffness, assemble_form,
                                assemble_fullline_form, boundary_bump,
                                build_grid, commutator_norm,
                                commutator_with_multiplier, cutoff_product, dilate,
@@ -67,9 +67,20 @@ def oneshot_fullline_form(alpha, grid):
 
 
 def regional_form(alpha, grid):
-    """Regional form on (0, X): the whole-line form plus the exterior bands."""
-    return assemble_fullline_form(alpha, grid) \
+    """Regional form on (0, X): the whole-line form plus the exterior bands,
+    from the private pieces evaluated on grid itself (at its X)."""
+    return _nonlocal_stiffness(alpha, grid) \
         + normalization_A(1, alpha) * banded(*_exterior_bands(grid, alpha))
+
+
+def form_at_X(alpha, lam, grid):
+    """The whole stiffness from the private pieces on grid itself, at its X."""
+    if alpha == 2.0:
+        K = banded(*_local_bands(grid))
+    else:
+        kill = normalization_A(1, alpha) / alpha * (grid.X - grid.nodes) ** (-alpha)
+        K = regional_form(alpha, grid) + np.diag(grid.weights * kill)
+    return K + lam * np.diag(grid.weights * grid.nodes ** (-alpha))
 
 
 class TestAssembly:
@@ -83,6 +94,7 @@ class TestAssembly:
 
     def test_symmetry(self):
         grid = build_grid(5.0, 60, 2.0)
+        unit = build_grid(1.0, 60, 2.0)  # every form is assembled on it
         for alpha in (0.5, 1.0, 1.5, 2.0):
             op = assemble_form(alpha, 0.3, grid)
             K = op.stiffness
@@ -94,12 +106,12 @@ class TestAssembly:
             # the base is a dense part plus three bands, added in place
             if alpha < 2.0:
                 A = normalization_A(1, alpha)
-                kill = A / alpha * (grid.X - grid.nodes) ** (-alpha)
-                diag, off = _exterior_bands(grid, alpha)
+                kill = A / alpha * (unit.X - unit.nodes) ** (-alpha)
+                diag, off = _exterior_bands(unit, alpha)
                 dense = assemble_fullline_form(alpha, grid) \
-                    + banded(A * diag + grid.weights * kill, A * off)
+                    + banded(A * diag + unit.weights * kill, A * off)
             else:
-                dense = banded(*_local_bands(grid))
+                dense = banded(*_local_bands(unit))
             assert np.array_equal(base, dense)
 
     @pytest.mark.parametrize("N", [16, 300])
@@ -112,7 +124,7 @@ class TestAssembly:
         ref = oneshot_fullline_form(alpha, grid)
         for block_bytes in (discrete._BLOCK_BYTES, 8 * N, 4 * 8 * N):
             monkeypatch.setattr(discrete, "_BLOCK_BYTES", block_bytes)
-            K = assemble_fullline_form(alpha, grid)
+            K = _nonlocal_stiffness(alpha, grid)
             assert np.array_equal(K, ref), (block_bytes, np.max(np.abs(K - ref)))
             assert np.array_equal(K, K.T)
 
@@ -277,7 +289,7 @@ class TestSpectralCalculus:
 
     def test_orthonormality(self, dec):
         V = dec.eigenvectors
-        G = V.T @ (dec.mass[:, None] * V)
+        G = V.T @ (dec.operator.mass[:, None] * V)
         assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-10
 
     def test_zero_power_is_mass_norm(self, dec):
@@ -313,7 +325,7 @@ class TestSpectralCalculus:
         dec = eigendecompose(assemble_form(2.0, lam, grid))
         i = int(np.argmin(np.abs(grid.nodes - 1.1)))
         j = int(np.argmin(np.abs(grid.nodes - 0.4)))
-        V = dec.eigenvectors
+        V = dec.eigenvectors / math.sqrt(grid.X)  # at X
         entry = float(np.sum(np.exp(-t * dec.eigenvalues) * V[i] * V[j]))
         ref = heat_exact_halfline(lam, t, grid.nodes[i], grid.nodes[j])
         assert entry == pytest.approx(ref, rel=2e-2)
@@ -322,7 +334,7 @@ class TestSpectralCalculus:
         lam, s = 1.0, 0.7
         grid = build_grid(12.0, 1200, 2.0)
         dec = eigendecompose(assemble_form(2.0, lam, grid))
-        V = dec.eigenvectors
+        V = dec.eigenvectors / math.sqrt(grid.X)  # at X
         ratios = []
         for (a, b) in ((1.0, 1.5), (0.5, 2.0), (0.8, 0.9)):
             i = int(np.argmin(np.abs(grid.nodes - a)))
@@ -341,27 +353,50 @@ class TestSpectralCalculus:
 
 
 class TestDilation:
-    """dilate carries a unit-scale decomposition to X by the scaling law."""
+    """Every form is assembled and decomposed at X = 1; X is a scalar."""
 
     @pytest.mark.parametrize("g", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_matches_direct_decomposition(self, alpha, lam, g):
-        unit = eigendecompose(assemble_form(alpha, lam, build_grid(1.0, 300, g)))
+        from scipy.linalg import eigh
+        unit_grid = build_grid(1.0, 300, g)
+        unit = eigendecompose(assemble_form(alpha, lam, unit_grid))
+        pieces = [lambda gr: banded(*_local_bands(gr))] if alpha == 2.0 else [
+            lambda gr: _nonlocal_stiffness(alpha, gr),
+            lambda gr: banded(*_exterior_bands(gr, alpha))]
         for X in (0.37, 10.0, 500.0):
             grid = build_grid(X, 300, g)
+            # homogeneity: each private piece on the grid at X is X^{1-alpha}
+            # times the same piece on the unit grid
+            for piece in pieces:
+                want = X ** (1.0 - alpha) * piece(unit_grid)
+                assert np.max(np.abs(piece(grid) - want)) <= 1e-8 * np.max(np.abs(want))
+            # the X images of the unit eigenpairs against dense eigh at X
+            K = form_at_X(alpha, lam, grid)
+            rw = np.sqrt(grid.weights)
+            vals, Y = eigh(K / rw[:, None] / rw[None, :])
+            V = Y / rw[:, None]
             moved = dilate(unit, grid)
-            ref = eigendecompose(assemble_form(alpha, lam, grid))
-            assert np.max(np.abs(moved.eigenvalues[:10] / ref.eigenvalues[:10] - 1.0)) \
-                <= 1e-9
+            assert np.max(np.abs(moved.eigenvalues[:10] / vals[:10] - 1.0)) <= 1e-9
             u = np.exp(-((grid.nodes / X - 0.3) / 0.1) ** 2)
-            for image in (lambda d: heat_apply(d, 0.01 * X ** alpha, u),
-                          lambda d: power_apply(d, 1.3, u)):
-                want = image(ref)
-                err = mass_norm(ref, image(moved) - want) / mass_norm(ref, want)
+            t = 0.01 * X ** alpha
+            for image, f in ((lambda d: heat_apply(d, t, u), lambda v: np.exp(-t * v)),
+                             (lambda d: power_apply(d, 1.3, u), lambda v: v ** 0.65)):
+                want = V @ (f(vals) * (V.T @ (grid.weights * u)))
+                err = mass_norm(moved, image(moved) - want) / mass_norm(moved, want)
                 assert err <= 1e-9, (X, err)
-            K, K_ref = moved.operator.stiffness, ref.operator.stiffness
-            assert np.max(np.abs(K - K_ref)) <= 1e-8 * np.max(np.abs(K_ref))
+            K_moved = X ** (1.0 - alpha) * moved.operator.stiffness
+            assert np.max(np.abs(K_moved - K)) <= 1e-8 * np.max(np.abs(K))
+
+    def test_dilate_copies_no_array(self):
+        unit = eigendecompose(assemble_form(1.5, 0.0, build_grid(1.0, 40, 2.0)))
+        moved = dilate(unit, build_grid(7.0, 40, 2.0))
+        assert moved.operator.grid.X == 7.0
+        for name in ("unit_eigenvalues", "eigenvectors"):
+            assert getattr(moved, name) is getattr(unit, name)
+        for name in ("stiffness", "hardy", "mass"):
+            assert getattr(moved.operator, name) is getattr(unit.operator, name)
 
     def test_mesh_mismatch_is_domain_error(self):
         unit = eigendecompose(assemble_form(2.0, 0.0, build_grid(1.0, 40, 2.0)))
@@ -453,6 +488,13 @@ class TestHardyQuotient:
         with pytest.raises(DomainError, match="Hardy minimum .* not finite"):
             hardy_quotient_min(1.5, build_grid(10.0, 100, 2.0))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    def test_ignores_X(self, alpha):
+        # computed on build_grid(1, N, g) whatever X: bitwise the same minimum,
+        # also where the form at X itself would underflow (X = 1e-130)
+        vals = [hardy_quotient_min(alpha, build_grid(X, 100, 2.0)) for X in (1e-130, 1.0, 20.0)]
+        assert vals[0] == vals[1] == vals[2]
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_scale_invariant(self, alpha):
         # the quotient is dilation-invariant, so the minimum cannot depend on X
@@ -478,7 +520,7 @@ class TestHardyQuotient:
         from scipy.linalg import eigh
         grid = build_grid(10.0, 700, 6.0)
         alpha = 2.0
-        K = assemble_form(alpha, 0.0, grid).stiffness
+        K = grid.X ** (1.0 - alpha) * assemble_form(alpha, 0.0, grid).stiffness  # at X
         v = grid.vertices
         n = grid.N - 1
         H = np.zeros((n, n))
@@ -510,9 +552,9 @@ class TestTridiagonalPath:
         dec = eigendecompose(op)
         rw = np.sqrt(op.mass)
         vals, Y = eigh(op.stiffness / rw[:, None] / rw[None, :])
-        ref = SpectralDecomposition(eigenvalues=vals, eigenvectors=Y / rw[:, None],
-                                    mass=op.mass, operator=op)
-        assert np.max(np.abs(dec.eigenvalues - vals) / np.abs(vals)) <= 1e-10
+        ref = SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
+                                    operator=op)
+        assert np.max(np.abs(dec.unit_eigenvalues - vals) / np.abs(vals)) <= 1e-10
         u = boundary_bump(grid, 0.1, 1.5)
         for got, want in ((heat_apply(dec, 0.1, u), heat_apply(ref, 0.1, u)),
                           (power_apply(dec, 1.3, u), power_apply(ref, 1.3, u)),
@@ -560,9 +602,10 @@ class TestFormIdentities:
             op0 = assemble_form(alpha, 0.0, grid)
             K_full = assemble_fullline_form(alpha, grid)
             u = boundary_bump(grid, 0.2, 1.0)
-            lhs = float(u @ (K_full @ u))
+            scale = grid.X ** (1.0 - alpha)  # unit-scale arrays to X
+            lhs = scale * float(u @ (K_full @ u))
             rhs = op0.form(u) + lambda_zero(1, alpha) \
-                * float(np.sum(op0.hardy * u * u))
+                * scale * float(np.sum(op0.hardy * u * u))
             assert lhs == pytest.approx(rhs, rel=2e-2)
 
     def test_lambda_monotonicity_identity(self):
@@ -572,7 +615,7 @@ class TestFormIdentities:
         opl = assemble_form(alpha, lam, grid)
         u = boundary_bump(grid, 0.1, 1.2)
         lhs = opl.form(u) - op0.form(u)
-        rhs = lam * float(np.sum(op0.hardy * u * u))
+        rhs = lam * grid.X ** (1.0 - alpha) * float(np.sum(op0.hardy * u * u))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -582,7 +625,7 @@ class TestCommutator:
         op = assemble_form(1.5, 0.0, grid)
         u = interior_bump(grid, center=1.0, halfwidth=0.5)
         val = commutator_norm(op, u, 0.05, 10.0)
-        scale = mass_norm(op, op.stiffness @ u / op.mass)
+        scale = mass_norm(op, op.apply(u))
         assert val <= 0.05 * scale
 
     def test_resolution_guard(self):
@@ -597,7 +640,8 @@ class TestCommutator:
         op = assemble_form(2.0, 0.0, grid)
         u = singular_profile(grid, 1.0)
         m = cutoff_product(grid, 0.2, 8.0)
-        direct = op.stiffness @ (m * u) - m * (op.stiffness @ u)
+        K, mass = grid.X ** (1.0 - 2.0) * op.stiffness, grid.X * op.mass  # at X
+        direct = K @ (m * u) - m * (K @ u)
         assert commutator_with_multiplier(op, u, m) == pytest.approx(
-            math.sqrt(np.sum(direct ** 2 / op.mass)), rel=1e-13)
+            math.sqrt(np.sum(direct ** 2 / mass)), rel=1e-13)
 

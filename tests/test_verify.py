@@ -1,5 +1,8 @@
 import json
+import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from hardyops import coupling, kernels
@@ -14,8 +17,8 @@ class TestDecompositionCache:
         from hardyops.discrete import build_grid
         dec = V.get_dec(1.5, 0.0, build_grid(5.0, 60, 2.0))
         op = dec.operator
-        for arr in (dec.eigenvalues, dec.eigenvectors, dec.mass,
-                    op.stiffness, op.hardy, op.mass):
+        for arr in (dec.unit_eigenvalues, dec.eigenvectors, op.stiffness, op.hardy,
+                    op.mass):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -28,6 +31,31 @@ class TestDecompositionCache:
         assert after.misses - before.misses == 1
         assert after.hits - before.hits == 2
         assert [d.operator.grid.X for d in decs] == [10.0, 30.0, 500.0]
+
+    def test_cache_hit_allocates_no_matrix(self):
+        # a hit rebinds the grid of the cached unit decomposition: the n x n
+        # arrays are shared, not copied or scanned
+        from hardyops.discrete import build_grid
+        cached = V.get_dec(1.0, 0.0, build_grid(1.0, 2000, 2.0))
+        tracemalloc.start()
+        try:
+            decs = [V.get_dec(1.0, 0.0, build_grid(X, 2000, 2.0)) for X in (3.0, 40.0)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        for dec in decs:
+            assert np.shares_memory(dec.eigenvectors, cached.eigenvectors)
+            assert np.shares_memory(dec.operator.stiffness, cached.operator.stiffness)
+
+    @pytest.mark.parametrize("alpha, X", [(2.0, 1e200), (1.5, 1e250)])
+    def test_underflowing_spectrum_is_domain_error(self, alpha, X):
+        # X^{-alpha} times the unit spectrum leaves the normal range: an error
+        # naming X, never a spectrum of zeros
+        from hardyops.discrete import build_grid
+        from hardyops.specfun import DomainError
+        with pytest.raises(DomainError, match=re.escape(f"X={X!r}, N=200, g=2.0 underflows")):
+            V.get_dec(alpha, 0.0, build_grid(X, 200, 2.0))
 
 
 class TestEquivalence:
