@@ -1,17 +1,15 @@
-"""Regenerate the checked-in transcripts ``acceptance_report.txt`` and
-``test_output.txt`` at the repository root.
+"""Regenerate the checked-in transcript ``acceptance_report.txt`` at the
+repository root.
 
-Each file is a platform stamp line (OS, machine, Python, numpy, scipy)
+The file is a platform stamp line (OS, machine, Python, numpy, scipy)
 followed by the output of
-``PYTHONPATH=src python -m pytest -p no:cacheprovider -v --no-header``:
-on ``tests/test_acceptance.py -s`` for the acceptance report, on the whole
-suite for the test log.  Run it with the interpreter whose numpy and scipy
-the transcripts should record:
+``PYTHONPATH=src python -m pytest -p no:cacheprovider -v --no-header
+tests/test_acceptance.py -s``.  Run it with the interpreter whose numpy and
+scipy the transcript should record:
 
     python scripts/transcripts.py
 
-It prints each file's pytest summary line and exits with the larger pytest
-exit code.
+It prints the pytest summary line and exits with the pytest exit code.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = {"acceptance_report.txt": ["tests/test_acceptance.py", "-s"],
-        "test_output.txt": []}
+REPORT = "acceptance_report.txt"
 
 
 def stamp() -> str:
@@ -40,16 +37,13 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"),
                                                     env.get("PYTHONPATH")) if p)
-    code = 0
-    for name, args in RUNS.items():
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
-                               "-v", "--no-header", *args],
-                              cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, text=True)
-        (ROOT / name).write_text(stamp() + proc.stdout, encoding="utf-8")
-        print(f"{name}: {proc.stdout.strip().splitlines()[-1]}")
-        code = max(code, proc.returncode)
-    return code
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+                           "-v", "--no-header", "tests/test_acceptance.py", "-s"],
+                          cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    (ROOT / REPORT).write_text(stamp() + proc.stdout, encoding="utf-8")
+    print(f"{REPORT}: {proc.stdout.strip().splitlines()[-1]}")
+    return proc.returncode
 
 
 if __name__ == "__main__":

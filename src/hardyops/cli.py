@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    exponent    -- coupling data (p, lambda_star, lambda_zero, q, r) for a triple
+    exponent    -- coupling data (p, lambda_star, lambda_zero, q, r) for (alpha, lambda)
     kernel      -- tabulate exact kernels / envelopes over a sample grid (CSV)
     discretize  -- eigenvalue tables or Hardy-minimum convergence tables
     verify      -- run verification checks, emit JSON reports + CSV summary
@@ -93,12 +93,12 @@ def cmd_exponent(args) -> int:
         lam = lambda_star(alpha)
     elif args.lambda_zero_flag:
         _reject_unused("--lambda-zero", {"--lambda": args.lam})
-        lam = lambda_zero(args.d, alpha)
+        lam = lambda_zero(1, alpha)
     elif args.lam is None:
         raise DomainError("provide --lambda, --lambda-star or --lambda-zero")
     else:
         lam = args.lam
-    params = make_coupling(args.d, alpha, lam)
+    params = make_coupling(1, alpha, lam)
     der = params.derived
     resid = abs(coupling_C(alpha, params.p) - lam)
     header = ["alpha", "lambda", "p", "lambda_star", "lambda_zero", "q", "r",
@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None)
     pe.add_argument("--lambda-zero", dest="lambda_zero_flag", action="store_true",
                     default=None)
-    pe.add_argument("--d", type=int, default=1)
     pe.set_defaults(func=cmd_exponent)
 
     pk = sub.add_parser("kernel", help="tabulate kernels/envelopes")

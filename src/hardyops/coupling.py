@@ -187,18 +187,11 @@ def lambda_zero(d: int, alpha: float) -> float:
     """Comparison constant lambda_0 > 0 for alpha in (0, 2).
 
     Defined through the exterior integral of the nonlocal kernel over the
-    reflected half-space; reduces to a Beta-type one-dimensional integral and
-    is independent of d.  For d = 1 this is sin(pi alpha/2) Gamma(alpha) / pi.
+    reflected half-space.  The transverse directions integrate out, so it is
+    independent of d: A(1, -alpha)/alpha = sin(pi alpha/2) Gamma(alpha)/pi.
     """
     _check_d(d)
-    _check_alpha(alpha, include_two=False)
-    if d == 1:
-        return normalization_A(1, alpha) / alpha
-    # Transverse directions integrate to |S^{d-2}|/2 * B((alpha+1)/2, (d-1)/2).
-    sphere = 2.0 * math.pi ** (0.5 * (d - 1)) / math.gamma(0.5 * (d - 1))
-    bfac = math.exp(math.lgamma(0.5 * (alpha + 1.0)) + math.lgamma(0.5 * (d - 1))
-                    - math.lgamma(0.5 * (alpha + d)))
-    return normalization_A(d, alpha) * 0.5 * sphere * bfac / alpha
+    return normalization_A(1, alpha) / alpha
 
 
 @dataclass(frozen=True)

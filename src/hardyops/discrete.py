@@ -179,9 +179,13 @@ def _cell_integrals(near: np.ndarray, far: np.ndarray, h: np.ndarray,
 
 
 def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
-    """Whole-line form of the zero-extended hats (see assemble_fullline_form).
+    """Whole-line fractional form of the zero-extended hats: the dense part of
+    every alpha < 2 stiffness, to which assemble_form adds the exterior bands,
+    the lumped killing term and the Hardy potential.
 
-    Built in blocks of rows, each from the columns at or right of its
+    Only the translation-invariant kernel piece k(|t - tau|) survives (hat
+    slopes have zero mean, so the constant parts of the double antiderivative
+    drop).  Built in blocks of rows, each from the columns at or right of its
     diagonal; the form is exactly symmetric (an entry and its mirror add the
     same pairs), so each block's transpose fills the mirror entries below it.
     Hat i has slope +1/h_i on cell i and -1/h_{i+1} on cell i + 1.
@@ -225,10 +229,15 @@ def _local_bands(grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     return d[:-1] + d[1:], -d[1:-1]
 
 
-def _power(grid: Grid1D, e: float) -> float:
-    """grid.X ** e, inf or 0 past the double range."""
+def _power(op: DiscreteOperator, e: float) -> float:
+    """op.grid.X ** e, the scalar that takes a unit-scale quantity of op to its
+    X.  A scalar that is not a finite normal double raises DomainError."""
     with np.errstate(over="ignore", under="ignore"):
-        return float(np.float64(grid.X) ** e)
+        v = float(np.float64(op.grid.X) ** e)
+    if not np.finfo(float).tiny <= v < math.inf:
+        raise DomainError(f"{_form_at(op.alpha, op.grid)} needs X**{e:g} = {v!r}, "
+                          f"outside the normal double range")
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +249,8 @@ class DiscreteOperator:
     X^{1-alpha} times them and the lumped mass is X times mass, so M^{-1} K
     and its eigenvalues scale by X^{-alpha}, the mass-orthonormal
     eigenvectors by X^{-1/2} and the mass norm by X^{1/2}.  Every method here
-    and in SpectralDecomposition applies these scalars to give the value at X.
+    and in SpectralDecomposition applies these scalars to give the value at X,
+    and raises DomainError where its scalar is not a finite normal double.
     """
 
     alpha: float
@@ -251,16 +261,11 @@ class DiscreteOperator:
     mass: np.ndarray       # lumped mass diagonal (= unit-grid weights)
 
     def form(self, u: np.ndarray) -> float:
-        return _power(self.grid, 1.0 - self.alpha) * float(u @ (self.stiffness @ u))
+        return _power(self, 1.0 - self.alpha) * float(u @ (self.stiffness @ u))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Operator action in the mass inner product: M^{-1} K u."""
-        return _power(self.grid, -self.alpha) * ((self.stiffness @ u) / self.mass)
-
-
-def _check_dense_cap(grid: Grid1D) -> None:
-    if grid.N > DENSE_SOLVER_CAP:
-        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
+        return _power(self, -self.alpha) * ((self.stiffness @ u) / self.mass)
 
 
 def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
@@ -275,7 +280,8 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
     _check_alpha(alpha, include_two=True)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    _check_dense_cap(grid)
+    if grid.N > DENSE_SOLVER_CAP:
+        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
     unit = build_grid(1.0, grid.N, grid.grading)
     n, i = len(unit.nodes), np.arange(len(unit.nodes) - 1)
     with np.errstate(all="ignore"):
@@ -300,22 +306,6 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
                             hardy=hardy, mass=unit.weights)
 
 
-def assemble_fullline_form(alpha: float, grid: Grid1D) -> np.ndarray:
-    """Stiffness of the whole-line fractional form for zero-extended hats.
-
-    Only the translation-invariant kernel piece k(|t - tau|) survives (hat
-    slopes have zero mean, so the constant parts of the double antiderivative
-    drop).  This is the dense part of every alpha < 2 stiffness: assemble_form
-    adds the exterior bands, the lumped killing term and the Hardy potential.
-    Like every stiffness here it is built at unit scale (see DiscreteOperator).
-    """
-    _check_alpha(alpha, include_two=False)
-    _check_dense_cap(grid)
-    K = _nonlocal_stiffness(alpha, build_grid(1.0, grid.N, grid.grading))
-    _require_finite(alpha, grid, K)
-    return K
-
-
 # ---------------------------------------------------------------------------
 # Spectral calculus
 # ---------------------------------------------------------------------------
@@ -332,14 +322,14 @@ class SpectralDecomposition:
     @property
     def eigenvalues(self) -> np.ndarray:
         """The spectrum at the grid's X."""
-        return _power(self.operator.grid, -self.operator.alpha) * self.unit_eigenvalues
+        return _power(self.operator, -self.operator.alpha) * self.unit_eigenvalues
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         op = self.operator
-        return _power(op.grid, 0.5) * (self.eigenvectors.T @ (op.mass * u))
+        return _power(op, 0.5) * (self.eigenvectors.T @ (op.mass * u))
 
     def synthesize(self, coeff: np.ndarray) -> np.ndarray:
-        return _power(self.operator.grid, -0.5) * (self.eigenvectors @ coeff)
+        return _power(self.operator, -0.5) * (self.eigenvectors @ coeff)
 
     def residual(self) -> float:
         """max_k |K v_k - mu_k M v_k| / |K v_k| over the spectrum (X-free)."""
@@ -389,8 +379,8 @@ def dilate(dec: SpectralDecomposition, grid: Grid1D) -> SpectralDecomposition:
                           f"g={op.grid.grading} to N={grid.N}, g={grid.grading}")
     mags = np.abs(dec.unit_eigenvalues)
     with np.errstate(over="ignore", under="ignore"):
-        lo, hi = _power(grid, -op.alpha) * np.array([np.min(mags[mags > 0.0]),
-                                                     np.max(mags)])
+        lo, hi = np.float64(grid.X) ** -op.alpha \
+            * np.array([np.min(mags[mags > 0.0]), np.max(mags)])
     if not (np.isfinite(hi) and lo >= np.finfo(float).tiny):
         what = "underflows" if np.isfinite(hi) else "is not finite"
         raise DomainError(f"the spectrum of {_form_at(op.alpha, grid)} {what} "
@@ -416,9 +406,8 @@ def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float:
     return float(math.sqrt(np.sum(dec.eigenvalues ** s * c * c)))
 
 
-def mass_norm(op_or_dec, u: np.ndarray) -> float:
-    op = getattr(op_or_dec, "operator", op_or_dec)
-    return _power(op.grid, 0.5) * math.sqrt(np.sum(op.mass * u * u))
+def mass_norm(op: DiscreteOperator, u: np.ndarray) -> float:
+    return _power(op, 0.5) * math.sqrt(np.sum(op.mass * u * u))
 
 
 def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
@@ -475,7 +464,7 @@ def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,
     """
     K = op.stiffness
     v = K @ (m * u) - m * (K @ u)
-    return _power(op.grid, 0.5 - op.alpha) * math.sqrt(np.sum(v * v / op.mass))
+    return _power(op, 0.5 - op.alpha) * math.sqrt(np.sum(v * v / op.mass))
 
 
 def commutator_norm(op: DiscreteOperator, u: np.ndarray, r: float, R: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad  # noqa: F401
 from scipy.special import gammainc, gammaincc, gammaln, hyp2f1, ive
 
-from hardyops.coupling import CouplingParams, _check_d
+from hardyops.coupling import CouplingParams, _check_alpha, _check_d
 from hardyops.specfun import DomainError
 
 
@@ -41,8 +41,9 @@ def pt(xd: float, *xprime: float) -> HalfSpacePoint:
 def dist(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     if len(x.xprime) != len(y.xprime):
         raise DomainError("points live in different dimensions")
-    gap2 = sum((a - b) ** 2 for a, b in zip(x.xprime, y.xprime))
-    return math.sqrt(gap2 + (x.xd - y.xd) ** 2)
+    # products, not ** 2: a square past the double range is inf, not an error
+    gap2 = sum((a - b) * (a - b) for a, b in zip(x.xprime, y.xprime))
+    return math.sqrt(gap2 + (x.xd - y.xd) * (x.xd - y.xd))
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,10 @@ class KernelEnvelope:
     c_exp: float = 0.25
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0 and self.d >= 1
-                and 0.0 < self.c_exp < math.inf):
-            raise DomainError(f"invalid envelope parameters: alpha={self.alpha!r}, "
-                              f"d={self.d!r}, c_exp={self.c_exp!r}")
+        _check_alpha(self.alpha, include_two=True)
+        _check_d(self.d)
+        if not 0.0 < self.c_exp < math.inf:
+            raise DomainError(f"c_exp must be positive and finite, got {self.c_exp!r}")
 
 
 def heat_envelope(env: KernelEnvelope, t: float, x: HalfSpacePoint,
@@ -100,7 +101,7 @@ def heat_exact_halfline(lam: float, t: float, r: float, s: float) -> float:
         raise DomainError("t, r, s must be positive")
     mu = math.sqrt(max(lam + 0.25, 0.0))
     z = r * s / (2.0 * t)
-    gauss = math.exp(-((r - s) ** 2) / (4.0 * t))
+    gauss = math.exp(-((r - s) * (r - s)) / (4.0 * t))
     if z > max(1e8, 1e6 * mu * mu):
         # ive is NaN from z ~ 1.08e9; three terms of DLMF 10.40.1 leave a
         # relative error below 1e-19 here
@@ -120,7 +121,7 @@ def heat_images_halfline(t: float, r: float, s: float) -> float:
     """
     if not (t > 0.0 and r > 0.0 and s > 0.0):
         raise DomainError("t, r, s must be positive")
-    return -math.expm1(-r * s / t) * math.exp(-((r - s) ** 2) / (4.0 * t)) \
+    return -math.expm1(-r * s / t) * math.exp(-((r - s) * (r - s)) / (4.0 * t)) \
         / math.sqrt(4.0 * math.pi * t)
 
 
@@ -240,9 +241,7 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
     """
     if not t > 0.0:
         raise DomainError("t must be positive")
-    _check_d(d)
-    if not 0.0 < c_exp < math.inf:
-        raise DomainError(f"c_exp must be positive and finite, got {c_exp!r}")
+    KernelEnvelope(alpha, d, p, c_exp)  # validates alpha, d and c_exp
     q = min(p, max(alpha - 1.0, 0.0))
     ta = t ** (1.0 / alpha)
     r = dist(x, y)
@@ -253,14 +252,14 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
         J = _envelope(alpha, d, q, c_exp, t, x, y)
     M = 0.0
     if m >= ta and r <= 0.5 * n:
-        M = t / m ** alpha * _envelope(alpha, d, 0.0, c_exp, t, x, y)
+        # (t^{1/a}/m)^a = t/m^a: at most one here, so huge m underflows to 0
+        M = (ta / m) ** alpha * _envelope(alpha, d, 0.0, c_exp, t, x, y)
     return J, M
 
 
 def diff_envelope(alpha: float, d: int, p: float, t: float, x: HalfSpacePoint,
                   y: HalfSpacePoint, c_exp: float = 0.25) -> float:
-    J, M = diff_envelope_parts(alpha, d, p, t, x, y, c_exp)
-    return J + M
+    return sum(diff_envelope_parts(alpha, d, p, t, x, y, c_exp))
 
 
 def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:

@@ -69,6 +69,13 @@ class TestExponent:
         assert rec["p"] == pytest.approx(1e150, rel=1e-15)
         assert rec["residual"] <= 1e-15 * 1e300
 
+    def test_dimension_flag_is_gone(self, capsys):
+        # lambda_0 does not depend on d, so exponent takes no --d
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--alpha", "1", "--lambda", "1", "--d", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --d 3" in capsys.readouterr().err
+
 
 class TestKernelTable:
     def test_csv_round_trip(self, capsys, tmp_path):
@@ -102,6 +109,16 @@ class TestKernelTable:
         assert rc == 2 and out == ""
         assert err.startswith("parameter error: --kind heat-exact is nan at ")
         assert row in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["heat-exact", "heat-envelope", "riesz-envelope",
+                                      "diff-envelope"])
+    @pytest.mark.parametrize("x, y", [("1e300", "1"), ("1", "1e300")])
+    def test_huge_coordinate_is_finite(self, capsys, kind, x, y):
+        # (x - y)^2 leaves the double range; the kernels decay to 0 there
+        rc, out, err = run(capsys, "kernel", "--kind", kind, "--t", "0.5",
+                           "--x", x, "--y", y, "--format", "json")
+        assert rc == 0 and "Traceback" not in err
+        assert strict_json(out)[0]["value"] == 0.0
 
     def test_infinite_value_is_json_null(self, capsys):
         # the Riesz envelope is infinite on the diagonal x = y
@@ -195,7 +212,6 @@ class TestDiscretize:
 
 class TestParameterErrors:
     @pytest.mark.parametrize("argv, name", [
-        (["exponent", "--alpha", "2", "--d", "0", "--lambda", "1"], "d must be"),
         (["kernel", "--kind", "riesz-envelope", "--alpha", "2", "--d", "0",
           "--t", "0.5", "--x", "1", "--y", "2"], "d must be"),
         (["kernel", "--kind", "diff-envelope", "--d", "0", "--x", "1", "--y", "2"],
@@ -249,7 +265,7 @@ class TestParameterErrors:
         (["exponent", "--alpha", "1e-7", "--lambda", "1"], "alpha must lie in [0.01, 2]"),
         (["kernel", "--kind", "heat-envelope", "--alpha", "1e-300", "--x", "1", "--y", "2"],
          "alpha must lie in [0.01, 2]"),
-    ], ids=["exponent-d0", "riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
+    ], ids=["riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
             "hardy-min-spectrum", "exponent-lambda-with-star",
@@ -300,14 +316,14 @@ class TestVerify:
         assert data.count(b"\n") == 3 and data.endswith(b"pass\n")
 
     def test_config_campaign_failure_exit_code(self, capsys, tmp_path):
+        # at alpha = 0.5 this grid misses the boundary rate by more than SLOPE_TOL
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text(
             "[commutator_scaling]\n"
-            "alpha = 1.5\n"
+            "alpha = 0.5\n"
             "lam = 0\n"
-            "N = 400\n"
+            "N = 800\n"
             "X_R = 250\n"
-            "slope_tol = 0\n"
         )
         out = tmp_path / "reports.json"
         rc = main(["verify", "--config", str(cfg), "--out", str(out)])
@@ -315,6 +331,7 @@ class TestVerify:
         assert rc == 1
         data = json.loads(out.read_text())
         assert data[0]["verdict"] == "fail"
+        assert data[0]["measured"]["slope_r_err"] > data[0]["tolerances"]["slope_r_err"]
 
     def test_unknown_check_is_parameter_error(self, capsys):
         rc, _, err = run(capsys, "verify", "--check", "bogus")
@@ -329,6 +346,7 @@ class TestVerify:
         ("[equivalence]\nalpha = 2\n", "lam, s"),
         ("[schur_prop]\nseed = 3\n", "'seed'"),
         ("[lemma_integral]\nmax_over_median_cap = 1e-9\n", "'max_over_median_cap'"),
+        ("[commutator_scaling]\nalpha = 1.5\nlam = 0\nslope_tol = 0.35\n", "'slope_tol'"),
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ngrid_cfg = 10 400 2\ns = -1\n", "s must"),
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ngrid_cfg = 10 400 2\ns = 0\n", "s must"),
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ngrid_cfg = 10 400 2\ns = 2.5\n",
@@ -363,7 +381,8 @@ class TestVerify:
         ("[reversed_hardy]\nalpha = 1.5\nlam = 1\ns = 1.3\ngrid_cfg = 1e-300 200 2\n",
          "not finite in double precision"),
     ], ids=["unknown-key", "wrong-case-key", "short-grid-cfg", "non-numeric", "missing-keys",
-            "seed-for-deterministic-check", "deleted-key", "s-negative", "s-zero",
+            "seed-for-deterministic-check", "deleted-key", "deleted-slope-tol",
+            "s-negative", "s-zero",
             "s-above-two", "no-betas", "no-lams", "nsamples-zero", "nsamples-negative",
             "n-log-zero", "n-x-zero", "n-duhamel-zero", "difference-bound-no-lams",
             "grid-cfg-inf", "t-inf", "alpha-nan", "betas-nan",

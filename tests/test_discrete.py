@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ from hardyops.coupling import lambda_star, lambda_zero, normalization_A
 from hardyops import discrete
 from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _antider, _exterior_bands,
                                _local_bands, _nonlocal_stiffness, assemble_form,
-                               assemble_fullline_form, boundary_bump,
-                               build_grid, commutator_norm,
+                               boundary_bump, build_grid, commutator_norm,
                                commutator_with_multiplier, cutoff_product, dilate,
                                eigendecompose, hardy_quotient_min, heat_apply,
                                interior_bump, mass_norm, power_apply,
@@ -49,7 +49,7 @@ def banded(diag, off):
 
 def oneshot_fullline_form(alpha, grid):
     """The whole-line form from full (N+1)^2 cell-pair arrays, in the same
-    elementwise operations as the row blocks of assemble_fullline_form."""
+    elementwise operations as the row blocks of _nonlocal_stiffness."""
     v, h = grid.vertices, grid.cell_lengths
     Pphi = _antider(np.abs(v[:, None] - v[None, :]), alpha, 2)
     P = Pphi[1:, :-1] + Pphi[:-1, 1:] - Pphi[:-1, :-1] - Pphi[1:, 1:]
@@ -108,7 +108,7 @@ class TestAssembly:
                 A = normalization_A(1, alpha)
                 kill = A / alpha * (unit.X - unit.nodes) ** (-alpha)
                 diag, off = _exterior_bands(unit, alpha)
-                dense = assemble_fullline_form(alpha, grid) \
+                dense = _nonlocal_stiffness(alpha, unit) \
                     + banded(A * diag + unit.weights * kill, A * off)
             else:
                 dense = banded(*_local_bands(unit))
@@ -132,7 +132,7 @@ class TestAssembly:
         grid = build_grid(10.0, 2000, 2.0)
         tracemalloc.start()
         try:
-            K = assemble_fullline_form(1.5, grid)
+            K = _nonlocal_stiffness(1.5, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -164,7 +164,7 @@ class TestAssembly:
         # the alpha = 1 log branch is the limit of the power-law kernel piece
         grid = build_grid(10.0, 400, 2.0)
         delta = 1e-3
-        for form in (regional_form, assemble_fullline_form):
+        for form in (regional_form, _nonlocal_stiffness):
             K1 = form(1.0, grid)
             for alpha in (1.0 - delta, 1.0 + delta):
                 diff = np.max(np.abs(form(alpha, grid) - K1))
@@ -212,7 +212,7 @@ class TestAssembly:
         far = np.abs(np.subtract.outer(np.arange(199), np.arange(199))) > 1
         for alpha in (0.5, 1.0, 1.5):
             base = assemble_form(alpha, 0.0, grid).stiffness
-            diff = base - assemble_fullline_form(alpha, grid)
+            diff = base - _nonlocal_stiffness(alpha, build_grid(1.0, grid.N, grid.grading))
             assert np.all(diff[far] == 0.0), (alpha, np.max(np.abs(diff[far])))
 
     def test_operators_are_independent(self):
@@ -237,8 +237,16 @@ class TestAssembly:
         v = grid.vertices
 
         def hat(i):
-            return lambda x: np.interp(x, [v[i], v[i + 1], v[i + 2]],
-                                       [0.0, 1.0, 0.0])
+            # np.interp on the knots (v_i, 0), (v_{i+1}, 1), (v_{i+2}, 0), in
+            # its arithmetic (slope times offset plus left value) on floats
+            a, b, c = (float(t) for t in v[i:i + 3])
+            up, down = 1.0 / (b - a), -1.0 / (c - b)
+
+            def f(x):
+                if x <= a or x >= c:
+                    return 0.0
+                return up * (x - a) if x < b else down * (x - b) + 1.0
+            return f
 
         for alpha in (0.5, 1.0, 1.5):
             op = assemble_form(alpha, 0.0, grid)
@@ -384,7 +392,8 @@ class TestDilation:
             for image, f in ((lambda d: heat_apply(d, t, u), lambda v: np.exp(-t * v)),
                              (lambda d: power_apply(d, 1.3, u), lambda v: v ** 0.65)):
                 want = V @ (f(vals) * (V.T @ (grid.weights * u)))
-                err = mass_norm(moved, image(moved) - want) / mass_norm(moved, want)
+                err = mass_norm(moved.operator, image(moved) - want) \
+                    / mass_norm(moved.operator, want)
                 assert err <= 1e-9, (X, err)
             K_moved = X ** (1.0 - alpha) * moved.operator.stiffness
             assert np.max(np.abs(K_moved - K)) <= 1e-8 * np.max(np.abs(K))
@@ -410,6 +419,26 @@ class TestDilation:
         unit = eigendecompose(assemble_form(alpha, 1.0, build_grid(1.0, 40, 2.0)))
         with pytest.raises(DomainError, match="not finite in double precision"):
             dilate(unit, build_grid(1e-300, 40, 2.0))
+
+    @pytest.mark.parametrize("method, alpha, X, scale", [
+        ("apply", 1.5, 1e-300, "X**-1.5 = inf"), ("apply", 1.5, 1e300, "X**-1.5 = 0.0"),
+        ("form", 2.0, 1e-310, "X**-1 = inf"), ("commutator", 2.0, 1e-250, "X**-1.5 = inf"),
+    ])
+    def test_operator_scale_outside_double_range_is_domain_error(self, method, alpha, X,
+                                                                 scale):
+        # X^{-alpha}, X^{1-alpha} or X^{1/2-alpha} leaves the normal doubles
+        op = assemble_form(alpha, 0.0, build_grid(X, 100, 2.0))
+        u = np.ones(99)
+        call = {"apply": lambda: op.apply(u), "form": lambda: op.form(u),
+                "commutator": lambda: commutator_with_multiplier(op, u, u)}[method]
+        with pytest.raises(DomainError, match=re.escape(
+                f"alpha={alpha}, X={X}, N=100, g=2.0 needs {scale}, outside")):
+            call()
+        # the mass norm's X^{1/2} stays in range, and the Hardy quotient is X-free
+        assert mass_norm(op, u) == pytest.approx(math.sqrt(X) * math.sqrt(np.sum(op.mass)),
+                                                 rel=1e-14)
+        assert hardy_quotient_min(alpha, op.grid) == \
+            hardy_quotient_min(alpha, build_grid(1.0, 100, 2.0))
 
 
 class TestSpectralGuarantees:
@@ -600,7 +629,7 @@ class TestFormIdentities:
         for alpha in (0.5, 1.2):
             grid = build_grid(10.0, 400, 2.0)
             op0 = assemble_form(alpha, 0.0, grid)
-            K_full = assemble_fullline_form(alpha, grid)
+            K_full = _nonlocal_stiffness(alpha, build_grid(1.0, grid.N, grid.grading))
             u = boundary_bump(grid, 0.2, 1.0)
             scale = grid.X ** (1.0 - alpha)  # unit-scale arrays to X
             lhs = scale * float(u @ (K_full @ u))

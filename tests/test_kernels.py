@@ -45,6 +45,22 @@ class TestHeatEnvelope:
             * math.exp(-0.2 * 5.0 / 2.0)
         assert val == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(alpha=0.005), r"alpha must lie in \[0.01, 2\]"),
+        (dict(alpha=3.0), r"alpha must lie in \[0.01, 2\]"),
+        (dict(d=1.5), "d must be"),
+        (dict(d=0), "d must be"),
+        (dict(c_exp=0.0), "c_exp must be"),
+    ], ids=["alpha-below-min", "alpha-above-two", "d-fractional", "d-zero", "c-exp-zero"])
+    def test_parameters_follow_the_coupling_rules(self, kwargs, match):
+        # the envelope and the difference majorant share one rule per parameter
+        args = {**dict(alpha=1.5, d=1, p=0.9, c_exp=0.25), **kwargs}
+        with pytest.raises(DomainError, match=match):
+            KernelEnvelope(**args)
+        with pytest.raises(DomainError, match=match):
+            diff_envelope_parts(args["alpha"], args["d"], args["p"], 1.0, pt(1.0),
+                                pt(2.0), c_exp=args["c_exp"])
+
 
 class TestExactKernel:
     def test_images_reduction(self):

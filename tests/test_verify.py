@@ -160,8 +160,9 @@ class TestLemmaAndSchur:
 
 class TestCommutator:
     def test_slopes_fast(self):
-        r = V.check_commutator_scaling(1.5, 0.0, N=800, X_R=250.0, slope_tol=0.35)
+        r = V.check_commutator_scaling(1.5, 0.0, N=800, X_R=250.0)
         assert r.verdict
+        assert set(r.tolerances.values()) == {V.SLOPE_TOL}
         assert r.measured["interior_flat_ratio"] <= 0.05
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
