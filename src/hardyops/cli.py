@@ -24,11 +24,10 @@ import sys
 import numpy as np
 
 from hardyops import verify as V
-from hardyops.coupling import (coupling_C, exponent_p, lambda_star,
-                               lambda_zero, make_coupling)
+from hardyops.coupling import coupling_C, lambda_star, lambda_zero, make_coupling
 from hardyops.discrete import build_grid, hardy_quotient_min
-from hardyops.kernels import (KernelEnvelope, diff_envelope, heat_envelope,
-                              heat_exact_halfline, pt, riesz_envelope)
+from hardyops.kernels import (diff_envelope, heat_envelope, heat_exact_halfline,
+                              pt, riesz_envelope)
 from hardyops.specfun import DomainError
 
 
@@ -99,13 +98,12 @@ def cmd_exponent(args) -> int:
     else:
         lam = args.lam
     params = make_coupling(1, alpha, lam)
-    der = params.derived
     resid = abs(coupling_C(alpha, params.p) - lam)
     header = ["alpha", "lambda", "p", "lambda_star", "lambda_zero", "q", "r",
               "p0", "residual"]
     row = [alpha, lam, params.p, params.lambda_star,
            params.lambda_zero if params.lambda_zero is not None else float("nan"),
-           der.q, der.r, der.p0, resid]
+           params.q, params.r, params.p0, resid]
     _emit(args, header, [row])
     return 0
 
@@ -117,8 +115,6 @@ def cmd_kernel(args) -> int:
     xs = _floats("--x", args.x)
     ys = _floats("--y", args.y)
     ts = _floats("--t", args.t)
-    d = 1 if args.d is None else args.d
-    c_exp = 0.25 if args.c_exp is None else args.c_exp
     if args.kind == "heat-exact":
         if args.alpha != 2.0:
             raise DomainError(f"--kind heat-exact is the alpha = 2 kernel; "
@@ -126,20 +122,17 @@ def cmd_kernel(args) -> int:
         _reject_unused("--kind heat-exact", {"--d": args.d, "--c-exp": args.c_exp})
         def value(t, x, y):
             return heat_exact_halfline(lam, t, x, y)
-    elif args.kind == "heat-envelope":
-        env = KernelEnvelope(alpha=args.alpha, d=d, p=exponent_p(args.alpha, lam),
-                             c_exp=c_exp)
-        def value(t, x, y):
-            return heat_envelope(env, t, pt(x), pt(y))
-    elif args.kind == "riesz-envelope":
-        _reject_unused("--kind riesz-envelope", {"--c-exp": args.c_exp})
-        params = make_coupling(d, args.alpha, lam)
-        def value(s, x, y):
-            return riesz_envelope(params, s, pt(x), pt(y))
-    else:  # diff-envelope
-        p = exponent_p(args.alpha, lam)
-        def value(t, x, y):
-            return diff_envelope(args.alpha, d, p, t, pt(x), pt(y), c_exp=c_exp)
+    else:
+        params = make_coupling(1 if args.d is None else args.d, args.alpha, lam)
+        if args.kind == "riesz-envelope":
+            _reject_unused("--kind riesz-envelope", {"--c-exp": args.c_exp})
+            def value(s, x, y):
+                return riesz_envelope(params, s, pt(x), pt(y))
+        else:
+            envelope = heat_envelope if args.kind == "heat-envelope" else diff_envelope
+            c_exp = 0.25 if args.c_exp is None else args.c_exp
+            def value(t, x, y):
+                return envelope(params, t, pt(x), pt(y), c_exp)
     # column order contract: (t_or_s, xd, yd, value)
     rows = [[t, x, y, value(t, x, y)] for t in ts for x in xs for y in ys]
     for t, x, y, v in rows:

@@ -195,15 +195,6 @@ def lambda_zero(d: int, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class DerivedExponents:
-    """Secondary exponents attached to a coupling choice."""
-
-    q: float   # min(p, (alpha-1)_+), the difference-kernel exponent
-    r: float   # -min(q, 0) >= 0
-    p0: float  # exponent of the lambda = 0 comparison operator
-
-
-@dataclass(frozen=True)
 class CouplingParams:
     """Validated parameter triple (d, alpha, lambda) with derived quantities."""
 
@@ -215,10 +206,16 @@ class CouplingParams:
     lambda_zero: float | None
 
     @property
-    def derived(self) -> DerivedExponents:
-        p0 = max(self.alpha - 1.0, 0.0)
-        q = min(self.p, p0)
-        return DerivedExponents(q=q, r=max(-q, 0.0), p0=p0)
+    def p0(self) -> float:  # exponent of the lambda = 0 comparison operator
+        return max(self.alpha - 1.0, 0.0)
+
+    @property
+    def q(self) -> float:  # min(p, p0), the difference-kernel exponent
+        return min(self.p, self.p0)
+
+    @property
+    def r(self) -> float:  # -min(q, 0) >= 0
+        return max(-self.q, 0.0)
 
     def check(self) -> None:
         """Re-verify the defining relations; raise DomainError if one fails.

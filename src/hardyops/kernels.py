@@ -4,7 +4,9 @@ The second-order operator has explicit half-line heat (Bessel) and Riesz
 (hypergeometric) kernels, extended to the half-space by separation of
 variables; everything else is handled through two-sided envelope formulas
 whose implied constants are deliberately NOT baked in (all comparisons
-downstream fit and report constants instead).  The layer evaluates formulas
+downstream fit and report constants instead).  The envelopes take the
+operator's CouplingParams and sum their powers as logarithms, so that no
+ratio such as t^{1/alpha} or x_d/|x-y| overflows.  The layer evaluates formulas
 and integrates nothing.  The exact heat kernel is evaluated in exponentially
 scaled form so that large rs/t never overflows.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad  # noqa: F401
 from scipy.special import gammainc, gammaincc, gammaln, hyp2f1, ive
 
-from hardyops.coupling import CouplingParams, _check_alpha, _check_d
+from hardyops.coupling import CouplingParams
 from hardyops.specfun import DomainError
 
 
@@ -46,47 +48,48 @@ def dist(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     return math.sqrt(gap2 + (x.xd - y.xd) * (x.xd - y.xd))
 
 
-@dataclass(frozen=True)
-class KernelEnvelope:
-    """Two-sided heat-kernel comparison shape with free Gaussian constant."""
-
-    alpha: float
-    d: int
-    p: float
-    c_exp: float = 0.25
-
-    def __post_init__(self):
-        _check_alpha(self.alpha, include_two=True)
-        _check_d(self.d)
-        if not 0.0 < self.c_exp < math.inf:
-            raise DomainError(f"c_exp must be positive and finite, got {self.c_exp!r}")
+def _check_time_and_c_exp(t: float, c_exp: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t!r}")
+    if not 0.0 < c_exp < math.inf:
+        raise DomainError(f"c_exp must be positive and finite, got {c_exp!r}")
 
 
-def heat_envelope(env: KernelEnvelope, t: float, x: HalfSpacePoint,
-                  y: HalfSpacePoint) -> float:
+def _exp(v: float) -> float:
+    """e^v, inf where it leaves the double range (math.exp raises there)."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def heat_envelope(params: CouplingParams, t: float, x: HalfSpacePoint,
+                  y: HalfSpacePoint, c_exp: float = 0.25) -> float:
     """Boundary-decay factors times the free bulk kernel shape.
 
     alpha < 2: (1 ^ x_d/t^{1/a})^p (1 ^ y_d/t^{1/a})^p t^{-d/a}
                (1 ^ t^{1/a}/|x-y|)^{d+a}
-    alpha = 2: same boundary factors, Gaussian bulk exp(-c|x-y|^2/t) t^{-d/2}.
+    alpha = 2: same boundary factors, Gaussian bulk exp(-c|x-y|^2/t) t^{-d/2}
+               with free constant c = c_exp.
     """
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    return _envelope(env.alpha, env.d, env.p, env.c_exp, t, x, y)
+    _check_time_and_c_exp(t, c_exp)
+    return _exp(_log_envelope(params.alpha, params.d, params.p, c_exp, t, x, y))
 
 
-def _envelope(a: float, d: int, p: float, c_exp: float, t: float,
-              x: HalfSpacePoint, y: HalfSpacePoint) -> float:
-    """heat_envelope's shape from plain parameters, unchecked."""
-    ta = t ** (1.0 / a)
-    bnd = min(1.0, x.xd / ta) ** p * min(1.0, y.xd / ta) ** p
+def _log_envelope(a: float, d: int, p: float, c_exp: float, t: float,
+                  x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+    """Logarithm of heat_envelope's shape from plain parameters, unchecked;
+    t^{1/a} leaves the double range at a = 0.01 already for t = 1e4 or 1e-4."""
+    lt = math.log(t)
+    lta = lt / a
+    lv = p * (min(0.0, math.log(x.xd) - lta) + min(0.0, math.log(y.xd) - lta))
     r = dist(x, y)
     if a == 2.0:
-        bulk = t ** (-0.5 * d) * math.exp(-c_exp * r * r / t)
-    else:
-        off = 1.0 if r == 0.0 else min(1.0, ta / r) ** (d + a)
-        bulk = t ** (-d / a) * off
-    return bnd * bulk
+        return lv - 0.5 * d * lt - c_exp * r * r / t
+    if r > 0.0 and lta < math.log(r):
+        # t^{-d/a} (t^{1/a}/r)^{d+a} = t r^{-d-a}
+        return lv + lt - (d + a) * math.log(r)
+    return lv - d * lta
 
 
 def heat_exact_halfline(lam: float, t: float, r: float, s: float) -> float:
@@ -154,20 +157,23 @@ def riesz_envelope(params: CouplingParams, s: float, x: HalfSpacePoint,
     r = dist(x, y)
     if r == 0.0:
         return math.inf
+    if r == math.inf:
+        return 0.0  # the net power of r is negative in the s-window
     m = max(x.xd, y.xd)
     n = min(x.xd, y.xd)
-    base = r ** (0.5 * a * s - d)
+    lr = math.log(r)
+    lv = (0.5 * a * s - d) * lr
     if r <= m:
-        return base * min(1.0, n / r) ** p
-    base *= (x.xd * y.xd / (r * r)) ** p
+        return _exp(lv + p * min(0.0, math.log(n) - lr))
+    lv += p * (math.log(x.xd) + math.log(y.xd) - 2.0 * lr)
     if a == 2.0:
-        return base
+        return _exp(lv)
     thr = 0.5 * a * (1.0 + 0.5 * s)
     if abs(p - thr) <= 1e-12:
-        return base * math.log(r / m)
+        return _exp(lv) * (lr - math.log(m))
     if p < thr:
-        return base
-    return base * (r / m) ** (2.0 * p - a * (1.0 + 0.5 * s))
+        return _exp(lv)
+    return _exp(lv + (2.0 * p - a * (1.0 + 0.5 * s)) * (lr - math.log(m)))
 
 
 def master_time_integral(alpha: float, d: int, p: float, s: float,
@@ -229,9 +235,8 @@ def master_regime_estimate(alpha: float, d: int, p: float, s: float,
     return val
 
 
-def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
-                        x: HalfSpacePoint, y: HalfSpacePoint,
-                        c_exp: float = 0.25) -> tuple[float, float]:
+def diff_envelope_parts(params: CouplingParams, t: float, x: HalfSpacePoint,
+                        y: HalfSpacePoint, c_exp: float = 0.25) -> tuple[float, float]:
     """The two difference-kernel majorant pieces (boundary part, bulk part).
 
     The first is the heat envelope's shape at exponent q = min(p, (a-1)_+)
@@ -239,27 +244,29 @@ def diff_envelope_parts(alpha: float, d: int, p: float, t: float,
     points are far apart; the second carries the t/(x_d v y_d)^a damping on
     the complementary near-diagonal region.
     """
-    if not t > 0.0:
-        raise DomainError("t must be positive")
-    KernelEnvelope(alpha, d, p, c_exp)  # validates alpha, d and c_exp
-    q = min(p, max(alpha - 1.0, 0.0))
-    ta = t ** (1.0 / alpha)
+    _check_time_and_c_exp(t, c_exp)
+    alpha, d = params.alpha, params.d
+    # the region tests use t^{1/a} itself (inf past the double range) to split ties
+    try:
+        ta = t ** (1.0 / alpha)
+    except OverflowError:
+        ta = math.inf
     r = dist(x, y)
     m = max(x.xd, y.xd)
     n = min(x.xd, y.xd)
     J = 0.0
     if m <= ta or r >= 0.5 * n:
-        J = _envelope(alpha, d, q, c_exp, t, x, y)
+        J = _exp(_log_envelope(alpha, d, params.q, c_exp, t, x, y))
     M = 0.0
     if m >= ta and r <= 0.5 * n:
-        # (t^{1/a}/m)^a = t/m^a: at most one here, so huge m underflows to 0
-        M = (ta / m) ** alpha * _envelope(alpha, d, 0.0, c_exp, t, x, y)
+        M = _exp(math.log(t) - alpha * math.log(m)
+                 + _log_envelope(alpha, d, 0.0, c_exp, t, x, y))
     return J, M
 
 
-def diff_envelope(alpha: float, d: int, p: float, t: float, x: HalfSpacePoint,
+def diff_envelope(params: CouplingParams, t: float, x: HalfSpacePoint,
                   y: HalfSpacePoint, c_exp: float = 0.25) -> float:
-    return sum(diff_envelope_parts(alpha, d, p, t, x, y, c_exp))
+    return sum(diff_envelope_parts(params, t, x, y, c_exp))
 
 
 def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:

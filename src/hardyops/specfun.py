@@ -12,7 +12,8 @@ import math
 
 
 class DomainError(ValueError):
-    """Argument outside the mathematical domain of a special function."""
+    """The package's parameter error: an argument outside the domain of the
+    operator family or of a function evaluated for it."""
 
 
 def _sinpi(x: float) -> float:

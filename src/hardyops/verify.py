@@ -30,14 +30,14 @@ from scipy.integrate import quad
 
 from hardyops import discrete as dm
 from hardyops import kernels as km
-from hardyops.coupling import exponent_p
+from hardyops.coupling import CouplingParams, exponent_p, make_coupling
 from hardyops.discrete import (Grid1D, assemble_form, boundary_bump,
                                build_grid, commutator_norm, dilate_bump,
                                decay_profile, eigendecompose, heat_apply,
                                interior_bump, mass_norm, power_apply,
                                sobolev_norm)
-from hardyops.kernels import (KernelEnvelope, diff_envelope_parts,
-                              heat_envelope, heat_exact_halfline, pt)
+from hardyops.kernels import (diff_envelope_parts, heat_envelope,
+                              heat_exact_halfline, pt)
 from hardyops.specfun import DomainError
 
 DEFAULT_GRID = dict(X=10.0, N=2000, g=2.0)
@@ -193,27 +193,27 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def _norm_setup(alpha: float, lam: float, s: float,
-                grid_cfg: dict | None) -> tuple[dict, Grid1D, float]:
-    """Grid config (DEFAULT_GRID if None), its grid and p of a norm check."""
+                grid_cfg: dict | None) -> tuple[dict, Grid1D, CouplingParams]:
+    """Grid config (DEFAULT_GRID if None), its grid and the check's coupling."""
     cfg = dict(DEFAULT_GRID if grid_cfg is None else grid_cfg)
     grid = build_grid(**cfg)
     if not (0.0 < s <= 2.0):
         raise DomainError("s must lie in (0, 2]")
-    return cfg, grid, exponent_p(alpha, lam)
+    return cfg, grid, make_coupling(1, alpha, lam)
 
 
 def check_equivalence(alpha: float, lam: float, s: float,
                       grid_cfg: dict | None = None) -> VerificationReport:
     """Comparability of the two fractional Sobolev norms, plus identities.
 
-    Below the threshold s < (1 + 2 min(p, p0))/alpha the ratio curve over the
+    Below the threshold (1 + 2q)/alpha, q = min(p, p0), the ratio curve over the
     boundary-concentration family must stay within a spread of 10; when lam < 0
     and s exceeds (1+2p)/alpha, the inverse ratio must instead grow
     monotonically (domain-gap probe through a mollified inverse-power seed).
     """
-    cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
+    cfg, grid, cp = _norm_setup(alpha, lam, s, grid_cfg)
+    p = cp.p
     norm = functools.partial(_norm, "equivalence", grid)
-    p0 = max(alpha - 1.0, 0.0)
     dec_l = get_dec(alpha, lam, grid)
     dec_0 = get_dec(alpha, 0.0, grid)
     measured: dict = {"p": p}
@@ -240,7 +240,7 @@ def check_equivalence(alpha: float, lam: float, s: float,
         / max(mass_norm(dec_l.operator, v_l), 1e-30)
     tol["identity_s2_err"] = 1e-10
 
-    threshold = (1.0 + 2.0 * min(p, p0)) / alpha
+    threshold = (1.0 + 2.0 * cp.q) / alpha
     measured["threshold"] = threshold
     if s < threshold:
         fam = eps_family(grid, p + 0.51)
@@ -289,7 +289,8 @@ def check_equivalence(alpha: float, lam: float, s: float,
 def check_generalized_hardy(alpha: float, lam: float, s: float,
                             grid_cfg: dict | None = None) -> VerificationReport:
     """Weighted-norm bound below threshold; windowed blow-up rate above it."""
-    cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
+    cfg, grid, cp = _norm_setup(alpha, lam, s, grid_cfg)
+    p = cp.p
     norm = functools.partial(_norm, "generalized_hardy", grid)
     d = 1
     threshold = min((1.0 + 2.0 * p) / alpha, 2.0 * d / alpha)
@@ -383,7 +384,8 @@ def _reversed_family(grid: Grid1D, p: float,
 def check_reversed_hardy(alpha: float, lam: float, s: float,
                          grid_cfg: dict | None = None) -> VerificationReport:
     """|| (L_lam^{s/2} - L_0^{s/2}) u || controlled by the Hardy-weight norm."""
-    cfg, grid, p = _norm_setup(alpha, lam, s, grid_cfg)
+    cfg, grid, cp = _norm_setup(alpha, lam, s, grid_cfg)
+    p = cp.p
     norm = functools.partial(_norm, "reversed_hardy", grid)
     dec_l = get_dec(alpha, lam, grid)
     dec_0 = get_dec(alpha, 0.0, grid)
@@ -436,8 +438,7 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
     measured: dict = {}
     tol: dict = {}
     for lam in lams:
-        p = exponent_p(2.0, lam)
-        env_low = KernelEnvelope(alpha=2.0, d=d, p=p, c_exp=0.25)
+        cp = make_coupling(d, 2.0, lam)
         exact, elow = [], []
         pts = []
         for t, x, y in samples:
@@ -445,15 +446,14 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
             if e <= 0.0 or not math.isfinite(e):
                 continue
             exact.append(e)
-            elow.append(heat_envelope(env_low, t, x, y))
+            elow.append(heat_envelope(cp, t, x, y))
             pts.append((t, x, y))
         exact = np.array(exact)
         k1 = float(np.min(exact / np.array(elow)))
         best = math.inf
         best_c = None
         for c in c_candidates:
-            env_up = KernelEnvelope(alpha=2.0, d=d, p=p, c_exp=c)
-            eup = np.array([heat_envelope(env_up, t, x, y) for (t, x, y) in pts])
+            eup = np.array([heat_envelope(cp, t, x, y, c) for (t, x, y) in pts])
             k2 = float(np.max(exact / eup))
             if k2 / k1 < best:
                 best = k2 / k1
@@ -500,7 +500,7 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
     measured: dict = {}
     tol: dict = {}
     for lam in lams:
-        p = exponent_p(2.0, lam)
+        cp = make_coupling(1, 2.0, lam)
         # the kernel differences do not depend on the Gaussian constant
         diffs = [(t, pt(xd), pt(yd), abs(heat_exact_halfline(0.0, t, xd, yd)
                                          - heat_exact_halfline(lam, t, xd, yd)))
@@ -509,7 +509,7 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
         for c in (0.1, 0.15, 0.2):
             worst = 0.0
             for t, x, y, diff in diffs:
-                J, M = diff_envelope_parts(2.0, 1, p, t, x, y, c_exp=c)
+                J, M = diff_envelope_parts(cp, t, x, y, c)
                 worst = max(worst, diff / (J + M))
             best = min(best, worst)
         measured[f"C_lam{lam:g}"] = best

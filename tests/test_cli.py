@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -127,6 +129,43 @@ class TestKernelTable:
                          "--x", "0.5", "--y", "0.5", "--format", "json")
         assert rc == 0
         assert strict_json(out)[0]["value"] is None
+
+
+ENVELOPE_KINDS = ("heat-envelope", "riesz-envelope", "diff-envelope")
+# the kernel slice of the generated edge-value sweep: base tables (kind,
+# alpha, lambda) at t (s = 0.5 for the Riesz envelope), x = 1, y = 2;
+# lambda = -0.079 lies just above lambda_star(0.5), so p < 0 there
+SWEEP_BASES = ([("heat-exact", 2.0, lam) for lam in (0.5, -0.079)]
+               + [(kind, alpha, 0.5) for kind in ENVELOPE_KINDS
+                  for alpha in (0.5, 1.5, 2.0)]
+               + [(kind, 0.5, -0.079) for kind in ENVELOPE_KINDS])
+SWEEP_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "5e-324",
+                "-0.25", "1e6")
+SWEEP_CASES = ([(base, [f"{flag}={value}"]) for base in SWEEP_BASES
+                for flag in ("--lambda", "--t", "--x", "--y", "--c-exp")
+                for value in SWEEP_VALUES]
+               + [(("riesz-envelope", 0.5, -0.079), ["--x=1e200", "--y=1e-200"]),
+                  (("riesz-envelope", 0.5, -0.079), ["--x=5e-324", "--y=1e300"])]
+               # t^{1/alpha} leaves the double range at moderate t for small alpha
+               + [((kind, 0.01, 0.5), [f"--t={t}"])
+                  for kind in ("heat-envelope", "diff-envelope") for t in ("1e4", "1e-4")])
+
+
+@pytest.mark.parametrize("base, flags", SWEEP_CASES, ids=[
+    f"{kind}-a{alpha:g}-lam{lam:g}-{'-'.join(f.lstrip('-') for f in flags)}"
+    for (kind, alpha, lam), flags in SWEEP_CASES])
+def test_kernel_edge_value_sweep(capsys, base, flags):
+    # '--flag=value' keeps argparse from reading '-inf' as an option; the
+    # later of two equal flags wins
+    kind, alpha, lam = base
+    rc, out, err = run(capsys, "kernel", f"--kind={kind}", f"--alpha={alpha!r}",
+                       f"--lambda={lam!r}", "--t=0.5" if kind == "riesz-envelope"
+                       else "--t=1", "--x=1", "--y=2", *flags, "--format=csv")
+    assert rc in (0, 2) and "Traceback" not in err
+    if rc == 0:
+        for _, x, y, value in list(csv.reader(io.StringIO(out)))[1:]:
+            # the Riesz envelope's singular diagonal is the one exact infinity
+            assert math.isfinite(float(value)) or (kind == "riesz-envelope" and x == y)
 
 
 class TestDiscretize:

@@ -245,10 +245,9 @@ class TestCouplingParams:
     def test_construction_and_invariants(self):
         cp = make_coupling(1, 1.5, 1.0)
         cp.check()
-        der = cp.derived
-        assert der.p0 == 0.5
-        assert der.q == min(cp.p, 0.5)
-        assert der.r >= 0.0
+        assert cp.p0 == 0.5
+        assert cp.q == min(cp.p, 0.5)
+        assert cp.r >= 0.0
         assert cp.lambda_zero is not None and cp.lambda_zero > 0.0
 
     def test_check_accepts_roots_near_the_pole(self):
@@ -271,6 +270,6 @@ class TestCouplingParams:
         for _ in range(200):
             alpha = rng.uniform(0.05, 2.0)
             lam = rng.uniform(lambda_star(alpha), 20.0)
-            der = make_coupling(1, min(alpha, 2.0), lam).derived
-            assert der.q <= make_coupling(1, min(alpha, 2.0), lam).p + 1e-12
-            assert 0.0 <= der.r < 0.5
+            cp = make_coupling(1, min(alpha, 2.0), lam)
+            assert cp.q <= cp.p + 1e-12
+            assert 0.0 <= cp.r < 0.5

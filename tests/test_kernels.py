@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hardyops.coupling import make_coupling
-from hardyops.kernels import (DomainError, KernelEnvelope, diff_envelope,
+from hardyops.coupling import coupling_C, make_coupling
+from hardyops.kernels import (DomainError, diff_envelope,
                               diff_envelope_parts, dist, heat_envelope,
                               heat_exact_halfline, heat_exact_halfspace,
                               heat_images_halfline, master_regime_estimate,
@@ -16,34 +16,46 @@ from hardyops.kernels import (DomainError, KernelEnvelope, diff_envelope,
 
 class TestHeatEnvelope:
     def test_all_factors_saturate_on_diagonal(self):
-        env = KernelEnvelope(alpha=1.5, d=1, p=0.9)
+        cp = make_coupling(1, 1.5, coupling_C(1.5, 0.9))
         t = 0.3
         x = pt(2.0 * t ** (1.0 / 1.5))
-        assert heat_envelope(env, t, x, x) == pytest.approx(t ** (-1.0 / 1.5), rel=1e-14)
+        assert heat_envelope(cp, t, x, x) == pytest.approx(t ** (-1.0 / 1.5), rel=1e-14)
 
     def test_scaling_homogeneity(self):
         cp = make_coupling(1, 1.5, 1.0)
-        env = KernelEnvelope(alpha=1.5, d=1, p=cp.p)
         t, x, y, r = 0.7, pt(0.5), pt(3.0), 1.9
-        lhs = heat_envelope(env, r ** 1.5 * t, pt(r * 0.5), pt(r * 3.0))
-        assert lhs == pytest.approx(heat_envelope(env, t, x, y) / r, rel=1e-12)
+        lhs = heat_envelope(cp, r ** 1.5 * t, pt(r * 0.5), pt(r * 3.0))
+        assert lhs == pytest.approx(heat_envelope(cp, t, x, y) / r, rel=1e-12)
 
     def test_direct_formula_value(self):
         # independent reimplementation at (alpha=1.5, lambda=1, d=1, t=1)
         cp = make_coupling(1, 1.5, 1.0)
-        env = KernelEnvelope(alpha=1.5, d=1, p=cp.p)
         x, y, t = 0.5, 3.0, 1.0
         expected = min(1.0, x / t ** (2 / 3)) ** cp.p \
             * min(1.0, y / t ** (2 / 3)) ** cp.p * t ** (-2 / 3) \
             * min(1.0, t ** (2 / 3) / abs(x - y)) ** 2.5
-        assert heat_envelope(env, t, pt(x), pt(y)) == pytest.approx(expected, rel=1e-14)
+        assert heat_envelope(cp, t, pt(x), pt(y)) == pytest.approx(expected, rel=1e-14)
 
     def test_gaussian_branch(self):
-        env = KernelEnvelope(alpha=2.0, d=2, p=1.0, c_exp=0.2)
-        val = heat_envelope(env, 2.0, pt(3.0, 0.0), pt(5.0, 1.0))
+        cp = make_coupling(2, 2.0, 0.0)  # p = 1
+        val = heat_envelope(cp, 2.0, pt(3.0, 0.0), pt(5.0, 1.0), c_exp=0.2)
         ref = min(1, 3 / math.sqrt(2)) * min(1, 5 / math.sqrt(2)) / 2.0 \
             * math.exp(-0.2 * 5.0 / 2.0)
         assert val == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, lam, t", [
+        (0.5, 0.5, 1e-300), (0.5, -0.079, 1e300), (0.01, 0.5, 1e-4), (0.01, 0.5, 10.0),
+    ])
+    def test_times_where_t_to_the_one_over_alpha_leaves_the_double_range(self, alpha,
+                                                                         lam, t):
+        cp = make_coupling(1, alpha, lam)
+        with mp.workdps(30):
+            a, p, tt, x, y = (mp.mpf(v) for v in (alpha, cp.p, t, 1.0, 3.0))
+            ta = tt ** (1 / a)
+            ref = min(1, x / ta) ** p * min(1, y / ta) ** p * tt ** (-1 / a) \
+                * min(1, ta / abs(x - y)) ** (1 + a)
+        assert heat_envelope(cp, t, pt(1.0), pt(3.0)) == pytest.approx(float(ref),
+                                                                        rel=1e-12)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(alpha=0.005), r"alpha must lie in \[0.01, 2\]"),
@@ -53,13 +65,13 @@ class TestHeatEnvelope:
         (dict(c_exp=0.0), "c_exp must be"),
     ], ids=["alpha-below-min", "alpha-above-two", "d-fractional", "d-zero", "c-exp-zero"])
     def test_parameters_follow_the_coupling_rules(self, kwargs, match):
-        # the envelope and the difference majorant share one rule per parameter
-        args = {**dict(alpha=1.5, d=1, p=0.9, c_exp=0.25), **kwargs}
-        with pytest.raises(DomainError, match=match):
-            KernelEnvelope(**args)
-        with pytest.raises(DomainError, match=match):
-            diff_envelope_parts(args["alpha"], args["d"], args["p"], 1.0, pt(1.0),
-                                pt(2.0), c_exp=args["c_exp"])
+        # both envelopes take alpha and d from make_coupling's rules and check
+        # c_exp where they are called
+        args = {**dict(alpha=1.5, d=1, c_exp=0.25), **kwargs}
+        for envelope in (heat_envelope, diff_envelope_parts):
+            with pytest.raises(DomainError, match=match):
+                envelope(make_coupling(args["d"], args["alpha"], 1.0), 1.0, pt(1.0),
+                         pt(2.0), c_exp=args["c_exp"])
 
 
 class TestExactKernel:
@@ -145,8 +157,6 @@ class TestSandwich:
         # measured constants over a (t, r, s) log-grid, d = 1
         for lam in (0.0, 1.0):
             cp = make_coupling(1, 2.0, lam)
-            low = KernelEnvelope(alpha=2.0, d=1, p=cp.p, c_exp=0.25)
-            up = KernelEnvelope(alpha=2.0, d=1, p=cp.p, c_exp=0.15)
             ratios_low, ratios_up = [], []
             for t in np.logspace(-2, 2, 6):
                 for r in np.logspace(-2, 2, 6):
@@ -154,8 +164,8 @@ class TestSandwich:
                         e = heat_exact_halfline(lam, float(t), float(r), float(s))
                         if e == 0.0:
                             continue
-                        ratios_low.append(e / heat_envelope(low, t, pt(r), pt(s)))
-                        ratios_up.append(e / heat_envelope(up, t, pt(r), pt(s)))
+                        ratios_low.append(e / heat_envelope(cp, t, pt(r), pt(s)))
+                        ratios_up.append(e / heat_envelope(cp, t, pt(r), pt(s), 0.15))
             k1 = min(ratios_low)
             k2 = max(ratios_up)
             assert k1 > 0.0
@@ -165,11 +175,10 @@ class TestSandwich:
         # t -> infinity with x, y fixed: exact/envelope tends to a constant
         lam = 1.0
         cp = make_coupling(1, 2.0, lam)
-        env = KernelEnvelope(alpha=2.0, d=1, p=cp.p, c_exp=0.25)
         vals = []
         for t in (1e3, 1e4, 1e5):
             vals.append(heat_exact_halfline(lam, t, 1.3, 0.8)
-                        / heat_envelope(env, t, pt(1.3), pt(0.8)))
+                        / heat_envelope(cp, t, pt(1.3), pt(0.8)))
         assert vals[2] == pytest.approx(vals[1], rel=1e-3)
 
 
@@ -211,6 +220,19 @@ class TestRieszEnvelope:
         lo = riesz_envelope(cp, s, pt(1.0), pt(2.0 - 1e-9))
         hi = riesz_envelope(cp, s, pt(1.0), pt(2.0 + 1e-9))
         assert lo == pytest.approx(hi, rel=1e-6)
+
+    def test_negative_exponent_near_the_boundary_and_far_apart(self):
+        # p < 0: n/|x-y| underflows to 0, and |x-y| itself overflows
+        cp = make_coupling(1, 0.5, -0.079)
+        s = 0.5
+        assert cp.p < 0.0
+        with mp.workdps(30):
+            r, n, p = mp.mpf(2.0), mp.mpf(5e-324), mp.mpf(cp.p)
+            ref = r ** (mp.mpf(0.25) * s - 1) * (n / r) ** p
+        assert riesz_envelope(cp, s, pt(5e-324), pt(2.0)) == pytest.approx(float(ref),
+                                                                          rel=1e-12)
+        for x, y in ((1e300, 1.0), (1e200, 1e-200), (5e-324, 1e300)):
+            assert riesz_envelope(cp, s, pt(x), pt(y)) == 0.0
 
     def test_s_window(self):
         cp = make_coupling(1, 1.5, 0.5)
@@ -295,15 +317,16 @@ class TestMasterTimeIntegral:
 
 class TestDifferenceEnvelope:
     def test_indicator_regions(self):
-        alpha, d, p, t = 1.5, 1, 0.9, 1.0
+        alpha, t = 1.5, 1.0
+        cp = make_coupling(1, alpha, coupling_C(alpha, 0.9))
         # far from boundary, points apart: bulk piece vanishes
-        J, M = diff_envelope_parts(alpha, d, p, t, pt(3.0), pt(8.0))
+        J, M = diff_envelope_parts(cp, t, pt(3.0), pt(8.0))
         assert M == 0.0 and J > 0.0
         # far from boundary, points together: boundary piece vanishes
-        J, M = diff_envelope_parts(alpha, d, p, t, pt(3.0), pt(3.2))
+        J, M = diff_envelope_parts(cp, t, pt(3.0), pt(3.2))
         assert J == 0.0 and M > 0.0
         # close to boundary: boundary piece active
-        J, M = diff_envelope_parts(alpha, d, p, 10.0 ** alpha, pt(3.0), pt(3.2))
+        J, M = diff_envelope_parts(cp, 10.0 ** alpha, pt(3.0), pt(3.2))
         assert J > 0.0 and M == 0.0
 
     def test_direct_value_and_difference_domination(self):
@@ -317,13 +340,12 @@ class TestDifferenceEnvelope:
                 for y in np.logspace(-1, 0.7, 5):
                     d0 = heat_images_halfline(float(t), float(x), float(y))
                     dl = heat_exact_halfline(lam, float(t), float(x), float(y))
-                    env = diff_envelope(2.0, 1, cp.p, float(t), pt(x), pt(y),
-                                        c_exp=0.15)
+                    env = diff_envelope(cp, float(t), pt(x), pt(y), c_exp=0.15)
                     worst = max(worst, abs(d0 - dl) / env)
         assert worst < 1e3
 
     def test_specific_entry(self):
-        val = diff_envelope(2.0, 1, 2.0, 1.0, pt(3.0), pt(3.2))
+        val = diff_envelope(make_coupling(1, 2.0, 2.0), 1.0, pt(3.0), pt(3.2))  # p = 2
         # region x ^ y >= t^{1/2}, |x-y| <= min/2: only the M piece
         ref = 1.0 / 3.2 ** 2 * math.exp(-0.25 * 0.2 ** 2)
         assert val == pytest.approx(ref, rel=1e-10)
