@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 # unused, but bench/tracer.py wraps this module's ``quad`` binding by name
 from scipy.integrate import quad  # noqa: F401
 from scipy.special import gammainc, gammaincc, gammaln, hyp2f1, ive
@@ -43,9 +44,9 @@ def pt(xd: float, *xprime: float) -> HalfSpacePoint:
 def dist(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
     if len(x.xprime) != len(y.xprime):
         raise DomainError("points live in different dimensions")
-    # products, not ** 2: a square past the double range is inf, not an error
-    gap2 = sum((a - b) * (a - b) for a, b in zip(x.xprime, y.xprime))
-    return math.sqrt(gap2 + (x.xd - y.xd) * (x.xd - y.xd))
+    # hypot, not the root of a sum of squares: the squares of gaps below
+    # 1e-154 underflow to 0 and those above 1e154 overflow to inf
+    return math.hypot(*(a - b for a, b in zip(x.xprime, y.xprime)), x.xd - y.xd)
 
 
 def _check_time_and_c_exp(t: float, c_exp: float) -> None:
@@ -92,28 +93,33 @@ def _log_envelope(a: float, d: int, p: float, c_exp: float, t: float,
     return lv - d * lta
 
 
-def heat_exact_halfline(lam: float, t: float, r: float, s: float) -> float:
+def heat_exact_halfline(lam: float, t, r, s):
     """Exact half-line kernel of the second-order Hardy operator.
 
     (2t)^{-1} (rs)^{1/2} exp(-(r-s)^2/4t) * [e^{-z} I_mu(z)] with z = rs/2t
-    and mu = sqrt(lam + 1/4); overflow-safe for all argument sizes.
+    and mu = sqrt(lam + 1/4); overflow-safe for all argument sizes.  t, r and
+    s broadcast as arrays, and floats give a float.  As in float arithmetic,
+    a value past the double range is inf or NaN, never an error or a warning.
     """
     if not lam >= -0.25 - 1e-12:
         raise DomainError(f"lambda must be >= -1/4, got {lam!r}")
-    if not (t > 0.0 and r > 0.0 and s > 0.0):
+    # floats stay floats and arrays arrays: the same arithmetic serves both,
+    # and float calls skip the cost of converting to arrays
+    if np.count_nonzero(np.logical_not((t > 0.0) & (r > 0.0) & (s > 0.0))):
         raise DomainError("t, r, s must be positive")
     mu = math.sqrt(max(lam + 0.25, 0.0))
-    z = r * s / (2.0 * t)
-    gauss = math.exp(-((r - s) * (r - s)) / (4.0 * t))
-    if z > max(1e8, 1e6 * mu * mu):
-        # ive is NaN from z ~ 1.08e9; three terms of DLMF 10.40.1 leave a
-        # relative error below 1e-19 here
-        m, u = 4.0 * mu * mu, 0.125 / z
-        scaled = (1.0 - (m - 1.0) * u * (1.0 - 0.5 * (m - 9.0) * u)) \
-            / math.sqrt(2.0 * math.pi * z)
-    else:
-        scaled = float(ive(mu, z))
-    return 0.5 / t * math.sqrt(r * s) * gauss * scaled
+    with np.errstate(all="ignore"):
+        z = r * s / (2.0 * t)
+        scaled = ive(mu, z)
+        big = z > max(1e8, 1e6 * mu * mu)
+        if np.count_nonzero(big):
+            # ive is NaN from z ~ 1.08e9; three terms of DLMF 10.40.1 leave a
+            # relative error below 1e-19 here
+            m, u = 4.0 * mu * mu, 0.125 / z
+            scaled = np.where(big, (1.0 - (m - 1.0) * u * (1.0 - 0.5 * (m - 9.0) * u))
+                              / np.sqrt(2.0 * math.pi * z), scaled)
+        out = 0.5 / t * np.sqrt(r * s) * np.exp(-((r - s) * (r - s)) / (4.0 * t)) * scaled
+    return float(out) if out.ndim == 0 else out
 
 
 def heat_images_halfline(t: float, r: float, s: float) -> float:
@@ -133,9 +139,12 @@ def heat_exact_halfspace(d: int, lam: float, t: float, x: HalfSpacePoint,
     """Separated form: free Gaussian transverse factor times the half-line kernel."""
     if d < 1 or len(x.xprime) != d - 1 or len(y.xprime) != d - 1:
         raise DomainError("point dimension does not match d")
-    gap2 = sum((a - b) ** 2 for a, b in zip(x.xprime, y.xprime))
-    trans = (4.0 * math.pi * t) ** (-0.5 * (d - 1)) * math.exp(-gap2 / (4.0 * t))
-    return trans * heat_exact_halfline(lam, t, x.xd, y.xd)
+    k = heat_exact_halfline(lam, t, x.xd, y.xd)
+    # products and a logarithm, not ** 2 and a power: past the double range
+    # they give inf and 0, not OverflowError
+    gap2 = sum((a - b) * (a - b) for a, b in zip(x.xprime, y.xprime))
+    log_trans = -0.5 * (d - 1) * math.log(4.0 * math.pi * t) - gap2 / (4.0 * t)
+    return _exp(log_trans) * k
 
 
 def riesz_s_max(alpha: float, d: int, p: float) -> float:

@@ -14,6 +14,16 @@ sample points (difference_bound, lemma_integral) take them from a seed.  The
 fractional-order norm-equivalence checks run purely through the discrete
 spectral calculus (no closed-form fractional kernels exist); every such
 report says so in its notes.
+
+The nested integrals of difference_bound (Duhamel) and lemma_integral run on
+one batched adaptive G10-K21 Gauss-Kronrod rule, _gauss_kronrod: every
+round evaluates the open panels of all integrals in array calls of at most
+_GK_ROWS panels, and an integral that would pass its panel cap raises
+DomainError naming it.  They keep the tolerances, break points and caps of
+the scalar quad calls they replaced, except that the lemma's integrals are
+purely relative (see _lemma_lhs).  Plain scipy quad
+still serves the single scalar integrals of pointwise_bounds and
+schur_prop.
 """
 
 from __future__ import annotations
@@ -46,6 +56,13 @@ FAST_GRID = dict(X=10.0, N=400, g=2.0)
 CAP = 1e3
 # bound on each commutator_scaling slope error
 SLOPE_TOL = 0.15
+# largest difference_bound coupling: above it the Duhamel integrand's mass
+# sits at times s ~ y^2/lam that the check trims (s < 1e-6 t)
+DUHAMEL_LAM_MAX = 1e3
+# largest lemma_integral exponent (the lemma takes beta > 0): with r, s <= 10
+# and delta <= 100, every power in the N = 1 integrand's product stays below
+# the double range
+LEMMA_BETA_MAX = 32.0
 
 
 @dataclass
@@ -186,6 +203,91 @@ def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
     lx, ly = np.log(xs), np.log(ys)
     lx = lx - lx.mean()
     return float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
+
+
+# The G10-K21 pair of QUADPACK's qk21 (Piessens et al. 1983): the Kronrod
+# nodes of [0, 1] from the outside in, their weights, and the weights of the
+# ten Gauss nodes, which are the Kronrod nodes of odd index.
+_KRONROD_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_KRONROD_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GAUSS_W = np.zeros(11)
+_GAUSS_W[1:10:2] = [0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+                    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+                    0.295524224714752870173892994651338]
+# the same on [-1, 1], in increasing order
+_GK_X = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
+_GK_WK = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
+_GK_WG = np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
+# panels evaluated per call of an integrand: 2 MB of nodes, whatever the batch
+_GK_ROWS = (2 << 20) // (8 * _GK_X.size)
+
+
+def _panels(lo, hi, *points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels (index, a, b) of the integrals over (lo_i, hi_i), split at break
+    points in [lo_i, hi_i]; each argument is a scalar or an array, and
+    repeated points leave no empty panel."""
+    lo, hi, *points = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                            for v in (lo, hi, *points)))
+    edges = np.sort(np.column_stack([lo, *points, hi]), axis=1)
+    a, b = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    idx = np.repeat(np.arange(lo.size), len(points) + 1)
+    keep = b > a
+    return idx[keep], a[keep], b[keep]
+
+
+def _gauss_kronrod(f, idx: np.ndarray, a: np.ndarray, b: np.ndarray, *, epsabs: float,
+                   epsrel: float, limit: int, what) -> tuple[np.ndarray, np.ndarray]:
+    """Many integrals at once, by adaptive G10-K21 panels.
+
+    Integral i is the sum of int_a^b f over its panels (i, a, b), as _panels
+    makes them.  f(i, x) takes the integral index of each row (shape (m,)) and
+    the nodes x (shape (m, 21)) and returns f there.  Each round evaluates
+    the 21 nodes of every open panel, _GK_ROWS panels per call, and takes
+    |K21 - G10| as a panel's error.  With tol_i = max(epsabs, epsrel |I_i|),
+    I_i the current estimate, an integral is done once its summed error is
+    at most tol_i.  Until then a panel is kept when its error is at most its
+    length's share of tol_i / 2, and bisected otherwise; the other half of
+    tol_i is left for panels at an integrable endpoint singularity, whose
+    error falls slower than their length.  Returns each integral's K21 value
+    and its summed error.  An integral that would need more than limit
+    panels, the counterpart of quad's limit, raises DomainError with what(i),
+    which names the integral and its parameters.
+    """
+    n = int(idx.max()) + 1 if idx.size else 0
+    half_share = 0.5 / np.bincount(idx, b - a, n)
+    used = np.bincount(idx, minlength=n)
+    val, err = np.zeros(n), np.zeros(n)
+    while idx.size:
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        k, g = np.empty(idx.size), np.empty(idx.size)
+        for lo in range(0, idx.size, _GK_ROWS):
+            rows = slice(lo, lo + _GK_ROWS)
+            fx = f(idx[rows], c[rows, None] + h[rows, None] * _GK_X)
+            k[rows], g[rows] = fx @ _GK_WK, fx @ _GK_WG
+        k, e = h * k, h * np.abs(k - g)
+        tol = np.maximum(epsabs, epsrel * np.abs(val + np.bincount(idx, k, n)))
+        finished = err + np.bincount(idx, e, n) <= tol
+        keep = finished[idx] | (e <= tol[idx] * (b - a) * half_share[idx])
+        val += np.bincount(idx[keep], k[keep], n)
+        err += np.bincount(idx[keep], e[keep], n)
+        idx, a, b, c = idx[~keep], a[~keep], b[~keep], c[~keep]
+        used += np.bincount(idx, minlength=n)
+        if idx.size and used.max() > limit:
+            raise DomainError(f"{what(int(np.argmax(used)))} does not converge "
+                              f"within {limit} Gauss-Kronrod panels")
+        idx, a, b = np.concatenate([idx, idx]), np.concatenate([a, c]), np.concatenate([c, b])
+    return val, err
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +572,35 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
 
 
 def _duhamel_rhs(lam: float, t: float, x: float, y: float) -> float:
-    """lam * double integral of exact_0(t-s, x, z) z^-2 exact_lam(s, z, y)."""
-    zhi = max(x, y) + 8.0 * math.sqrt(t) + 4.0
+    """lam * double integral of exact_0(t-s, x, z) z^-2 exact_lam(s, z, y).
 
-    def inner(sig: float) -> float:
-        def f(z: float) -> float:
-            return heat_exact_halfline(0.0, t - sig, x, z) * z ** (-2.0) \
-                * heat_exact_halfline(lam, sig, z, y)
-        return quad(f, 0.0, zhi, points=[x, y], limit=200,
-                    epsabs=1e-13, epsrel=1e-8, full_output=1)[0]
+    The outer s integral and, for all its nodes of a round at once, the
+    inner z integrals run on the batched Gauss-Kronrod rule.
+    """
+    zhi = max(x, y) + 8.0 * math.sqrt(t) + 4.0
+    where = (f"difference_bound: the Duhamel integral at lam={lam!r}, t={t!r}, "
+             f"x={x!r}, y={y!r}")
+
+    def inner(_, sig: np.ndarray) -> np.ndarray:
+        sig_i = sig.ravel()
+
+        def f(i: np.ndarray, z: np.ndarray) -> np.ndarray:
+            si = sig_i[i, None]
+            return heat_exact_halfline(0.0, t - si, x, z) * z ** (-2.0) \
+                * heat_exact_halfline(lam, si, z, y)
+        val = _gauss_kronrod(f, *_panels(np.zeros(sig_i.size), zhi, x, y),
+                             epsabs=1e-13, epsrel=1e-8, limit=200,
+                             what=lambda i: f"{where}, inner z integral at "
+                                            f"s={float(sig_i[i])!r}")[0]
+        return val.reshape(sig.shape)
 
     # the inner integral extends continuously to both endpoints, so the
     # trimmed slivers contribute O(1e-6 t) relative weight
     lo, hi = 1e-6 * t, (1.0 - 1e-6) * t
-    val = quad(inner, lo, hi, points=[0.25 * t, 0.5 * t, 0.75 * t],
-               limit=100, epsrel=1e-6, full_output=1)[0]
-    return lam * val
+    # epsabs is quad's default, as before
+    val = _gauss_kronrod(inner, *_panels(lo, hi, 0.25 * t, 0.5 * t, 0.75 * t),
+                         epsabs=1.49e-8, epsrel=1e-6, limit=100, what=lambda i: where)[0]
+    return lam * float(val[0])
 
 
 def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
@@ -494,22 +609,26 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
     _require_count("n_duhamel", n_duhamel)
     if not lams:
         raise DomainError("lams must hold at least one coupling")
+    for lam in lams:
+        if lam > DUHAMEL_LAM_MAX:
+            raise DomainError(f"difference_bound: lams holds {lam!r}, above "
+                              f"{DUHAMEL_LAM_MAX:g}: the Duhamel integrand's mass at "
+                              f"s ~ y^2/lam falls into the trimmed s < 1e-6 t")
     rng = np.random.default_rng(seed)
     tvals = np.logspace(-1.0, 1.0, 5)
     xvals = np.logspace(-1.5, 1.0, 7)
+    grid = np.array([(t, xd, yd) for t in tvals for xd in xvals for yd in xvals]).T
     measured: dict = {}
     tol: dict = {}
     for lam in lams:
         cp = make_coupling(1, 2.0, lam)
         # the kernel differences do not depend on the Gaussian constant
-        diffs = [(t, pt(xd), pt(yd), abs(heat_exact_halfline(0.0, t, xd, yd)
-                                         - heat_exact_halfline(lam, t, xd, yd)))
-                 for t in tvals for xd in xvals for yd in xvals]
+        diffs = np.abs(heat_exact_halfline(0.0, *grid) - heat_exact_halfline(lam, *grid))
         best = math.inf
         for c in (0.1, 0.15, 0.2):
             worst = 0.0
-            for t, x, y, diff in diffs:
-                J, M = diff_envelope_parts(cp, t, x, y, c)
+            for (t, xd, yd), diff in zip(grid.T.tolist(), diffs.tolist()):
+                J, M = diff_envelope_parts(cp, t, pt(xd), pt(yd), c)
                 worst = max(worst, diff / (J + M))
             best = min(best, worst)
         measured[f"C_lam{lam:g}"] = best
@@ -521,9 +640,12 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
         t = float(rng.uniform(0.3, 1.2))
         x = float(rng.uniform(0.4, 2.5))
         y = float(rng.uniform(0.4, 2.5))
-        lhs = heat_exact_halfline(0.0, t, x, y) - heat_exact_halfline(lam, t, x, y)
+        k0 = heat_exact_halfline(0.0, t, x, y)
+        lhs = k0 - heat_exact_halfline(lam, t, x, y)
         rhs = _duhamel_rhs(lam, t, x, y)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
+        # the difference carries the kernels' rounding, about 1e-14 k0: at a
+        # coupling such as 1e-300 it is that rounding and nothing else
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12 * k0))
     measured["duhamel_max_err"] = worst
     tol["duhamel_max_err"] = 0.05
     params = dict(lams=list(lams), n_duhamel=n_duhamel, seed=seed)
@@ -565,33 +687,57 @@ def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5) -> VerificationRepo
 # Convolution lemma and weighted-row (Schur) checks
 # ---------------------------------------------------------------------------
 
-def _lemma_lhs(N: int, beta: float, r: float, s: float, delta: float) -> float:
-    """Convolution of two off-center power bells, reduced by symmetry."""
+def _lemma_lhs(N: int, beta, r, s, delta):
+    """Convolution of two off-center power bells, reduced by symmetry.
+
+    The arguments broadcast as arrays, one integral per element, all on the
+    batched Gauss-Kronrod rule; floats give a float.  The integrals are purely
+    relative (epsabs = 0): the value can be far below the absolute tolerances
+    of the scalar quads they replaced (1e-13 at N = 1, quad's default 1.49e-8
+    at N = 2, 3), under which a panel that missed the second bell passed.
+    """
+    scalar = all(np.ndim(v) == 0 for v in (beta, r, s, delta))
+    beta, r, s, delta = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float))
+                                              for v in (beta, r, s, delta)))
+    L = 60.0 * np.maximum.reduce([r, s, delta, np.ones_like(r)])
+
+    def what(i: int) -> str:
+        return (f"lemma_integral: the N={N} convolution integral at "
+                f"beta={float(beta[i])!r}, r={float(r[i])!r}, s={float(s[i])!r}, "
+                f"delta={float(delta[i])!r}")
+
     if N == 1:
-        def f(x: float) -> float:
-            return (r * s) ** beta / ((r ** (1 + beta) + abs(x) ** (1 + beta))
-                                      * (s ** (1 + beta) + abs(x - delta) ** (1 + beta)))
-        L = 60.0 * max(r, s, delta, 1.0)
-        return quad(f, -L, L, points=[0.0, delta], limit=300,
-                     epsabs=1e-13, epsrel=1e-8, full_output=1)[0]
+        def f(i: np.ndarray, x: np.ndarray) -> np.ndarray:
+            b1, ri, si, di = 1.0 + beta[i, None], r[i, None], s[i, None], delta[i, None]
+            return (ri * si) ** beta[i, None] / ((ri ** b1 + np.abs(x) ** b1)
+                                                 * (si ** b1 + np.abs(x - di) ** b1))
+        val = _gauss_kronrod(f, *_panels(-L, L, 0.0, delta), epsabs=0.0, epsrel=1e-8,
+                             limit=300, what=what)[0]
+    else:
+        flat = N == 2
+        # by the angle to the second center: 2 dtheta on S^1, 2 pi sin dtheta on S^2
+        sphere = 2.0 if flat else 2.0 * math.pi
 
-    nb = N + beta
-    flat = N == 2
-    # by the angle to the second center: 2 dtheta on S^1, 2 pi sin dtheta on S^2
-    sphere = 2.0 if flat else 2.0 * math.pi
+        def radial(i: np.ndarray, rho: np.ndarray) -> np.ndarray:
+            # angular average of the second factor at radius rho around the first center
+            i_rho, rho_i = np.repeat(i, rho.shape[1]), rho.ravel()
 
-    def radial(rho: float) -> float:
-        # angular average of the second factor at radius rho around the first center
-        def g(th: float) -> float:
-            d2 = delta * delta + rho * rho - 2.0 * delta * rho * math.cos(th)
-            return (1.0 if flat else math.sin(th)) / (s ** nb + d2 ** (0.5 * nb))
-        ang = quad(g, 0.0, math.pi, limit=60, epsrel=1e-7, full_output=1)[0] * sphere
-        return (rho if flat else rho * rho) * ang / (r ** nb + rho ** nb)
-
-    L = 60.0 * max(r, s, delta, 1.0)
-    val = quad(radial, 0.0, L, points=[r, max(delta, 1e-6)], limit=200,
-               epsrel=1e-6, full_output=1)[0]
-    return (r * s) ** beta * val
+            def g(j: np.ndarray, th: np.ndarray) -> np.ndarray:
+                k = i_rho[j, None]
+                nb, dk, rk = N + beta[k], delta[k], rho_i[j, None]
+                d2 = dk * dk + rk * rk - 2.0 * dk * rk * np.cos(th)
+                return (1.0 if flat else np.sin(th)) / (s[k] ** nb + d2 ** (0.5 * nb))
+            ang = _gauss_kronrod(g, *_panels(np.zeros(rho_i.size), math.pi),
+                                 epsabs=0.0, epsrel=1e-7, limit=60,
+                                 what=lambda j: f"{what(i_rho[j])}, angular integral "
+                                                f"at rho={float(rho_i[j])!r}")[0]
+            nb = N + beta[i, None]
+            return (rho if flat else rho * rho) * sphere * ang.reshape(rho.shape) \
+                / (r[i, None] ** nb + rho ** nb)
+        val = (r * s) ** beta * _gauss_kronrod(
+            radial, *_panels(0.0, L, r, np.maximum(delta, 1e-6)),
+            epsabs=0.0, epsrel=1e-6, limit=200, what=what)[0]
+    return float(val[0]) if scalar else val
 
 
 def check_lemma_integral(N: int = 1, betas=(0.5, 1.0, 2.0), nsamples: int = 200,
@@ -600,20 +746,27 @@ def check_lemma_integral(N: int = 1, betas=(0.5, 1.0, 2.0), nsamples: int = 200,
     if N not in (1, 2, 3):
         raise DomainError("N must be 1, 2 or 3")
     _require_count("nsamples", nsamples)
+    for beta in betas:
+        if not 0.0 < beta <= LEMMA_BETA_MAX:
+            raise DomainError(f"lemma_integral: betas holds {beta!r}, outside "
+                              f"(0, {LEMMA_BETA_MAX:g}], the exponents of the lemma "
+                              f"whose bells' powers stay in double range")
     rng = np.random.default_rng(seed)
     measured: dict = {}
     tol: dict = {}
     n = nsamples if N == 1 else max(12, nsamples // 8)
+    # every sample is drawn first, in the order of one integral per draw,
+    # and all of them are integrated in one batch
+    draws, rhs = [], []
     for beta in betas:
-        ratios = []
         for _ in range(n):
             r = float(10.0 ** rng.uniform(-1.0, 1.0))
             s = float(10.0 ** rng.uniform(-1.0, 1.0))
             delta = float(10.0 ** rng.uniform(-2.0, 2.0)) if rng.uniform() > 0.15 else 0.0
-            lhs = _lemma_lhs(N, beta, r, s, delta)
-            rhs = (r + s) ** beta / ((r + s) ** (N + beta) + delta ** (N + beta))
-            ratios.append(lhs / rhs)
-        ratios = np.array(ratios)
+            draws.append((beta, r, s, delta))
+            rhs.append((r + s) ** beta / ((r + s) ** (N + beta) + delta ** (N + beta)))
+    lhs = _lemma_lhs(N, *np.array(draws).reshape(-1, 4).T)
+    for beta, ratios in zip(betas, (lhs / np.array(rhs)).reshape(len(betas), n)):
         measured[f"ratio_max_beta{beta:g}"] = float(np.max(ratios))
         measured[f"ratio_median_beta{beta:g}"] = float(np.median(ratios))
         measured[f"max_over_median_beta{beta:g}"] = float(np.max(ratios)

@@ -122,6 +122,25 @@ class TestKernelTable:
         assert rc == 0 and "Traceback" not in err
         assert strict_json(out)[0]["value"] == 0.0
 
+    def test_close_distinct_points_are_off_the_diagonal(self, capsys):
+        # |x - y| = 1e-200 is no longer the root of an underflowed square, 0
+        rc, out, err = run(capsys, "kernel", "--kind", "riesz-envelope", "--alpha", "1.5",
+                           "--lambda", "1", "--t", "0.7", "--x", "2e-200", "--y", "1e-200",
+                           "--format", "json")
+        assert rc == 0 and "Traceback" not in err
+        value = strict_json(out)[0]["value"]
+        assert math.isfinite(value) and value > 1e90
+
+    @pytest.mark.parametrize("y, positive", [("5e199", True), ("1e-200", False)])
+    def test_far_points_are_not_at_infinity(self, capsys, y, positive):
+        # |x - y| = 5e199 is no longer the root of an overflowed square, inf;
+        # at --y 1e-200 the shape itself, about 1e-552, underflows to 0
+        rc, out, _ = run(capsys, "kernel", "--kind", "riesz-envelope", "--alpha", "1.5",
+                         "--lambda", "1", "--t", "0.7", "--x", "1e200", "--y", y,
+                         "--format", "json")
+        assert rc == 0
+        assert (strict_json(out)[0]["value"] > 0.0) is positive
+
     def test_infinite_value_is_json_null(self, capsys):
         # the Riesz envelope is infinite on the diagonal x = y
         rc, out, _ = run(capsys, "kernel", "--kind", "riesz-envelope",
@@ -166,6 +185,31 @@ def test_kernel_edge_value_sweep(capsys, base, flags):
         for _, x, y, value in list(csv.reader(io.StringIO(out)))[1:]:
             # the Riesz envelope's singular diagonal is the one exact infinity
             assert math.isfinite(float(value)) or (kind == "riesz-envelope" and x == y)
+
+
+# the verify --config slice of the sweep, for the two checks whose integrals
+# run on the batched Gauss-Kronrod rule; each case is small
+CONFIG_SWEEP_CASES = (
+    [f"[difference_bound]\nn_duhamel = 1\nlams = {value}\n" for value in SWEEP_VALUES]
+    + [f"[difference_bound]\nn_duhamel = {value}\n" for value in SWEEP_VALUES]
+    + [f"[lemma_integral]\nnsamples = 8\nN = {value}\n" for value in SWEEP_VALUES]
+    + [f"[lemma_integral]\nnsamples = 8\nN = {N}\nbetas = 1 {value}\n"
+       for N in (1, 2, 3) for value in SWEEP_VALUES]
+    + [f"[lemma_integral]\nnsamples = {value}\n" for value in SWEEP_VALUES])
+
+
+@pytest.mark.parametrize("section", CONFIG_SWEEP_CASES, ids=[
+    "-".join(line.replace(" = ", "=").strip("[]") for line in case.splitlines())
+    for case in CONFIG_SWEEP_CASES])
+def test_config_edge_value_sweep(capsys, tmp_path, section):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(section)
+    rc, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert rc in (0, 2) and "Traceback" not in err
+    if rc == 2:
+        assert err.startswith("parameter error: ") and out == ""
+    else:
+        assert strict_json(out)[0]["verdict"] == "pass"
 
 
 class TestDiscretize:

@@ -151,6 +151,46 @@ class TestExactKernel:
         with pytest.raises(DomainError, match="lambda"):
             heat_exact_halfline(math.nan, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("lam", [-0.25, 0.0, 1.0, 100.0])
+    def test_array_call_equals_scalar_calls(self, lam):
+        # z = rs/2t runs from 1e-3 across the large-argument switch at
+        # max(1e8, 1e6 mu^2) to 5e13
+        z = np.logspace(-3.0, 13.7, 60)
+        t = np.full_like(z, 0.5)
+        r = np.sqrt(z)
+        s = np.sqrt(z) * np.linspace(0.999, 1.001, z.size)
+        got = heat_exact_halfline(lam, t, r, s)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        expected = [heat_exact_halfline(lam, float(a), float(b), float(c))
+                    for a, b, c in zip(t, r, s)]
+        assert all(isinstance(v, float) for v in expected)
+        assert got.tolist() == expected
+        assert np.sum(r * s / (2.0 * t) > max(1e8, 1e6 * (lam + 0.25))) >= 5
+
+    def test_array_arguments_broadcast_and_are_checked(self):
+        sig = np.array([[0.2], [0.7]])
+        z = np.linspace(0.1, 3.0, 5)
+        got = heat_exact_halfline(1.0, sig, z, 1.3)
+        assert got.shape == (2, 5)
+        assert got[1, 3] == heat_exact_halfline(1.0, 0.7, float(z[3]), 1.3)
+        with pytest.raises(DomainError, match="positive"):
+            heat_exact_halfline(1.0, sig, np.array([0.5, 0.0]), 1.3)
+        with pytest.raises(DomainError, match="positive"):
+            heat_exact_halfline(1.0, np.array([0.5, math.nan]), 1.0, 1.3)
+
+    def test_halfspace_huge_transverse_gap_is_zero(self):
+        # the squared gap and (4 pi t)^{-(d-1)/2} leave the double range
+        assert heat_exact_halfspace(2, 0.0, 1.0, pt(1.0, 1e200), pt(1.0, -1e200)) == 0.0
+        assert heat_exact_halfspace(3, 0.0, 1e-300, pt(1.0, 1e200, 0.0),
+                                    pt(1.0, 0.0, 0.0)) == 0.0
+
+    def test_distance_of_far_and_of_close_points(self):
+        # |x - y| as the root of its square gave 0 and inf here
+        assert dist(pt(2e-200), pt(1e-200)) == 1e-200
+        assert dist(pt(1e200), pt(1e-200)) == 1e200
+        assert dist(pt(1.0, 3e-200), pt(1.0, -1e-200)) == 4e-200
+        assert dist(pt(1.0, 3.0), pt(5.0, 6.0)) == 5.0
+
 
 class TestSandwich:
     def test_exact_kernel_between_envelopes(self):
@@ -222,17 +262,17 @@ class TestRieszEnvelope:
         assert lo == pytest.approx(hi, rel=1e-6)
 
     def test_negative_exponent_near_the_boundary_and_far_apart(self):
-        # p < 0: n/|x-y| underflows to 0, and |x-y| itself overflows
+        # p < 0: n/|x-y| underflows to 0, and |x-y|^2 overflows, yet the
+        # near-regime shape |x-y|^{as/2-d} (n/|x-y|)^p is a normal double
         cp = make_coupling(1, 0.5, -0.079)
         s = 0.5
         assert cp.p < 0.0
-        with mp.workdps(30):
-            r, n, p = mp.mpf(2.0), mp.mpf(5e-324), mp.mpf(cp.p)
-            ref = r ** (mp.mpf(0.25) * s - 1) * (n / r) ** p
-        assert riesz_envelope(cp, s, pt(5e-324), pt(2.0)) == pytest.approx(float(ref),
-                                                                          rel=1e-12)
-        for x, y in ((1e300, 1.0), (1e200, 1e-200), (5e-324, 1e300)):
-            assert riesz_envelope(cp, s, pt(x), pt(y)) == 0.0
+        for x, y in ((5e-324, 2.0), (1e300, 1.0), (1e200, 1e-200), (5e-324, 1e300)):
+            with mp.workdps(30):
+                r, n, p = abs(mp.mpf(x) - mp.mpf(y)), mp.mpf(min(x, y)), mp.mpf(cp.p)
+                ref = r ** (mp.mpf(0.25) * s - 1) * (n / r) ** p
+            assert riesz_envelope(cp, s, pt(x), pt(y)) == pytest.approx(float(ref),
+                                                                        rel=1e-12)
 
     def test_s_window(self):
         cp = make_coupling(1, 1.5, 0.5)

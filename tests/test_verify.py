@@ -1,12 +1,16 @@
 import json
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hardyops import coupling, kernels
 from hardyops import verify as V
+from hardyops.kernels import heat_exact_halfline
+from hardyops.specfun import DomainError
 
 FAST = dict(X=10.0, N=400, g=2.0)
 
@@ -129,6 +133,114 @@ class TestKernelChecks:
         assert r.verdict
 
 
+def _old_duhamel_rhs(lam, t, x, y):
+    """The nested scalar quad form the batched Duhamel integral replaced."""
+    zhi = max(x, y) + 8.0 * math.sqrt(t) + 4.0
+
+    def inner(sig):
+        return quad(lambda z: heat_exact_halfline(0.0, t - sig, x, z) * z ** (-2.0)
+                    * heat_exact_halfline(lam, sig, z, y), 0.0, zhi, points=[x, y],
+                    limit=200, epsabs=1e-13, epsrel=1e-8)[0]
+    return lam * quad(inner, 1e-6 * t, (1.0 - 1e-6) * t,
+                      points=[0.25 * t, 0.5 * t, 0.75 * t], limit=100, epsrel=1e-6)[0]
+
+
+def _old_lemma_lhs(N, beta, r, s, delta, tight=False):
+    """The scalar quad form the batched lemma integral replaced; tight runs it
+    purely relative at 1e-10 (1e-11 for the inner integrals) instead."""
+    L = 60.0 * max(r, s, delta, 1.0)
+    epsabs, limit = (0.0, 400) if tight else (1.49e-8, 200)
+    if N == 1:
+        return quad(lambda x: (r * s) ** beta / ((r ** (1 + beta) + abs(x) ** (1 + beta))
+                                                 * (s ** (1 + beta)
+                                                    + abs(x - delta) ** (1 + beta))),
+                    -L, L, points=[0.0, delta], limit=limit if tight else 300,
+                    epsabs=0.0 if tight else 1e-13, epsrel=1e-11 if tight else 1e-8)[0]
+    nb = N + beta
+
+    def radial(rho):
+        def g(th):
+            d2 = delta * delta + rho * rho - 2.0 * delta * rho * math.cos(th)
+            return (1.0 if N == 2 else math.sin(th)) / (s ** nb + d2 ** (0.5 * nb))
+        ang = quad(g, 0.0, math.pi, limit=limit, epsabs=epsabs,
+                   epsrel=1e-11 if tight else 1e-7)[0]
+        sphere = 2.0 if N == 2 else 2.0 * math.pi
+        return rho ** (N - 1) * ang * sphere / (r ** nb + rho ** nb)
+    return (r * s) ** beta * quad(radial, 0.0, L, points=[r, max(delta, 1e-6)], limit=limit,
+                                  epsabs=epsabs, epsrel=1e-10 if tight else 1e-6)[0]
+
+
+class TestGaussKronrod:
+    def test_rule_integrates_polynomials_exactly(self):
+        # K21 is exact to degree 31 on [-1, 1], G10 to degree 19
+        for k in range(32):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert np.dot(V._GK_WK, V._GK_X ** k) == pytest.approx(exact, abs=1e-15)
+            if k < 20:
+                assert np.dot(V._GK_WG, V._GK_X ** k) == pytest.approx(exact, abs=1e-15)
+
+    def test_panels_split_at_break_points(self):
+        idx, a, b = V._panels([0.0, -1.0], [2.0, 1.0], [1.0, -1.0], 0.5)
+        assert idx.tolist() == [0, 0, 0, 1, 1]
+        assert a.tolist() == [0.0, 0.5, 1.0, -1.0, 0.5]
+        assert b.tolist() == [0.5, 1.0, 2.0, 0.5, 1.0]
+
+    def test_non_integrable_integrand_raises(self):
+        with pytest.raises(DomainError, match=r"x\^-1 on \(0, 1\) does not converge within "
+                                              r"50 Gauss-Kronrod panels"):
+            V._gauss_kronrod(lambda i, x: 1.0 / x, *V._panels(0.0, 1.0), epsabs=0.0,
+                             epsrel=1e-8, limit=50, what=lambda i: "x^-1 on (0, 1)")
+
+    def test_endpoint_singularities_converge(self):
+        # x^-1/2 and -ln x on (0, 1), both 2 and 1, with one regular integral
+        fs = (lambda x: x ** -0.5, lambda x: -np.log(x), np.cos)
+
+        def f(i, x):
+            return np.choose(i[:, None], [fn(x) for fn in fs])
+        val, err = V._gauss_kronrod(f, *V._panels(np.zeros(3), 1.0), epsabs=0.0,
+                                    epsrel=1e-10, limit=200, what=str)
+        assert val == pytest.approx([2.0, 1.0, math.sin(1.0)], rel=1e-10)
+        assert np.all(err <= 1e-10 * np.abs(val))
+
+    def test_rows_per_call_are_bounded(self):
+        rows = []
+
+        def f(i, x):
+            rows.append(x.shape[0])
+            return np.ones_like(x)
+        n = 2 * V._GK_ROWS + 7
+        val, _ = V._gauss_kronrod(f, *V._panels(np.zeros(n), 2.0, 1.0), epsabs=0.0,
+                                  epsrel=1e-12, limit=2, what=str)
+        assert np.all(val == pytest.approx(2.0, rel=1e-14))
+        assert max(rows) == V._GK_ROWS and sum(rows) == 2 * n
+
+    @pytest.mark.parametrize("lam, t, x, y", [(0.5, 0.8, 1.2, 0.6), (2.0, 0.4, 0.5, 2.1),
+                                              (-0.2, 1.1, 0.9, 1.4)])
+    def test_duhamel_matches_the_old_quad_form(self, lam, t, x, y):
+        assert V._duhamel_rhs(lam, t, x, y) == pytest.approx(_old_duhamel_rhs(lam, t, x, y),
+                                                             rel=1e-5)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_lemma_matches_the_old_quad_form(self, N):
+        samples = [(0.5, 0.3, 2.0, 1.5), (1.0, 4.0, 0.2, 0.0), (2.0, 0.15, 0.4, 30.0)]
+        got = V._lemma_lhs(N, *np.array(samples).T)
+        old = [_old_lemma_lhs(N, *sample) for sample in samples]
+        assert got == pytest.approx(old, rel=1e-7 if N == 1 else 1e-5)
+        assert V._lemma_lhs(N, *samples[0]) == pytest.approx(got[0], rel=1e-14)
+
+    @pytest.mark.parametrize("N, sample, expected", [
+        # criterion 12, N = 2, seed 2: the old radial quad missed the second
+        # bell beyond delta and returned 3.217e-7 ("probably divergent")
+        (2, (2.0, 1.685215143103623, 0.3722761475954037, 70.38495427191977), 5.99548e-7),
+        # far below the old epsabs = 1e-13, which passed a 51% error
+        (1, (8.0, 0.3, 0.5, 80.0), 3.07585e-20),
+    ], ids=["N2-criterion-12-seed-2", "N1-beta-8"])
+    def test_lemma_holds_its_relative_tolerance_on_tiny_values(self, N, sample, expected):
+        tight = _old_lemma_lhs(N, *sample, tight=True)
+        assert tight == pytest.approx(expected, rel=1e-5)
+        assert V._lemma_lhs(N, *sample) == pytest.approx(tight, rel=1e-8)
+
+
 class TestLemmaAndSchur:
     def test_lemma_dimension_one(self):
         r = V.check_lemma_integral(N=1, betas=(0.7,), nsamples=40, seed=3)
@@ -238,6 +350,18 @@ class TestReportsAndCampaign:
                     unconverged.append((_name, out[0], out[1], out[-1]))
                 return out
             monkeypatch.setattr(mod, "quad", recording)
+        # the batched rule raises past its panel cap; every integral it
+        # returns must also hold its summed error within its tolerance
+        batches = []
+
+        def recording_gk(*args, _gk=V._gauss_kronrod, **kwargs):
+            val, err = _gk(*args, **kwargs)
+            tol = np.maximum(kwargs["epsabs"], kwargs["epsrel"] * np.abs(val))
+            batches.append((val.size, int(np.sum(~(err <= tol)))))
+            return val, err
+        monkeypatch.setattr(V, "_gauss_kronrod", recording_gk)
         V.run_all(seed=0)
         assert calls
         assert unconverged == []
+        assert batches and sum(n for n, _ in batches) > 300
+        assert sum(bad for _, bad in batches) == 0
