@@ -15,15 +15,14 @@ fractional-order norm-equivalence checks run purely through the discrete
 spectral calculus (no closed-form fractional kernels exist); every such
 report says so in its notes.
 
-The nested integrals of difference_bound (Duhamel) and lemma_integral run on
-one batched adaptive G10-K21 Gauss-Kronrod rule, _gauss_kronrod: every
-round evaluates the open panels of all integrals in array calls of at most
-_GK_ROWS panels, and an integral that would pass its panel cap raises
-DomainError naming it.  They keep the tolerances, break points and caps of
-the scalar quad calls they replaced, except that the lemma's integrals are
-purely relative (see _lemma_lhs).  Plain scipy quad
-still serves the single scalar integrals of pointwise_bounds and
-schur_prop.
+Every integral of difference_bound (Duhamel), pointwise_bounds,
+lemma_integral and schur_prop runs on one batched adaptive G10-K21
+Gauss-Kronrod rule, _gauss_kronrod: every round evaluates the open panels of
+all integrals in array calls of at most _GK_ROWS panels, and an integral
+that would pass its panel cap raises DomainError naming it.  They keep the
+tolerances, break points and caps of the scalar quad calls they replaced,
+except that the lemma's integrals are purely relative (see _lemma_lhs) and
+schur_prop's two infinite ends are closed forms (see _schur_rows).
 """
 
 from __future__ import annotations
@@ -36,11 +35,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+# unused, but bench/tracer.py wraps this module's ``quad`` binding by name
+from scipy.integrate import quad  # noqa: F401
+from scipy.special import hyp2f1
 
 from hardyops import discrete as dm
 from hardyops import kernels as km
-from hardyops.coupling import CouplingParams, exponent_p, make_coupling
+from hardyops.coupling import CouplingParams, _check_alpha, exponent_p, make_coupling
 from hardyops.discrete import (Grid1D, assemble_form, boundary_bump,
                                build_grid, commutator_norm, dilate_bump,
                                decay_profile, eigendecompose, heat_apply,
@@ -63,6 +64,10 @@ DUHAMEL_LAM_MAX = 1e3
 # and delta <= 100, every power in the N = 1 integrand's product stays below
 # the double range
 LEMMA_BETA_MAX = 32.0
+# pointwise_bounds times and couplings: outside them its boundary window
+# x <= 1e-2 leaves the layer x << sqrt(t) (t = 1e-3) or underflows (t = 1e-4)
+POINTWISE_T_RANGE = (1e-2, 1e3)
+POINTWISE_LAM_MAX = 1e3
 
 
 @dataclass
@@ -541,25 +546,15 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
     tol: dict = {}
     for lam in lams:
         cp = make_coupling(d, 2.0, lam)
-        exact, elow = [], []
-        pts = []
-        for t, x, y in samples:
-            e = km.heat_exact_halfspace(d, lam, t, x, y)
-            if e <= 0.0 or not math.isfinite(e):
-                continue
-            exact.append(e)
-            elow.append(heat_envelope(cp, t, x, y))
-            pts.append((t, x, y))
-        exact = np.array(exact)
-        k1 = float(np.min(exact / np.array(elow)))
-        best = math.inf
-        best_c = None
-        for c in c_candidates:
-            eup = np.array([heat_envelope(cp, t, x, y, c) for (t, x, y) in pts])
-            k2 = float(np.max(exact / eup))
-            if k2 / k1 < best:
-                best = k2 / k1
-                best_c = c
+        exact = [km.heat_exact_halfspace(d, lam, *s) for s in samples]
+        pts = [s for s, e in zip(samples, exact) if 0.0 < e < math.inf]
+        exact = np.array([e for e in exact if 0.0 < e < math.inf])
+        k1 = float(np.min(exact / np.array([heat_envelope(cp, *s) for s in pts])))
+        # the upper constant of least k2/k1, the first of equals
+        ratios = [float(np.max(exact / np.array([heat_envelope(cp, *s, c) for s in pts]))) / k1
+                  for c in c_candidates]
+        best = min(ratios)
+        best_c = c_candidates[ratios.index(best)]
         key = f"k2_over_k1_lam{lam:g}"
         measured[key] = best
         measured[f"c_upper_lam{lam:g}"] = best_c
@@ -654,27 +649,33 @@ def check_difference_bound(lams=(0.5, 2.0), n_duhamel: int = 5,
 
 def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5) -> VerificationReport:
     """Semigroup image of a bump against its boundary/Gaussian majorant."""
+    t_min, t_max = POINTWISE_T_RANGE
+    if not t_min <= t <= t_max:
+        raise DomainError(f"pointwise_bounds: t = {t!r} is outside [{t_min:g}, {t_max:g}], "
+                          f"where the boundary window x <= 1e-2 is resolved")
+    if not lam <= POINTWISE_LAM_MAX:
+        raise DomainError(f"pointwise_bounds: lam = {lam!r} is above {POINTWISE_LAM_MAX:g}, "
+                          f"where the boundary window's heat image underflows")
     p = exponent_p(2.0, lam)
     sup_y = 2.0
     xs = np.concatenate([np.logspace(-4, 0, 25), np.linspace(1.2, 12.0, 25)])
 
-    def psi(x: float) -> float:
-        def f(y: float) -> float:
-            s = (y - 1.25) / 0.75
-            bump = math.exp(1.0 - 1.0 / (1.0 - s * s)) if abs(s) < 1.0 else 0.0
-            return heat_exact_halfline(lam, t, x, y) * bump
-        return quad(f, 0.5, sup_y, limit=100, epsabs=1e-13, epsrel=1e-8,
-                    full_output=1)[0]
-
-    vals = np.array([psi(x) for x in xs])
-    maj = np.array([min(1.0, x / math.sqrt(t)) ** p
-                    * math.exp(-0.2 * max(0.0, x - sup_y) ** 2 / t) for x in xs])
-    ratio = vals / maj
+    def f(i: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return heat_exact_halfline(lam, t, xs[i, None], y) * dm._bump((y - 1.25) / 0.75)
+    vals = _gauss_kronrod(f, *_panels(np.full(xs.size, 0.5), sup_y), epsabs=1e-13,
+                          epsrel=1e-8, limit=100,
+                          what=lambda i: f"pointwise_bounds: the bump integral at "
+                                         f"x={float(xs[i])!r}, lam={lam!r}, t={t!r}")[0]
+    maj = np.minimum(1.0, xs / math.sqrt(t)) ** p \
+        * np.exp(-0.2 * np.maximum(0.0, xs - sup_y) ** 2 / t)
+    # ratios where the majorant is a normal double: at small t its Gaussian
+    # factor underflows far out, and the image with it
+    normal = maj >= np.finfo(float).tiny
+    ratio = vals[normal] / maj[normal]
     measured = {"sup_ratio": float(np.max(ratio))}
     tol = {"sup_ratio": CAP}
     # x -> 0 boundary exponent: psi/x^p stabilizes
-    small = xs[xs <= 1e-2]
-    lead = vals[xs <= 1e-2] / small ** p
+    lead = (vals / xs ** p)[xs <= 1e-2]
     measured["boundary_limit_spread"] = float(np.max(lead) / np.min(lead) - 1.0)
     tol["boundary_limit_spread"] = 0.1
     # far field: Gaussian decay beats any polynomial majorant
@@ -776,39 +777,33 @@ def check_lemma_integral(N: int = 1, betas=(0.5, 1.0, 2.0), nsamples: int = 200,
     return _finalize("lemma_integral", params, measured, tol)
 
 
-def _log_line_integral(f, x: float, epsrel: float) -> float:
-    """int_0^inf f: (x 1e-4, x 1e4) split at x/2, x, 2x, plus the two ends
-    after y = x u and y = x/u, each at ten times epsrel."""
-    mid = quad(f, x * 1e-4, x * 1e4, points=[0.5 * x, x, 2.0 * x], limit=400,
-               epsabs=1e-14, epsrel=epsrel, full_output=1)[0]
-    head = quad(lambda u: f(x * u) * x, 0.0, 1e-4, limit=100,
-                epsrel=10.0 * epsrel, full_output=1)[0]
-    tail = quad(lambda u: f(x / u) * x / (u * u), 0.0, 1e-4, limit=100,
-                epsrel=10.0 * epsrel, full_output=1)[0]
-    return mid + head + tail
+def _schur_end(c, alpha: float):
+    """int_0^1e-4 u^{c-1} (1-u)^{-1-alpha} du for c > 0, the incomplete beta
+    function B(1e-4; c, -alpha) (DLMF 8.17.8)."""
+    return 1e-4 ** c / c * hyp2f1(1.0 + alpha, c, c + 1.0, 1e-4)
 
 
-def _schur_row_integral(alpha: float, r: float, beta: float, x: float) -> float:
-    """Weighted row integral (over y) of the reduced one-dimensional kernel."""
-    def f(y: float) -> float:
-        hi, lo = max(x, y), min(x, y)
-        return (x / y) ** beta * ((hi / math.sqrt(x * y)) ** (2.0 * r) * hi ** alpha
-                                  / max(abs(x - y), lo) ** (1.0 + alpha))
+def _schur_rows(alpha: float, r: np.ndarray, x, epsrel: float) -> np.ndarray:
+    """Row integrals over y in (0, inf) of the reduced kernel at the weight
+    exponent 1/2, one per element of r, at the matching x or one x for all.
 
-    return _log_line_integral(f, x, 1e-8)
-
-
-def _schur_scale_integral(alpha: float, r: float, beta: float) -> float:
-    """Scale variable form: int t^{-beta-r} (1 v t)^{a+2r} / (|1-t| v (1^t))^{1+a}.
-
-    Both weighted row integrals reduce to this single integral under y = t x
-    (resp. x = t y); it is the closed-type value the rows must reproduce.
+    Under y = t x each is the scale-variable integral, so a row at x = 1 is a
+    scale value.  (x 1e-4, x 1e4) runs on the batched rule, split at x/2, x,
+    2x; both ends (y = x u, x/u, u < 1e-4) are _schur_end at c = 1/2 - r,
+    exact where the rule, having no extrapolation, fails near c = 0.
     """
-    def f(t: float) -> float:
-        return t ** (-beta - r) * max(1.0, t) ** (alpha + 2.0 * r) \
-            / max(abs(1.0 - t), min(1.0, t)) ** (1.0 + alpha)
+    x = np.broadcast_to(x, r.shape)
 
-    return _log_line_integral(f, 1.0, 1e-9)
+    def f(i: np.ndarray, y: np.ndarray) -> np.ndarray:
+        xi = x[i, None]
+        hi, lo = np.maximum(xi, y), np.minimum(xi, y)
+        return (xi / y) ** 0.5 * ((hi / np.sqrt(xi * y)) ** (2.0 * r[i, None]) * hi ** alpha
+                                  / np.maximum(np.abs(xi - y), lo) ** (1.0 + alpha))
+    mid = _gauss_kronrod(f, *_panels(x * 1e-4, x * 1e4, 0.5 * x, x, 2.0 * x),
+                         epsabs=1e-14, epsrel=epsrel, limit=400,
+                         what=lambda i: f"schur_prop: the row integral at alpha={alpha!r}, "
+                                        f"r={float(r[i])!r}, x={float(x[i])!r}")[0]
+    return mid + 2.0 * _schur_end(0.5 - r, alpha)
 
 
 def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
@@ -816,18 +811,23 @@ def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
     """Row integrals of the reduced kernel: finite suprema, scale-free rows.
 
     The weight exponent beta sits at the midpoint of its admissible window
-    (r, 1-r), i.e. beta = 1/2.  Both weighted row integrals coincide with
-    the single scale-variable integral by the change of variables; the
-    measured deviation quantifies that identity numerically.
+    (r, 1-r), i.e. beta = 1/2, for r in [0, 1/2).  Both weighted row integrals
+    coincide with the single scale-variable integral by the change of
+    variables; the measured deviation quantifies that identity numerically.
     """
+    _check_alpha(alpha, include_two=False)
     _require_count("n_x", n_x)
+    for rr in r_values:
+        if not 0.0 <= rr < 0.5:
+            raise DomainError(f"schur_prop: r_values holds {rr!r}, outside [0, 1/2): "
+                              f"from r = 1/2 on the weight window (r, 1 - r) is empty")
     xs = np.logspace(-2.0, 2.0, n_x)
+    all_rows = _schur_rows(alpha, np.repeat(r_values, n_x), np.tile(xs, len(r_values)), 1e-8)
+    # the scale values (rows at x = 1) of each r and of three trend points
+    scale = _schur_rows(alpha, np.array([*r_values, 0.40, 0.45, 0.49]), 1.0, 1e-9)
     measured: dict = {}
     tol: dict = {}
-    for rr in r_values:
-        beta = 0.5 * (rr + (1.0 - rr))
-        rows = np.array([_schur_row_integral(alpha, rr, beta, x) for x in xs])
-        scale_val = _schur_scale_integral(alpha, rr, beta)
+    for rr, rows, scale_val in zip(r_values, all_rows.reshape(-1, n_x), scale):
         measured[f"sup_row_r{rr:g}"] = float(np.max(rows))
         measured[f"row_spread_r{rr:g}"] = float(np.max(rows) / np.min(rows) - 1.0)
         measured[f"scale_identity_dev_r{rr:g}"] = float(
@@ -836,10 +836,8 @@ def check_schur_prop(alpha: float = 1.2, r_values=(0.0, 0.2, 0.4),
         tol[f"row_spread_r{rr:g}"] = 1e-5
         tol[f"scale_identity_dev_r{rr:g}"] = 1e-5
     # divergence trend toward r = 1/2 (the beta window closes)
-    trend = [_schur_scale_integral(alpha, rr, 0.5) for rr in (0.40, 0.45, 0.49)]
-    measured["trend_r04"] = trend[0]
-    measured["trend_r045"] = trend[1]
-    measured["trend_r049"] = trend[2]
+    trend = scale[-3:].tolist()
+    measured.update(zip(("trend_r04", "trend_r045", "trend_r049"), trend))
     measured["trend_deficit"] = float(max(0, 2 - np.sum(np.diff(trend) > 0)))
     tol["trend_deficit"] = 0.0
     params = dict(alpha=alpha, r_values=list(r_values))

@@ -187,15 +187,19 @@ def test_kernel_edge_value_sweep(capsys, base, flags):
             assert math.isfinite(float(value)) or (kind == "riesz-envelope" and x == y)
 
 
-# the verify --config slice of the sweep, for the two checks whose integrals
-# run on the batched Gauss-Kronrod rule; each case is small
+# the verify --config slice of the sweep, for the checks whose integrals run
+# on the batched Gauss-Kronrod rule; each case is small
 CONFIG_SWEEP_CASES = (
     [f"[difference_bound]\nn_duhamel = 1\nlams = {value}\n" for value in SWEEP_VALUES]
     + [f"[difference_bound]\nn_duhamel = {value}\n" for value in SWEEP_VALUES]
     + [f"[lemma_integral]\nnsamples = 8\nN = {value}\n" for value in SWEEP_VALUES]
     + [f"[lemma_integral]\nnsamples = 8\nN = {N}\nbetas = 1 {value}\n"
        for N in (1, 2, 3) for value in SWEEP_VALUES]
-    + [f"[lemma_integral]\nnsamples = {value}\n" for value in SWEEP_VALUES])
+    + [f"[lemma_integral]\nnsamples = {value}\n" for value in SWEEP_VALUES]
+    + [f"[schur_prop]\n{key} = {value}\n" for key in ("alpha", "r_values", "n_x")
+       for value in SWEEP_VALUES]
+    + [f"[pointwise_bounds]\n{key} = {value}\n" for key in ("lam", "t")
+       for value in SWEEP_VALUES])
 
 
 @pytest.mark.parametrize("section", CONFIG_SWEEP_CASES, ids=[
@@ -210,6 +214,26 @@ def test_config_edge_value_sweep(capsys, tmp_path, section):
         assert err.startswith("parameter error: ") and out == ""
     else:
         assert strict_json(out)[0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("section, key", [
+    # from r = 1/2 on the Schur weight window (r, 1 - r) is empty: 0.5 used
+    # to pass with a finite value for a divergent integral, 0.6 with a
+    # negative one for a positive integrand
+    ("[schur_prop]\nr_values = 0.5\n", "r_values"),
+    ("[schur_prop]\nr_values = 0 0.6\n", "r_values"),
+    # its Gaussian majorant underflows far out, where the ratios used to be 0/0
+    ("[pointwise_bounds]\nt = 0.01\n", None),
+], ids=["schur-r0.5", "schur-r0.6", "pointwise-t0.01"])
+def test_config_window_edges(capsys, tmp_path, section, key):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(section)
+    rc, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert "Traceback" not in err and "Warning" not in err
+    if key is None:
+        assert rc == 0 and strict_json(out)[0]["verdict"] == "pass"
+    else:
+        assert rc == 2 and err.startswith("parameter error: ") and key in err and out == ""
 
 
 class TestDiscretize:

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -132,6 +133,19 @@ class TestKernelChecks:
         r = V.check_pointwise_bounds(lam=1.0, t=0.5)
         assert r.verdict
 
+    @pytest.mark.parametrize("lam, t", [(-0.25, 0.01), (1e3, 0.01), (-0.25, 1e3), (1e3, 1e3)])
+    def test_pointwise_bounds_at_the_corners_of_its_range(self, lam, t):
+        # at t = 0.01 the Gaussian majorant underflows from about x = 8 on, where
+        # the ratios are not taken
+        r = V.check_pointwise_bounds(lam=lam, t=t)
+        assert r.verdict and all(math.isfinite(v) for v in r.measured.values())
+
+    @pytest.mark.parametrize("lam, t, key", [(1.0, 1e-3, "t"), (1.0, 1e-300, "t"),
+                                             (1.0, 2e3, "t"), (1e6, 0.5, "lam")])
+    def test_pointwise_bounds_rejects_an_unresolved_window(self, lam, t, key):
+        with pytest.raises(DomainError, match=f"pointwise_bounds: {key} ="):
+            V.check_pointwise_bounds(lam=lam, t=t)
+
 
 def _old_duhamel_rhs(lam, t, x, y):
     """The nested scalar quad form the batched Duhamel integral replaced."""
@@ -168,6 +182,41 @@ def _old_lemma_lhs(N, beta, r, s, delta, tight=False):
         return rho ** (N - 1) * ang * sphere / (r ** nb + rho ** nb)
     return (r * s) ** beta * quad(radial, 0.0, L, points=[r, max(delta, 1e-6)], limit=limit,
                                   epsabs=epsabs, epsrel=1e-10 if tight else 1e-6)[0]
+
+
+def _old_bump_integral(lam, t, x):
+    """The scalar quad form of pointwise_bounds' bump integrals."""
+    def f(y):
+        s = (y - 1.25) / 0.75
+        bump = math.exp(1.0 - 1.0 / (1.0 - s * s)) if abs(s) < 1.0 else 0.0
+        return heat_exact_halfline(lam, t, x, y) * bump
+    return quad(f, 0.5, 2.0, limit=100, epsabs=1e-13, epsrel=1e-8)[0]
+
+
+def _old_log_line_integral(f, x, epsrel):
+    """The scalar quad form of schur_prop's integrals over (0, inf): the
+    middle split at x/2, x, 2x, and both ends by quad after y = x u, x/u."""
+    mid = quad(f, x * 1e-4, x * 1e4, points=[0.5 * x, x, 2.0 * x], limit=400,
+               epsabs=1e-14, epsrel=epsrel)[0]
+    head = quad(lambda u: f(x * u) * x, 0.0, 1e-4, limit=100, epsrel=10.0 * epsrel)[0]
+    tail = quad(lambda u: f(x / u) * x / (u * u), 0.0, 1e-4, limit=100,
+                epsrel=10.0 * epsrel)[0]
+    return mid + head + tail
+
+
+def _old_schur_row(alpha, r, x):
+    def f(y):
+        hi, lo = max(x, y), min(x, y)
+        return (x / y) ** 0.5 * ((hi / math.sqrt(x * y)) ** (2.0 * r) * hi ** alpha
+                                 / max(abs(x - y), lo) ** (1.0 + alpha))
+    return _old_log_line_integral(f, x, 1e-8)
+
+
+def _old_schur_scale(alpha, r):
+    def f(t):
+        return t ** (-0.5 - r) * max(1.0, t) ** (alpha + 2.0 * r) \
+            / max(abs(1.0 - t), min(1.0, t)) ** (1.0 + alpha)
+    return _old_log_line_integral(f, 1.0, 1e-9)
 
 
 class TestGaussKronrod:
@@ -240,6 +289,45 @@ class TestGaussKronrod:
         assert tight == pytest.approx(expected, rel=1e-5)
         assert V._lemma_lhs(N, *sample) == pytest.approx(tight, rel=1e-8)
 
+    @pytest.mark.parametrize("lam, t", [(1.0, 0.5), (-0.25, 0.05), (30.0, 5.0)])
+    def test_pointwise_bump_integrals_match_the_old_quad_form(self, monkeypatch, lam, t):
+        batches = []
+
+        def recording(*args, _gk=V._gauss_kronrod, **kwargs):
+            out = _gk(*args, **kwargs)
+            batches.append(out[0])
+            return out
+        monkeypatch.setattr(V, "_gauss_kronrod", recording)
+        V.check_pointwise_bounds(lam=lam, t=t)
+        xs = np.concatenate([np.logspace(-4, 0, 25), np.linspace(1.2, 12.0, 25)])
+        old = [_old_bump_integral(lam, t, x) for x in xs]
+        assert len(batches) == 1
+        assert batches[0] == pytest.approx(old, rel=1e-7, abs=2e-13)
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.2, 1.99])
+    def test_schur_rows_match_the_old_quad_form(self, alpha):
+        # rows at x = 0.01, 1, 100 for three r, then the scale values, among
+        # them the trend point r = 0.49, whose ends have c = 0.01
+        r = np.array([0.0, 0.2, 0.45] * 3)
+        x = np.repeat([0.01, 1.0, 100.0], 3)
+        rows = V._schur_rows(alpha, r, x, 1e-8)
+        assert rows == pytest.approx([_old_schur_row(alpha, *rx) for rx in zip(r, x)], rel=1e-9)
+        scale = V._schur_rows(alpha, np.array([0.0, 0.49]), 1.0, 1e-9)
+        assert scale == pytest.approx([_old_schur_scale(alpha, ri) for ri in (0.0, 0.49)],
+                                      rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.2, 1.99])
+    @pytest.mark.parametrize("c", [0.5, 0.01, 1e-6])
+    def test_schur_ends_match_mpmath(self, alpha, c):
+        with mp.workdps(40):
+            eps = mp.mpf(1e-4)
+            ref = eps ** c / c * mp.hyp2f1(1 + mp.mpf(alpha), c, c + 1, eps)
+            # the defining integral after u = eps v^(1/c), which is smooth
+            direct = eps ** c / c * mp.quad(lambda v: (1 - eps * v ** (1 / mp.mpf(c)))
+                                            ** (-1 - mp.mpf(alpha)), [0, 1])
+            assert abs(direct / ref - 1) < 1e-20
+        assert V._schur_end(c, alpha) == pytest.approx(float(ref), rel=1e-14)
+
 
 class TestLemmaAndSchur:
     def test_lemma_dimension_one(self):
@@ -268,6 +356,17 @@ class TestLemmaAndSchur:
         r = V.check_schur_prop(alpha=1.2, r_values=(0.0, 0.4), n_x=4)
         assert r.verdict
         assert r.measured["trend_r049"] > r.measured["trend_r04"]
+
+    @pytest.mark.parametrize("kwargs, key", [
+        # from r = 1/2 on the weight window (r, 1 - r) is empty: at 0.5 the
+        # rows diverge, at 0.6 their integrand stays positive
+        (dict(r_values=(0.5,)), "r_values"), (dict(r_values=(0.0, 0.6)), "r_values"),
+        (dict(r_values=(-0.1,)), "r_values"), (dict(r_values=(1e300,)), "r_values"),
+        (dict(alpha=2.0), "alpha"), (dict(alpha=1e-3), "alpha"), (dict(alpha=-1e300), "alpha"),
+    ])
+    def test_schur_rejects_inputs_outside_its_window(self, kwargs, key):
+        with pytest.raises(DomainError, match=key):
+            V.check_schur_prop(**kwargs)
 
 
 class TestCommutator:
@@ -340,15 +439,12 @@ class TestReportsAndCampaign:
             V.run_all({"no_such_check": {}})
 
     def test_default_campaign_quadratures_converge(self, monkeypatch):
-        # with full_output=1, quad appends a message exactly when ier != 0
-        calls, unconverged = [], []
+        # no scalar quad runs: every integral is on the batched rule
+        calls = []
         for mod in (coupling, kernels, V):
             def recording(*args, _quad=mod.quad, _name=mod.__name__, **kwargs):
-                out = _quad(*args, **kwargs)
                 calls.append(_name)
-                if kwargs.get("full_output") and len(out) > 3:
-                    unconverged.append((_name, out[0], out[1], out[-1]))
-                return out
+                return _quad(*args, **kwargs)
             monkeypatch.setattr(mod, "quad", recording)
         # the batched rule raises past its panel cap; every integral it
         # returns must also hold its summed error within its tolerance
@@ -361,7 +457,6 @@ class TestReportsAndCampaign:
             return val, err
         monkeypatch.setattr(V, "_gauss_kronrod", recording_gk)
         V.run_all(seed=0)
-        assert calls
-        assert unconverged == []
+        assert calls == []
         assert batches and sum(n for n, _ in batches) > 300
         assert sum(bad for _, bad in batches) == 0
