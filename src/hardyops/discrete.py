@@ -36,7 +36,8 @@ needs the output plus a few blocks of about _BLOCK_BYTES.  The bands and the
 Hardy potential are added in place, so each operator owns the only copy of
 its stiffness.  Spectra come from MRRR on the bands at alpha = 2 and dense
 eigh below; the Hardy minimum from bisection on the bands at alpha = 2 (any
-N) and below from a Cholesky factor with Lanczos on its inverse.
+N) and below from a Cholesky factor U, with Lanczos on the inverse applied as
+two triangular solves, U^T y = x and U z = y.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, solve_triangular
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from hardyops.coupling import _check_alpha, normalization_A
@@ -128,25 +129,37 @@ def _diag_singular_pairs(grid: Grid1D, alpha: float, a: int, b: int) -> np.ndarr
     piece, for cells a..b-1 against cells a..N-1.
 
     The exact four-point antiderivative formula cancels catastrophically when
-    the pair separation is large compared to the geometric mean of the cell
+    the pair separation D is large compared to the geometric mean of the cell
     sizes (the result is O(h h' k(D)) while the antiderivative values are
-    O(D^2 k(D))).  Far pairs therefore use a midpoint Taylor rule instead,
-    which at that separation is accurate to O((h/D)^4).
+    O(D^2 k(D))).  Far pairs, D > max(300 sqrt(h h'), 6 (h + h')), therefore
+    use a midpoint Taylor rule instead, which at that separation is accurate
+    to O((h/D)^4).
+
+    The Taylor value is formed for the whole block.  The exact formula runs
+    only in a window of columns: column j lies outside it when every column
+    from j on passes the far test against the block's last row with the
+    block's largest cell h_max, mid_j - mid_{b-1} > max(300 sqrt(h_max h_j),
+    6 (h_max + h_j)).  Rows nearer the boundary lie further from j and have
+    cells no larger than h_max, so such a column is far from every row in
+    floating point too; inside the window the per-pair far test chooses.
     """
     v = grid.vertices[a:]
     h = np.diff(v)
     r = b - a
-    Pphi = _antider(np.abs(v[:r + 1, None] - v[None, :]), alpha, 2)
-    P = Pphi[1:, :-1] + Pphi[:-1, 1:] - Pphi[:-1, :-1] - Pphi[1:, 1:]
-    del Pphi
     mid = 0.5 * (v[:-1] + v[1:])
+    h_max = np.max(h[:r])
+    near = mid - mid[r - 1] <= np.maximum(300.0 * np.sqrt(h_max * h), 6.0 * (h_max + h))
+    w = np.flatnonzero(near)[-1] + 1
     D = np.abs(mid[:r, None] - mid[None, :])
     hh = np.outer(h[:r], h)
-    span = h[:r, None] + h[None, :]
-    far = D > np.maximum(300.0 * np.sqrt(hh), 6.0 * span)
-    Df = D[far]
-    corr = (h[:r, None] ** 2 + h[None, :] ** 2)[far] / 24.0
-    P[far] = hh[far] * (_antider(Df, alpha, 0) + corr * Df ** (-1.0 - alpha))
+    corr = (h[:r, None] ** 2 + h[None, :] ** 2) / 24.0
+    P = hh * (_antider(D, alpha, 0) + corr * D ** (-1.0 - alpha))
+    del corr
+    far = D[:, :w] > np.maximum(300.0 * np.sqrt(hh[:, :w]), 6.0 * (h[:r, None] + h[None, :w]))
+    Pphi = _antider(np.abs(v[:r + 1, None] - v[None, :w + 1]), alpha, 2)
+    exact = Pphi[1:, :-1] + Pphi[:-1, 1:] - Pphi[:-1, :-1] - Pphi[1:, 1:]
+    del Pphi
+    np.copyto(P[:, :w], exact, where=~far)
     P /= hh
     return P
 
@@ -354,14 +367,16 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     tridiagonal and its bands, scaled by M^{-1/2} on both sides, go to the
     tridiagonal MRRR solver (LAPACK stemr), which keeps the lowest modes'
     residuals at the level of dense eigh; for alpha < 2 the scaled matrix goes
-    to dense eigh.  A spectrum that leaves the normal double range at the
-    operator's X raises DomainError.
+    to dense eigh.  Scaled bands that are not finite, or a spectrum that
+    leaves the normal double range at the operator's X, raise DomainError.
     """
     rw = np.sqrt(op.mass)
     K = op.stiffness
     if op.alpha == 2.0:
-        vals, Y = eigh_tridiagonal(*_scaled_bands(np.diagonal(K), np.diagonal(K, 1), rw),
-                                   lapack_driver="stemr")
+        with np.errstate(all="ignore"):
+            bands = _scaled_bands(np.diagonal(K), np.diagonal(K, 1), rw)
+        _require_finite(op.alpha, op.grid, *bands)
+        vals, Y = eigh_tridiagonal(*bands, lapack_driver="stemr")
     else:
         vals, Y = eigh(K / rw[:, None] / rw[None, :])
     return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
@@ -420,11 +435,14 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     tol leaves bisection to its relative stopping rule; the default absolute
     one, eps * ||T||_1, grows as N^2.  For alpha < 2 the minimum is 1/mu for
     the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}: K (capped at
-    DENSE_SOLVER_CAP) is Cholesky-factored in place, and Lanczos (ARPACK) runs
-    on the inverse through triangular solves without re-scanning the factor,
-    from the start vector H^{1/2}.  A minimum that is not finite, or a form
-    that is not positive definite (a failed assembly, since the lambda = 0
-    form is positive), raises DomainError.
+    DENSE_SOLVER_CAP) is Cholesky-factored in place as U^T U, and Lanczos
+    (ARPACK) runs on the inverse from the start vector H^{1/2}, each step two
+    triangular solves with U (BLAS trsv; LAPACK's potrs, behind cho_solve,
+    takes twice as long on one vector).  Neither the factorization nor the
+    solves re-scan the form, which assemble_form has checked finite.  A
+    minimum that is not finite, or a form that is not positive definite (a
+    failed assembly, since the lambda = 0 form is positive), raises
+    DomainError.
     """
     if alpha == 2.0:
         unit = build_grid(1.0, grid.N, grid.grading)
@@ -438,14 +456,18 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     # the stiffness is symmetric, so its transpose is a Fortran-ordered view
     # that LAPACK factors without a copy
     try:
-        factor = cho_factor(op.stiffness.T, overwrite_a=True)
+        U, _ = cho_factor(op.stiffness.T, overwrite_a=True, check_finite=False)
     except LinAlgError:
         raise DomainError(f"{_form_at(alpha, grid)} is not positive definite, "
                           f"so it has no Hardy minimum") from None
     rw = np.sqrt(op.hardy)
-    inverse = LinearOperator(op.stiffness.shape, dtype=float,
-                             matvec=lambda x: rw * cho_solve(factor, rw * x.ravel(),
-                                                              check_finite=False))
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        # K^{-1} = U^{-1} U^{-T} for the upper factor K = U^T U
+        y = solve_triangular(U, rw * x.ravel(), trans="T", check_finite=False)
+        return rw * solve_triangular(U, y, overwrite_b=True, check_finite=False)
+
+    inverse = LinearOperator(op.stiffness.shape, dtype=float, matvec=matvec)
     mu = eigsh(inverse, k=1, which="LA", v0=rw, tol=0, return_eigenvectors=False)
     with np.errstate(all="ignore"):
         nu = float(1.0 / mu[0])

@@ -203,8 +203,15 @@ def _require_count(key: str, n: int) -> None:
         raise DomainError(f"{key} must be at least 1, got {n}")
 
 
-def _slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Least-squares slope of ln(ys) against ln(xs)."""
+def _slope(check: str, key: str, grid: Grid1D, xs: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares slope of ln(ys) against ln(xs), the measured value key of
+    check.  A y that is not a positive normal double (a norm that vanished or
+    underflowed on grid) has no logarithm to fit, so DomainError names the
+    check and the key."""
+    bad = ~((ys >= np.finfo(float).tiny) & (ys < math.inf))
+    if bad.any():
+        raise _unresolved(check, grid, f"{key} would fit the logarithm of the "
+                                       f"norm {float(ys[bad][0])!r}")
     lx, ly = np.log(xs), np.log(ys)
     lx = lx - lx.mean()
     return float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
@@ -430,8 +437,12 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
         if not np.any(fit_mask):
             raise _unresolved("generalized_hardy", grid,
                               "the amplitude fit window [1e-3, 0.05] holds no node")
-        c_fit = float(np.exp(np.mean(np.log(np.abs(u[fit_mask]))
-                                     - p * np.log(grid.nodes[fit_mask]))))
+        amp = np.abs(u[fit_mask])
+        if not np.all(amp >= np.finfo(float).tiny):
+            raise _unresolved("generalized_hardy", grid,
+                              f"slope: the Riesz image is {float(np.min(amp))!r} "
+                              f"on the amplitude fit window [1e-3, 0.05]")
+        c_fit = float(np.exp(np.mean(np.log(amp) - p * np.log(grid.nodes[fit_mask]))))
         expo = 2.0 * p - alpha * s
         for eps in eps_list:
             win = (grid.nodes >= eps) & (grid.nodes < 2.0 * eps)
@@ -449,7 +460,7 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
         vals = np.array(vals)
         eps_used = eps_list[: len(vals)]
         rate = alpha * s / 2.0 - p - 0.5
-        slope = _slope(1.0 / eps_used, vals)
+        slope = _slope("generalized_hardy", "slope", grid, 1.0 / eps_used, vals)
         measured["slope"] = slope
         measured["analytic_rate"] = rate
         measured["slope_err"] = abs(slope - rate)
@@ -875,7 +886,7 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     norms_r = np.array([dm.commutator_with_multiplier(dec_r.operator, psi,
                                                       dm.boundary_cutoff(grid_r, r))
                         for r in r_list])
-    slope_r = _slope(r_list, norms_r)
+    slope_r = _slope("commutator_scaling", "slope_r", grid_r, r_list, norms_r)
     measured["slope_r"] = slope_r
     measured["rate_r"] = p - alpha + 0.5
     measured["slope_r_err"] = abs(slope_r - (p - alpha + 0.5))
@@ -893,7 +904,7 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     norms_R = np.array([dm.commutator_with_multiplier(op_R, u_far,
                                                       dm.radial_cutoff(grid_R, R))
                         for R in R_list])
-    slope_R = _slope(R_list, norms_R)
+    slope_R = _slope("commutator_scaling", "slope_R", grid_R, R_list, norms_R)
     measured["slope_R"] = slope_R
     measured["rate_R"] = -alpha - 0.5
     measured["rate_R_local"] = -alpha - 2.5

@@ -224,7 +224,17 @@ def test_config_edge_value_sweep(capsys, tmp_path, section):
     ("[schur_prop]\nr_values = 0 0.6\n", "r_values"),
     # its Gaussian majorant underflows far out, where the ratios used to be 0/0
     ("[pointwise_bounds]\nt = 0.01\n", None),
-], ids=["schur-r0.5", "schur-r0.6", "pointwise-t0.01"])
+    # the alpha = 2 bands scaled by the mass overflow
+    ("[generalized_hardy]\nalpha = 2\nlam = 1e300\ns = 1.6\n", "not finite in double precision"),
+    ("[reversed_hardy]\nalpha = 2\nlam = 1e300\ns = 1.3\n", "not finite in double precision"),
+    # the test function vanishes where a slope is fitted to its norms
+    ("[generalized_hardy]\nalpha = 2\nlam = 1e6\ns = 1.6\n", "generalized_hardy: slope"),
+    ("[commutator_scaling]\nalpha = 1.5\nlam = 1e6\nN = 400\n", "commutator_scaling: slope_r"),
+    ("[commutator_scaling]\nalpha = 1.5\nlam = 0\nX_R = 1e6\nN = 400\n",
+     "commutator_scaling: slope_R"),
+], ids=["schur-r0.5", "schur-r0.6", "pointwise-t0.01", "generalized-hardy-a2-lam1e300",
+        "reversed-hardy-a2-lam1e300", "generalized-hardy-a2-lam1e6", "commutator-lam1e6",
+        "commutator-X_R1e6"])
 def test_config_window_edges(capsys, tmp_path, section, key):
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(section)

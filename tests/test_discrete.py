@@ -114,12 +114,14 @@ class TestAssembly:
                 dense = banded(*_local_bands(unit))
             assert np.array_equal(base, dense)
 
-    @pytest.mark.parametrize("N", [16, 300])
+    @pytest.mark.parametrize("N", [16, 300, 1000])
     @pytest.mark.parametrize("g", [1.0, 2.0, 6.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_row_blocks_match_oneshot_form(self, monkeypatch, alpha, g, N):
         # one block, blocks of one row, and blocks of 4 rows, which divide
-        # neither n = 15 nor n = 299: every seam gives the same bits
+        # none of n = 15, 299, 999: every seam gives the same bits.  At
+        # N = 1000 each block leaves columns right of its exact-formula
+        # window, which take the Taylor value without the per-pair far test
         grid = build_grid(10.0, N, g)
         ref = oneshot_fullline_form(alpha, grid)
         for block_bytes in (discrete._BLOCK_BYTES, 8 * N, 4 * 8 * N):
