@@ -8,8 +8,9 @@ extension by zero.  The regional form on (0, X) is the whole-line form of the
 zero-extended hats minus the exterior potential
 (A/alpha)(x^{-alpha} + (X - x)^{-alpha}), which is tridiagonal on hats; the
 killing potential from (X, infinity) is then added back, lumped onto the
-diagonal as its nodal value times the midpoint weight.  Every stiffness is
-thus a dense part (zero at alpha = 2) plus three bands.
+diagonal as its nodal value times the midpoint weight.  Every stiffness below
+alpha = 2 is thus a dense part plus three bands; at alpha = 2 it is the three
+bands alone, and it is stored as them (see DiscreteOperator).
 
 The whole-line form is assembled in closed form: with hat basis functions the
 double integral reduces, via two integrations by parts, to cell-pair
@@ -29,15 +30,18 @@ X enters only as the scalars DiscreteOperator documents: dilate moves a
 decomposition to another X without touching an array, and the Hardy quotient
 does not depend on X.
 
-The whole-line form is written into one preallocated n x n array (N <=
-DENSE_SOLVER_CAP) a block of rows at a time, from the columns at or right of
-the diagonal, each block's transpose filling the mirror entries: assembly
-needs the output plus a few blocks of about _BLOCK_BYTES.  The bands and the
-Hardy potential are added in place, so each operator owns the only copy of
-its stiffness.  Spectra come from MRRR on the bands at alpha = 2 and dense
-eigh below; the Hardy minimum from bisection on the bands at alpha = 2 (any
-N) and below from a Cholesky factor U, with Lanczos on the inverse applied as
-two triangular solves, U^T y = x and U z = y.
+Below alpha = 2 the whole-line form is written into one preallocated n x n
+array (N <= DENSE_SOLVER_CAP) a block of rows at a time, from the columns at
+or right of the diagonal, each block's transpose filling the mirror entries:
+assembly needs the output plus a few blocks of about _BLOCK_BYTES.  The bands
+and the Hardy potential are added in place, so each operator owns the only
+copy of its stiffness.  At alpha = 2 the stiffness is a (2, n) band array of
+O(N) memory, at any N.  DiscreteOperator.matvec is the one product with
+either layout.  Spectra come from MRRR on the bands at alpha = 2 and dense
+eigh below, both capped at DENSE_SOLVER_CAP since the eigenvectors are dense;
+the Hardy minimum from bisection on the bands at alpha = 2 (any N) and below
+from a Cholesky factor U, with Lanczos on the inverse applied as two
+triangular solves, U^T y = x and U z = y.
 """
 
 from __future__ import annotations
@@ -98,9 +102,16 @@ def _form_at(alpha: float, grid: Grid1D) -> str:
             f"g={grid.grading}")
 
 
-def _require_finite(alpha: float, grid: Grid1D, *arrays: np.ndarray) -> None:
+def _require_finite(alpha: float, lam: float, grid: Grid1D, *arrays: np.ndarray) -> None:
     if not all(np.isfinite(x).all() for x in arrays):
-        raise DomainError(f"{_form_at(alpha, grid)} is not finite in double precision")
+        raise DomainError(f"{_form_at(alpha, grid)} with lambda={lam!r} is not finite "
+                          f"in double precision")
+
+
+def _require_dense_size(grid: Grid1D) -> None:
+    """Checked wherever an n x n array is made, before any work."""
+    if grid.N > DENSE_SOLVER_CAP:
+        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
 
 
 def _antider(r: np.ndarray, alpha: float, n: int) -> np.ndarray:
@@ -205,6 +216,7 @@ def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
     """
     n = grid.N - 1
     K = np.empty((n, n))
+    A = normalization_A(1, alpha)
     rows = max(1, _BLOCK_BYTES // (8 * grid.N))
     with np.errstate(all="ignore"):
         for a in range(0, n, rows):
@@ -213,8 +225,8 @@ def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
             blk = K[a:b, a:]
             np.add(P[:-1, :-1], P[1:, 1:], out=blk)
             blk -= P[1:, :-1] + P[:-1, 1:]
+            blk *= A
             K[b:, a:b] = blk[:, b - a:].T
-    K *= normalization_A(1, alpha)
     return K
 
 
@@ -269,39 +281,62 @@ class DiscreteOperator:
     alpha: float
     lam: float
     grid: Grid1D
-    stiffness: np.ndarray  # (N-1, N-1), includes the lambda-potential
+    # K, with the lambda-potential: dense (n, n) below alpha = 2; at alpha = 2
+    # the (2, n) upper band array in LAPACK ab layout, row 0 the off-diagonal
+    # after one padding entry, row 1 the diagonal.  Multiply by it with matvec
+    stiffness: np.ndarray
     hardy: np.ndarray      # diagonal of the Hardy weight, weights * x^{-alpha}
     mass: np.ndarray       # lumped mass diagonal (= unit-grid weights)
 
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """K u at unit scale, for u of shape (n,) or (n, k)."""
+        if self.alpha != 2.0:
+            return self.stiffness @ u
+        diag, off = _bands(self.stiffness)
+        if u.ndim == 2:
+            diag, off = diag[:, None], off[:, None]
+        v = diag * u
+        v[:-1] += off * u[1:]
+        v[1:] += off * u[:-1]
+        return v
+
     def form(self, u: np.ndarray) -> float:
-        return _power(self, 1.0 - self.alpha) * float(u @ (self.stiffness @ u))
+        return _power(self, 1.0 - self.alpha) * float(u @ self.matvec(u))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Operator action in the mass inner product: M^{-1} K u."""
-        return _power(self, -self.alpha) * ((self.stiffness @ u) / self.mass)
+        return _power(self, -self.alpha) * (self.matvec(u) / self.mass)
+
+
+def _bands(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal views of an alpha = 2 band stiffness."""
+    return K[1], K[0, 1:]
 
 
 def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
     """Assemble the discrete quadratic form for coupling lam.
 
     lam must be finite; below the sharp constant it is allowed (indefinite
-    forms are useful optimality probes).  The stiffness is dense, so
-    N > DENSE_SOLVER_CAP is rejected before any work.  It is a dense part
-    plus three bands plus lam times the Hardy potential diagonal, built in
-    one fresh array at unit scale; a form that is not finite raises DomainError.
+    forms are useful optimality probes).  The stiffness is built in one fresh
+    array at unit scale: at alpha = 2 the (2, n) bands of the P1 form plus lam
+    times the Hardy potential on the diagonal, at any N; below 2 a dense part
+    plus three bands plus that diagonal, so N > DENSE_SOLVER_CAP is rejected
+    before any work.  A form that is not finite raises DomainError.
     """
     _check_alpha(alpha, include_two=True)
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam!r}")
-    if grid.N > DENSE_SOLVER_CAP:
-        raise DomainError(f"dense solver capped at N={DENSE_SOLVER_CAP}, got N={grid.N}")
+    if alpha != 2.0:
+        _require_dense_size(grid)
     unit = build_grid(1.0, grid.N, grid.grading)
-    n, i = len(unit.nodes), np.arange(len(unit.nodes) - 1)
+    n = len(unit.nodes)
     with np.errstate(all="ignore"):
         hardy = unit.weights * unit.nodes ** (-alpha)
         if alpha == 2.0:
-            K = np.zeros((n, n))
             diag, off = _local_bands(unit)
+            K = np.zeros((2, n))
+            K[0, 1:] = off
+            np.add(diag, lam * hardy, out=K[1])
         else:
             K = _nonlocal_stiffness(alpha, unit)
             A = normalization_A(1, alpha)
@@ -309,12 +344,13 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
             # exterior killing from (X, inf): A(1,-a)/a * (X - x)^{-a}, lumped
             kill = A / alpha * (unit.X - unit.nodes) ** (-alpha)
             diag, off = A * diag + unit.weights * kill, A * off
-        K[np.diag_indices(n)] += diag
-        K[i, i + 1] += off
-        K[i + 1, i] += off
-        K[np.diag_indices(n)] += lam * hardy
+            i = np.arange(n - 1)
+            K[np.diag_indices(n)] += diag
+            K[i, i + 1] += off
+            K[i + 1, i] += off
+            K[np.diag_indices(n)] += lam * hardy
     # a non-finite hardy entry shows in K too, as inf or as 0 * inf = nan
-    _require_finite(alpha, grid, K)
+    _require_finite(alpha, lam, grid, K)
     return DiscreteOperator(alpha=alpha, lam=lam, grid=grid, stiffness=K,
                             hardy=hardy, mass=unit.weights)
 
@@ -346,7 +382,7 @@ class SpectralDecomposition:
 
     def residual(self) -> float:
         """max_k |K v_k - mu_k M v_k| / |K v_k| over the spectrum (X-free)."""
-        KV = self.operator.stiffness @ self.eigenvectors
+        KV = self.operator.matvec(self.eigenvectors)
         MV = self.operator.mass[:, None] * self.eigenvectors * self.unit_eigenvalues
         num = np.linalg.norm(KV - MV, axis=0)
         den = np.linalg.norm(KV, axis=0)
@@ -363,19 +399,21 @@ def _scaled_bands(diag: np.ndarray, off: np.ndarray,
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Generalized symmetric eigendecomposition against the lumped mass.
 
-    Solved on the unit-scale arrays.  At alpha = 2 the stiffness is
-    tridiagonal and its bands, scaled by M^{-1/2} on both sides, go to the
-    tridiagonal MRRR solver (LAPACK stemr), which keeps the lowest modes'
-    residuals at the level of dense eigh; for alpha < 2 the scaled matrix goes
-    to dense eigh.  Scaled bands that are not finite, or a spectrum that
-    leaves the normal double range at the operator's X, raise DomainError.
+    Solved on the unit-scale arrays.  At alpha = 2 the stiffness is stored as
+    its bands, which, scaled by M^{-1/2} on both sides, go to the tridiagonal
+    MRRR solver (LAPACK stemr); it keeps the lowest modes' residuals at the
+    level of dense eigh.  For alpha < 2 the scaled matrix goes to dense eigh.
+    The eigenvectors are dense at every alpha, so N > DENSE_SOLVER_CAP is
+    rejected before any work.  Scaled bands that are not finite, or a spectrum
+    that leaves the normal double range at the operator's X, raise DomainError.
     """
+    _require_dense_size(op.grid)
     rw = np.sqrt(op.mass)
     K = op.stiffness
     if op.alpha == 2.0:
         with np.errstate(all="ignore"):
-            bands = _scaled_bands(np.diagonal(K), np.diagonal(K, 1), rw)
-        _require_finite(op.alpha, op.grid, *bands)
+            bands = _scaled_bands(*_bands(K), rw)
+        _require_finite(op.alpha, op.lam, op.grid, *bands)
         vals, Y = eigh_tridiagonal(*bands, lapack_driver="stemr")
     else:
         vals, Y = eigh(K / rw[:, None] / rw[None, :])
@@ -430,29 +468,28 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
 
     Converges to |lambda_star(alpha)| as the grid resolves the boundary.
     Form and weight scale alike, so grid.X only names the form in errors.  At
-    alpha = 2 the P1 bands, scaled by the Hardy weight, go straight to
-    bisection (LAPACK stebz): no matrix is formed, so any N runs.  The tiny
-    tol leaves bisection to its relative stopping rule; the default absolute
-    one, eps * ||T||_1, grows as N^2.  For alpha < 2 the minimum is 1/mu for
-    the largest eigenvalue mu of H^{1/2} K^{-1} H^{1/2}: K (capped at
-    DENSE_SOLVER_CAP) is Cholesky-factored in place as U^T U, and Lanczos
-    (ARPACK) runs on the inverse from the start vector H^{1/2}, each step two
-    triangular solves with U (BLAS trsv; LAPACK's potrs, behind cho_solve,
-    takes twice as long on one vector).  Neither the factorization nor the
-    solves re-scan the form, which assemble_form has checked finite.  A
-    minimum that is not finite, or a form that is not positive definite (a
-    failed assembly, since the lambda = 0 form is positive), raises
-    DomainError.
+    alpha = 2 the bands of assemble_form(2, 0, grid), scaled by the Hardy
+    weight, go straight to bisection (LAPACK stebz): no n x n array is formed,
+    so any N runs.  The tiny tol leaves bisection to its relative stopping
+    rule; the default absolute one, eps * ||T||_1, grows as N^2.  For
+    alpha < 2 the minimum is 1/mu for the largest eigenvalue mu of
+    H^{1/2} K^{-1} H^{1/2}: K (capped at DENSE_SOLVER_CAP) is
+    Cholesky-factored in place as U^T U, and Lanczos (ARPACK) runs on the
+    inverse from the start vector H^{1/2}, each step two triangular solves
+    with U (BLAS trsv; LAPACK's potrs, behind cho_solve, takes twice as long
+    on one vector).  Neither the factorization nor the solves re-scan the
+    form, which assemble_form has checked finite.  A minimum that is not
+    finite, or a form that is not positive definite (a failed assembly, since
+    the lambda = 0 form is positive), raises DomainError.
     """
+    op = assemble_form(alpha, 0.0, grid)
     if alpha == 2.0:
-        unit = build_grid(1.0, grid.N, grid.grading)
         with np.errstate(all="ignore"):
-            rw = np.sqrt(unit.weights * unit.nodes ** (-alpha))
-            bands = _scaled_bands(*_local_bands(unit), rw)
-        _require_finite(alpha, grid, rw, *bands)
+            rw = np.sqrt(op.hardy)
+            bands = _scaled_bands(*_bands(op.stiffness), rw)
+        _require_finite(alpha, 0.0, grid, rw, *bands)
         return float(eigh_tridiagonal(*bands, eigvals_only=True, select="i",
                                       select_range=(0, 0), tol=np.finfo(float).tiny)[0])
-    op = assemble_form(alpha, 0.0, grid)
     # the stiffness is symmetric, so its transpose is a Fortran-ordered view
     # that LAPACK factors without a copy
     try:
@@ -484,8 +521,7 @@ def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,
     Diagonal potential terms commute with multiplication operators, so the
     full stiffness stands in for the pure nonlocal part.
     """
-    K = op.stiffness
-    v = K @ (m * u) - m * (K @ u)
+    v = op.matvec(m * u) - m * op.matvec(u)
     return _power(op, 0.5 - op.alpha) * math.sqrt(np.sum(v * v / op.mass))
 
 

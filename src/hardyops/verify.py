@@ -152,9 +152,16 @@ def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
     so the cache holds one per (alpha, lam, N, g), and each call rebinds it to
     grid with discrete.dilate, which copies no array.  A plain public
     function around the cache: the benchmark tracer (bench/tracer.py) times
-    it and counts a miss for each eigendecompose it reaches.
+    it and counts a miss for each eigendecompose it reaches.  A failed
+    decomposition is not cached; it is repeated on grid itself, so that its
+    DomainError names the caller's X, not the unit grid's.
     """
-    return dm.dilate(_decompose(alpha, lam, grid.N, grid.grading), grid)
+    try:
+        dec = _decompose(alpha, lam, grid.N, grid.grading)
+    except DomainError:
+        eigendecompose(assemble_form(alpha, lam, grid))
+        raise
+    return dm.dilate(dec, grid)
 
 
 def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float:

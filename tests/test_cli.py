@@ -246,6 +246,21 @@ def test_config_window_edges(capsys, tmp_path, section, key):
         assert rc == 2 and err.startswith("parameter error: ") and key in err and out == ""
 
 
+@pytest.mark.parametrize("section", [
+    "[generalized_hardy]\nalpha = 2\nlam = 1e300\ns = 1.6\ngrid_cfg = 7 2000 2\n",
+    "[reversed_hardy]\nalpha = 2\nlam = 1e300\ns = 1.3\ngrid_cfg = 7 2000 2\n",
+], ids=["generalized-hardy", "reversed-hardy"])
+def test_non_finite_form_names_the_callers_inputs(capsys, tmp_path, section):
+    # the form is assembled on the unit grid, but the message names the
+    # check's own grid and lambda, the input at fault
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(section)
+    rc, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert ("the discrete form at alpha=2.0, X=7.0, N=2000, g=2.0 with lambda=1e+300 "
+            "is not finite in double precision") in err
+
+
 class TestDiscretize:
     def test_spectrum_table(self, capsys, tmp_path):
         path = tmp_path / "spec.csv"
@@ -293,6 +308,13 @@ class TestDiscretize:
         vals = [r[1] for r in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.25
+
+    def test_alpha2_spectrum_past_dense_cap_is_parameter_error(self, capsys):
+        # the alpha = 2 form is banded at any N, but its eigenvectors are dense
+        rc, out, err = run(capsys, "discretize", "--alpha", "2", "--N", "4001",
+                           "--spectrum")
+        assert rc == 2 and out == ""
+        assert err.startswith("parameter error: ") and "dense solver capped" in err
 
     def test_hardy_min_ignores_X(self, capsys):
         # the quotient is dilation-invariant and computed at X = 1, so an X

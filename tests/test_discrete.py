@@ -47,6 +47,15 @@ def banded(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def dense_stiffness(op):
+    """op.stiffness as an n x n matrix: at alpha = 2 it is stored as its
+    (2, n) upper bands, row 0 the off-diagonal after one pad, row 1 the
+    diagonal."""
+    if op.alpha != 2.0:
+        return op.stiffness
+    return banded(op.stiffness[1], op.stiffness[0, 1:])
+
+
 def oneshot_fullline_form(alpha, grid):
     """The whole-line form from full (N+1)^2 cell-pair arrays, in the same
     elementwise operations as the row blocks of _nonlocal_stiffness."""
@@ -86,7 +95,7 @@ def form_at_X(alpha, lam, grid):
 class TestAssembly:
     def test_classical_tridiagonal(self):
         g = build_grid(1.0, 16, 1.0)
-        K = assemble_form(2.0, 0.0, g).stiffness
+        K = dense_stiffness(assemble_form(2.0, 0.0, g))
         h = 1.0 / 16.0
         assert K[3, 3] == pytest.approx(2.0 / h, rel=1e-14)
         assert K[3, 4] == pytest.approx(-1.0 / h, rel=1e-14)
@@ -97,11 +106,11 @@ class TestAssembly:
         unit = build_grid(1.0, 60, 2.0)  # every form is assembled on it
         for alpha in (0.5, 1.0, 1.5, 2.0):
             op = assemble_form(alpha, 0.3, grid)
-            K = op.stiffness
+            K = dense_stiffness(op)
             # eigendecompose hands LAPACK one triangle, so K must be exactly symmetric
             assert np.array_equal(K, K.T)
             # diagonal terms are added in place: same entries as the dense sums
-            base = assemble_form(alpha, 0.0, grid).stiffness
+            base = dense_stiffness(assemble_form(alpha, 0.0, grid))
             assert np.array_equal(K, base + 0.3 * np.diag(op.hardy))
             # the base is a dense part plus three bands, added in place
             if alpha < 2.0:
@@ -129,6 +138,25 @@ class TestAssembly:
             K = _nonlocal_stiffness(alpha, grid)
             assert np.array_equal(K, ref), (block_bytes, np.max(np.abs(K - ref)))
             assert np.array_equal(K, K.T)
+
+    def test_alpha2_assembles_no_dense_matrix(self):
+        # the alpha = 2 form is stored as its bands: O(N) memory, where a
+        # dense stiffness at N = 4000 takes 128 MB
+        grid = build_grid(10.0, 4000, 2.0)
+        tracemalloc.start()
+        try:
+            op = assemble_form(2.0, 1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.stiffness.shape == (2, grid.N - 1) and op.stiffness[0, 0] == 0.0
+        assert peak < 1 << 20, peak
+        # matvec is the dense product of the bands, on vectors and on columns
+        K = dense_stiffness(op)
+        U = np.random.default_rng(0).standard_normal((grid.N - 1, 3))
+        for u in (U[:, 0], U):
+            want = K @ u
+            assert np.max(np.abs(op.matvec(u) - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_assembly_memory_is_output_plus_blocks(self):
         grid = build_grid(10.0, 2000, 2.0)
@@ -176,7 +204,7 @@ class TestAssembly:
         # the alpha < 2 form tends to the alpha = 2 bands linearly in 2 - alpha;
         # a wrong constant in normalization_A leaves the gap at O(1)
         grid = build_grid(10.0, 400, 2.0)
-        K2 = assemble_form(2.0, 0.0, grid).stiffness
+        K2 = dense_stiffness(assemble_form(2.0, 0.0, grid))
         gaps = np.array([1e-2, 1e-3, 1e-4])
         errs = [np.max(np.abs(assemble_form(2.0 - g, 0.0, grid).stiffness - K2))
                 / np.max(np.abs(K2)) for g in gaps]
@@ -397,7 +425,7 @@ class TestDilation:
                 err = mass_norm(moved.operator, image(moved) - want) \
                     / mass_norm(moved.operator, want)
                 assert err <= 1e-9, (X, err)
-            K_moved = X ** (1.0 - alpha) * moved.operator.stiffness
+            K_moved = X ** (1.0 - alpha) * dense_stiffness(moved.operator)
             assert np.max(np.abs(K_moved - K)) <= 1e-8 * np.max(np.abs(K))
 
     def test_dilate_copies_no_array(self):
@@ -448,7 +476,7 @@ class TestSpectralGuarantees:
         # hand-built diagonal operator: analytic eigenpairs
         grid = build_grid(1.0, 16, 1.0)
         from hardyops.discrete import DiscreteOperator
-        K = np.diag([2.0, 6.0])
+        K = np.array([[0.0, 0.0], [2.0, 6.0]])  # the bands of diag(2, 6)
         mass = np.array([1.0, 2.0])
         op = DiscreteOperator(alpha=2.0, lam=0.0, grid=grid, stiffness=K,
                               hardy=mass.copy(), mass=mass)
@@ -551,7 +579,7 @@ class TestHardyQuotient:
         from scipy.linalg import eigh
         grid = build_grid(10.0, 700, 6.0)
         alpha = 2.0
-        K = grid.X ** (1.0 - alpha) * assemble_form(alpha, 0.0, grid).stiffness  # at X
+        K = grid.X ** (1.0 - alpha) * dense_stiffness(assemble_form(alpha, 0.0, grid))  # at X
         v = grid.vertices
         n = grid.N - 1
         H = np.zeros((n, n))
@@ -582,7 +610,7 @@ class TestTridiagonalPath:
         op = assemble_form(2.0, lam, grid)
         dec = eigendecompose(op)
         rw = np.sqrt(op.mass)
-        vals, Y = eigh(op.stiffness / rw[:, None] / rw[None, :])
+        vals, Y = eigh(dense_stiffness(op) / rw[:, None] / rw[None, :])
         ref = SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
                                     operator=op)
         assert np.max(np.abs(dec.unit_eigenvalues - vals) / np.abs(vals)) <= 1e-10
@@ -601,7 +629,7 @@ class TestTridiagonalPath:
         grid = build_grid(10.0, N, 2.0)
         op = assemble_form(2.0, 0.0, grid)
         rw = np.sqrt(op.hardy)
-        ref = eigh(op.stiffness / rw[:, None] / rw[None, :], eigvals_only=True,
+        ref = eigh(dense_stiffness(op) / rw[:, None] / rw[None, :], eigvals_only=True,
                    subset_by_index=[0, 0])[0]
         assert hardy_quotient_min(2.0, grid) == pytest.approx(ref, rel=1e-8)
 
@@ -671,7 +699,7 @@ class TestCommutator:
         op = assemble_form(2.0, 0.0, grid)
         u = singular_profile(grid, 1.0)
         m = cutoff_product(grid, 0.2, 8.0)
-        K, mass = grid.X ** (1.0 - 2.0) * op.stiffness, grid.X * op.mass  # at X
+        K, mass = grid.X ** (1.0 - 2.0) * dense_stiffness(op), grid.X * op.mass  # at X
         direct = K @ (m * u) - m * (K @ u)
         assert commutator_with_multiplier(op, u, m) == pytest.approx(
             math.sqrt(np.sum(direct ** 2 / mass)), rel=1e-13)
