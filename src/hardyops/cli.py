@@ -115,31 +115,30 @@ def cmd_kernel(args) -> int:
     xs = _floats("--x", args.x)
     ys = _floats("--y", args.y)
     ts = _floats("--t", args.t)
+    # column order contract: (t_or_s, xd, yd, value), in row order
+    t, x, y = (v.ravel() for v in np.meshgrid(ts, xs, ys, indexing="ij"))
     if args.kind == "heat-exact":
         if args.alpha != 2.0:
             raise DomainError(f"--kind heat-exact is the alpha = 2 kernel; "
                               f"got --alpha {args.alpha}")
         _reject_unused("--kind heat-exact", {"--d": args.d, "--c-exp": args.c_exp})
-        def value(t, x, y):
-            return heat_exact_halfline(lam, t, x, y)
+        values = heat_exact_halfline(lam, t, x, y)
     else:
         params = make_coupling(1 if args.d is None else args.d, args.alpha, lam)
         if args.kind == "riesz-envelope":
             _reject_unused("--kind riesz-envelope", {"--c-exp": args.c_exp})
-            def value(s, x, y):
-                return riesz_envelope(params, s, pt(x), pt(y))
+            values = riesz_envelope(params, t, pt(x), pt(y))
         else:
             envelope = heat_envelope if args.kind == "heat-envelope" else diff_envelope
             c_exp = 0.25 if args.c_exp is None else args.c_exp
-            def value(t, x, y):
-                return envelope(params, t, pt(x), pt(y), c_exp)
-    # column order contract: (t_or_s, xd, yd, value)
-    rows = [[t, x, y, value(t, x, y)] for t in ts for x in xs for y in ys]
-    for t, x, y, v in rows:
-        # the Riesz envelope's singular diagonal is the one exact infinity
-        if not (math.isfinite(v) or (args.kind == "riesz-envelope" and x == y)):
-            raise DomainError(f"--kind {args.kind} is {v!r} at t_or_s={t!r}, xd={x!r}, "
-                              f"yd={y!r}: not finite in double precision")
+            values = envelope(params, t, pt(x), pt(y), c_exp)
+    # the Riesz envelope's singular diagonal is the one exact infinity
+    bad = ~np.isfinite(values) & ((x != y) | (args.kind != "riesz-envelope"))
+    rows = np.column_stack((t, x, y, values)).tolist()
+    if np.any(bad):
+        t, x, y, v = rows[int(np.argmax(bad))]  # the first such cell in row order
+        raise DomainError(f"--kind {args.kind} is {v!r} at t_or_s={t!r}, xd={x!r}, "
+                          f"yd={y!r}: not finite in double precision")
     _emit(args, ["t_or_s", "xd", "yd", "value"], rows)
     return 0
 

@@ -6,9 +6,11 @@ variables; everything else is handled through two-sided envelope formulas
 whose implied constants are deliberately NOT baked in (all comparisons
 downstream fit and report constants instead).  The envelopes take the
 operator's CouplingParams and sum their powers as logarithms, so that no
-ratio such as t^{1/alpha} or x_d/|x-y| overflows.  The layer evaluates formulas
-and integrates nothing.  The exact heat kernel is evaluated in exponentially
-scaled form so that large rs/t never overflows.
+ratio such as t^{1/alpha} or x_d/|x-y| overflows.  dist, the envelopes and
+the exact heat kernels take times and point coordinates that are floats or
+broadcasting arrays, with one formula for both; a float call returns a float.
+The layer evaluates formulas and integrates nothing.  The exact heat kernel
+is evaluated in exponentially scaled form so that large rs/t never overflows.
 """
 
 from __future__ import annotations
@@ -27,45 +29,51 @@ from hardyops.specfun import DomainError
 
 @dataclass(frozen=True)
 class HalfSpacePoint:
-    """Point (x', x_d) with x_d > 0; x' empty in dimension one."""
+    """Point (x', x_d) with x_d > 0, x' empty in dimension one; float or array coordinates."""
 
-    xd: float
-    xprime: tuple[float, ...] = ()
+    xd: float | np.ndarray
+    xprime: tuple = ()
 
     def __post_init__(self):
-        if not self.xd > 0.0:
-            raise DomainError(f"xd must be positive, got {self.xd!r}")
+        _require(self.xd > 0.0, self.xd, "xd must be positive")
 
 
-def pt(xd: float, *xprime: float) -> HalfSpacePoint:
-    return HalfSpacePoint(xd=float(xd), xprime=tuple(float(c) for c in xprime))
+def pt(xd, *xprime) -> HalfSpacePoint:
+    c = [float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float) for v in (xd, *xprime)]
+    return HalfSpacePoint(xd=c[0], xprime=tuple(c[1:]))
 
 
-def dist(x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+def _require(ok, values, what: str) -> None:
+    """DomainError naming the first of the broadcast values where ok fails."""
+    if np.count_nonzero(np.logical_not(ok)):
+        first = np.broadcast_to(values, np.shape(ok))[np.logical_not(ok)].flat[0]
+        raise DomainError(f"{what}, got {float(first)!r}")
+
+
+def _out(v):
+    """A float for a scalar result, the array otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def dist(x: HalfSpacePoint, y: HalfSpacePoint) -> float | np.ndarray:
     if len(x.xprime) != len(y.xprime):
         raise DomainError("points live in different dimensions")
     # hypot, not the root of a sum of squares: the squares of gaps below
     # 1e-154 underflow to 0 and those above 1e154 overflow to inf
-    return math.hypot(*(a - b for a, b in zip(x.xprime, y.xprime)), x.xd - y.xd)
+    with np.errstate(all="ignore"):
+        r = np.abs(np.subtract(x.xd, y.xd))
+        for a, b in zip(x.xprime, y.xprime):
+            r = np.hypot(r, np.subtract(a, b))
+    return _out(r)
 
 
-def _check_time_and_c_exp(t: float, c_exp: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t!r}")
-    if not 0.0 < c_exp < math.inf:
-        raise DomainError(f"c_exp must be positive and finite, got {c_exp!r}")
+def _check_time_and_c_exp(t: float | np.ndarray, c_exp: float) -> None:
+    _require((0.0 < t) & (t < math.inf), t, "t must be positive and finite")
+    _require(0.0 < c_exp < math.inf, c_exp, "c_exp must be positive and finite")
 
 
-def _exp(v: float) -> float:
-    """e^v, inf where it leaves the double range (math.exp raises there)."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def heat_envelope(params: CouplingParams, t: float, x: HalfSpacePoint,
-                  y: HalfSpacePoint, c_exp: float = 0.25) -> float:
+def heat_envelope(params: CouplingParams, t: float | np.ndarray, x: HalfSpacePoint,
+                  y: HalfSpacePoint, c_exp: float = 0.25) -> float | np.ndarray:
     """Boundary-decay factors times the free bulk kernel shape.
 
     alpha < 2: (1 ^ x_d/t^{1/a})^p (1 ^ y_d/t^{1/a})^p t^{-d/a}
@@ -74,23 +82,24 @@ def heat_envelope(params: CouplingParams, t: float, x: HalfSpacePoint,
                with free constant c = c_exp.
     """
     _check_time_and_c_exp(t, c_exp)
-    return _exp(_log_envelope(params.alpha, params.d, params.p, c_exp, t, x, y))
+    with np.errstate(all="ignore"):
+        return _out(np.exp(_log_envelope(params.alpha, params.d, params.p, c_exp, t, x, y)))
 
 
-def _log_envelope(a: float, d: int, p: float, c_exp: float, t: float,
-                  x: HalfSpacePoint, y: HalfSpacePoint) -> float:
+def _log_envelope(a: float, d: int, p: float, c_exp: float, t: float | np.ndarray,
+                  x: HalfSpacePoint, y: HalfSpacePoint) -> float | np.ndarray:
     """Logarithm of heat_envelope's shape from plain parameters, unchecked;
     t^{1/a} leaves the double range at a = 0.01 already for t = 1e4 or 1e-4."""
-    lt = math.log(t)
-    lta = lt / a
-    lv = p * (min(0.0, math.log(x.xd) - lta) + min(0.0, math.log(y.xd) - lta))
-    r = dist(x, y)
-    if a == 2.0:
-        return lv - 0.5 * d * lt - c_exp * r * r / t
-    if r > 0.0 and lta < math.log(r):
-        # t^{-d/a} (t^{1/a}/r)^{d+a} = t r^{-d-a}
-        return lv + lt - (d + a) * math.log(r)
-    return lv - d * lta
+    with np.errstate(all="ignore"):
+        lt = np.log(t)
+        lta = lt / a
+        lv = p * (np.minimum(0.0, np.log(x.xd) - lta) + np.minimum(0.0, np.log(y.xd) - lta))
+        r = dist(x, y)
+        if a == 2.0:
+            return _out(lv - 0.5 * d * lt - c_exp * r * r / t)
+        lr = np.log(r)
+        # t^{-d/a} (t^{1/a}/r)^{d+a} = t r^{-d-a} where t^{1/a} < r; never at r = 0
+        return _out(lv + np.where(lta < lr, lt - (d + a) * lr, -d * lta))
 
 
 def heat_exact_halfline(lam: float, t, r, s):
@@ -103,8 +112,7 @@ def heat_exact_halfline(lam: float, t, r, s):
     """
     if not lam >= -0.25 - 1e-12:
         raise DomainError(f"lambda must be >= -1/4, got {lam!r}")
-    # floats stay floats and arrays arrays: the same arithmetic serves both,
-    # and float calls skip the cost of converting to arrays
+    # floats stay floats: float calls skip the cost of converting to arrays
     if np.count_nonzero(np.logical_not((t > 0.0) & (r > 0.0) & (s > 0.0))):
         raise DomainError("t, r, s must be positive")
     mu = math.sqrt(max(lam + 0.25, 0.0))
@@ -134,25 +142,25 @@ def heat_images_halfline(t: float, r: float, s: float) -> float:
         / math.sqrt(4.0 * math.pi * t)
 
 
-def heat_exact_halfspace(d: int, lam: float, t: float, x: HalfSpacePoint,
-                         y: HalfSpacePoint) -> float:
+def heat_exact_halfspace(d: int, lam: float, t: float | np.ndarray, x: HalfSpacePoint,
+                         y: HalfSpacePoint) -> float | np.ndarray:
     """Separated form: free Gaussian transverse factor times the half-line kernel."""
     if d < 1 or len(x.xprime) != d - 1 or len(y.xprime) != d - 1:
         raise DomainError("point dimension does not match d")
     k = heat_exact_halfline(lam, t, x.xd, y.xd)
-    # products and a logarithm, not ** 2 and a power: past the double range
-    # they give inf and 0, not OverflowError
-    gap2 = sum((a - b) * (a - b) for a, b in zip(x.xprime, y.xprime))
-    log_trans = -0.5 * (d - 1) * math.log(4.0 * math.pi * t) - gap2 / (4.0 * t)
-    return _exp(log_trans) * k
+    # one exponential of summed logarithms, so that no factor leaves the double range
+    with np.errstate(all="ignore"):
+        gap2 = sum(np.square(np.subtract(a, b)) for a, b in zip(x.xprime, y.xprime))
+        log_trans = -0.5 * (d - 1) * np.log(4.0 * math.pi * t) - gap2 / (4.0 * t)
+        return _out(np.exp(log_trans) * k)
 
 
 def riesz_s_max(alpha: float, d: int, p: float) -> float:
     return min(2.0 * d / alpha, 2.0 * (d + 2.0 * p) / alpha)
 
 
-def riesz_envelope(params: CouplingParams, s: float, x: HalfSpacePoint,
-                   y: HalfSpacePoint) -> float:
+def riesz_envelope(params: CouplingParams, s: float | np.ndarray, x: HalfSpacePoint,
+                   y: HalfSpacePoint) -> float | np.ndarray:
     """Envelope shape for the kernel of the inverse power L^{-s/2}.
 
     Near regime (|x-y| <= x_d v y_d): |x-y|^{as/2-d} (1 ^ (x_d^y_d)/|x-y|)^p.
@@ -161,28 +169,25 @@ def riesz_envelope(params: CouplingParams, s: float, x: HalfSpacePoint,
     compares with (a/2)(1+s/2)); plain product form for alpha = 2.
     """
     a, d, p = params.alpha, params.d, params.p
-    if not (0.0 < s < riesz_s_max(a, d, p)):
-        raise DomainError(f"s must lie in (0, {riesz_s_max(a, d, p)}), got {s!r}")
-    r = dist(x, y)
-    if r == 0.0:
-        return math.inf
-    if r == math.inf:
-        return 0.0  # the net power of r is negative in the s-window
-    m = max(x.xd, y.xd)
-    n = min(x.xd, y.xd)
-    lr = math.log(r)
-    lv = (0.5 * a * s - d) * lr
-    if r <= m:
-        return _exp(lv + p * min(0.0, math.log(n) - lr))
-    lv += p * (math.log(x.xd) + math.log(y.xd) - 2.0 * lr)
-    if a == 2.0:
-        return _exp(lv)
-    thr = 0.5 * a * (1.0 + 0.5 * s)
-    if abs(p - thr) <= 1e-12:
-        return _exp(lv) * (lr - math.log(m))
-    if p < thr:
-        return _exp(lv)
-    return _exp(lv + (2.0 * p - a * (1.0 + 0.5 * s)) * (lr - math.log(m)))
+    s_max = riesz_s_max(a, d, p)
+    _require((0.0 < s) & (s < s_max), s, f"s must lie in (0, {s_max})")
+    with np.errstate(all="ignore"):
+        r = dist(x, y)
+        m = np.maximum(x.xd, y.xd)
+        lr = np.log(r)
+        lv = (0.5 * a * s - d) * lr
+        near = lv + p * np.minimum(0.0, np.log(np.minimum(x.xd, y.xd)) - lr)
+        far = lv + p * (np.log(x.xd) + np.log(y.xd) - 2.0 * lr)
+        if a == 2.0:
+            far = np.exp(far)
+        else:
+            lm = lr - np.log(m)
+            thr = 0.5 * a * (1.0 + 0.5 * s)
+            far = np.where(np.abs(p - thr) <= 1e-12, np.exp(far) * lm,
+                           np.exp(np.where(p < thr, far, far + 2.0 * (p - thr) * lm)))
+        # the net power of r is negative in the s-window, so r = inf gives 0
+        return _out(np.where(r == 0.0, math.inf, np.where(
+            r == math.inf, 0.0, np.where(r <= m, np.exp(near), far))))
 
 
 def master_time_integral(alpha: float, d: int, p: float, s: float,
@@ -244,8 +249,8 @@ def master_regime_estimate(alpha: float, d: int, p: float, s: float,
     return val
 
 
-def diff_envelope_parts(params: CouplingParams, t: float, x: HalfSpacePoint,
-                        y: HalfSpacePoint, c_exp: float = 0.25) -> tuple[float, float]:
+def diff_envelope_parts(params: CouplingParams, t: float | np.ndarray, x: HalfSpacePoint,
+                        y: HalfSpacePoint, c_exp: float = 0.25) -> tuple:
     """The two difference-kernel majorant pieces (boundary part, bulk part).
 
     The first is the heat envelope's shape at exponent q = min(p, (a-1)_+)
@@ -255,27 +260,23 @@ def diff_envelope_parts(params: CouplingParams, t: float, x: HalfSpacePoint,
     """
     _check_time_and_c_exp(t, c_exp)
     alpha, d = params.alpha, params.d
-    # the region tests use t^{1/a} itself (inf past the double range) to split ties
-    try:
-        ta = t ** (1.0 / alpha)
-    except OverflowError:
-        ta = math.inf
-    r = dist(x, y)
-    m = max(x.xd, y.xd)
-    n = min(x.xd, y.xd)
-    J = 0.0
-    if m <= ta or r >= 0.5 * n:
-        J = _exp(_log_envelope(alpha, d, params.q, c_exp, t, x, y))
-    M = 0.0
-    if m >= ta and r <= 0.5 * n:
-        M = _exp(math.log(t) - alpha * math.log(m)
-                 + _log_envelope(alpha, d, 0.0, c_exp, t, x, y))
-    return J, M
+    with np.errstate(all="ignore"):
+        # the region tests use t^{1/a} itself (inf past the double range) to split ties
+        ta = np.power(t, 1.0 / alpha)
+        r = dist(x, y)
+        m = np.maximum(x.xd, y.xd)
+        half_n = 0.5 * np.minimum(x.xd, y.xd)
+        J = np.where((m <= ta) | (r >= half_n),
+                     np.exp(_log_envelope(alpha, d, params.q, c_exp, t, x, y)), 0.0)
+        M = np.where((m >= ta) & (r <= half_n),
+                     np.exp(np.log(t) - alpha * np.log(m)
+                            + _log_envelope(alpha, d, 0.0, c_exp, t, x, y)), 0.0)
+    return _out(J), _out(M)
 
 
-def diff_envelope(params: CouplingParams, t: float, x: HalfSpacePoint,
-                  y: HalfSpacePoint, c_exp: float = 0.25) -> float:
-    return sum(diff_envelope_parts(params, t, x, y, c_exp))
+def diff_envelope(params: CouplingParams, t: float | np.ndarray, x: HalfSpacePoint,
+                  y: HalfSpacePoint, c_exp: float = 0.25) -> float | np.ndarray:
+    return _out(np.add(*diff_envelope_parts(params, t, x, y, c_exp)))
 
 
 def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:

@@ -1,12 +1,15 @@
 """The benchmark's pinned outputs, held in the test suite.
 
-Every op of the ``assembly`` workload in bench/workloads.py (the criterion-6
-Hardy-minimum sweep, its verdict and ``discretize --hardy-min`` at N=4000)
-and of the ``spectral`` workload (criteria 9, 10 and 13, reversed_hardy and
-the low eigenvalues, at N=2000) must match bench/reference.json by the op's
-own comparison rules, the ones a benchmark run applies.  The one exception is
-the ``verdict`` of the two ``criterion_13.a2.*`` ops: the reference records
-'fail' there, built against the fractional rate, and awaits a re-record.
+Every op of the three workloads in bench/workloads.py must match
+bench/reference.json by the op's own comparison rules, the ones a benchmark
+run applies: ``assembly`` (the criterion-6 Hardy-minimum sweep, its verdict
+and ``discretize --hardy-min`` at N=4000), ``spectral`` (criteria 9, 10 and
+13, reversed_hardy and the low eigenvalues, at N=2000) and ``quadrature``
+(the default campaign, criteria 1, 3, 4, 5, 7, 8, 11 and 12 and the
+``hardyops kernel`` tables over every pool point, with the N=1 lemma op at
+every recorded check seed).  The one exception is the ``verdict`` of the two
+``criterion_13.a2.*`` ops: the reference records 'fail' there, built against
+the fractional rate, and awaits a re-record.
 """
 
 import importlib.util
@@ -54,4 +57,18 @@ def test_spectral_ops_match_reference(tmp_path):
             ref = {k: v for k, v in ref.items() if k != "verdict"}
         if bad := wl.compare(result, ref, op.subset):
             mismatches[op.key] = bad
+    assert mismatches == {}
+
+
+def test_quadrature_ops_match_reference():
+    wl = _load_workloads()
+    reference = _reference()
+    inputs = dict(wl.draw_inputs(1), tables=wl.full_pool_tables())
+    ops = wl.quadrature_ops(inputs)
+    # the N=1 lemma sample points of every recorded check seed
+    ops += [wl.Op(f"criterion_12.lemma_n1@{seed}",
+                  lambda seed=seed: wl.op_criterion_12_lemma(1, 150, seed))
+            for seed in wl.CHECK_SEEDS if seed != inputs["lemma_n1"]]
+    mismatches = {op.key: bad for op in ops
+                  if (bad := wl.compare(op.run(), reference.get(op.key), op.subset))}
     assert mismatches == {}

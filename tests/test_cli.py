@@ -104,7 +104,9 @@ class TestKernelTable:
     @pytest.mark.parametrize("flags, row", [
         (["--lambda", "1e300"], "t_or_s=1.0, xd=1.0, yd=1.0"),
         (["--t", "5e-324"], "t_or_s=5e-324, xd=1.0, yd=1.0"),
-    ], ids=["lambda-1e300", "t-5e-324"])
+        # the first such cell in row order: t, then x, then y
+        (["--t", "1,5e-324", "--x", "2,1,3", "--y", "1,0.5"], "t_or_s=5e-324, xd=2.0, yd=1.0"),
+    ], ids=["lambda-1e300", "t-5e-324", "first-of-a-table"])
     def test_non_finite_cell_is_parameter_error(self, capsys, flags, row):
         rc, out, err = run(capsys, "kernel", "--kind", "heat-exact", "--x", "1",
                            "--y", "1", *flags)
@@ -140,6 +142,20 @@ class TestKernelTable:
                          "--format", "json")
         assert rc == 0
         assert (strict_json(out)[0]["value"] > 0.0) is positive
+
+    @pytest.mark.parametrize("kind, binding", [
+        ("heat-exact", "heat_exact_halfline"), ("heat-envelope", "heat_envelope"),
+        ("riesz-envelope", "riesz_envelope"), ("diff-envelope", "diff_envelope")])
+    def test_one_kernel_call_per_table(self, capsys, monkeypatch, kind, binding):
+        from hardyops import cli
+        calls = []
+        kernel = getattr(cli, binding)
+        monkeypatch.setattr(cli, binding, lambda *args: calls.append(1) or kernel(*args))
+        rc, out, _ = run(capsys, "kernel", "--kind", kind, "--alpha",
+                         "2" if kind == "heat-exact" else "1.5", "--t", "0.2,0.5,0.9",
+                         "--x", "0.5,1,2,4", "--y", "0.3,3", "--format", "json")
+        assert rc == 0 and len(strict_json(out)) == 24
+        assert len(calls) == 1
 
     def test_infinite_value_is_json_null(self, capsys):
         # the Riesz envelope is infinite on the diagonal x = y
@@ -199,7 +215,13 @@ CONFIG_SWEEP_CASES = (
     + [f"[schur_prop]\n{key} = {value}\n" for key in ("alpha", "r_values", "n_x")
        for value in SWEEP_VALUES]
     + [f"[pointwise_bounds]\n{key} = {value}\n" for key in ("lam", "t")
-       for value in SWEEP_VALUES])
+       for value in SWEEP_VALUES]
+    + [f"[heat_envelope]\nn_log = 3\nlams = {value}\n" for value in SWEEP_VALUES]
+    + [f"[heat_envelope]\nn_log = {value}\n" for value in SWEEP_VALUES])
+# Configs that run and fail their verdict with finite values, documented
+# failures rather than parameter errors: the fitted heat-envelope constant
+# grows with the coupling, to k2/k1 = 7.2e42 at lam = 1e6 (README, "verify")
+CONFIG_SWEEP_FAILURES = {"[heat_envelope]\nn_log = 3\nlams = 1e6\n": "k2_over_k1_lam1e+06"}
 
 
 @pytest.mark.parametrize("section", CONFIG_SWEEP_CASES, ids=[
@@ -209,6 +231,11 @@ def test_config_edge_value_sweep(capsys, tmp_path, section):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(section)
     rc, out, err = run(capsys, "verify", "--config", str(cfg))
+    if section in CONFIG_SWEEP_FAILURES:
+        report = strict_json(out)[0]
+        value = report["measured"][CONFIG_SWEEP_FAILURES[section]]
+        assert rc == 1 and report["verdict"] == "fail" and 1e3 < value < math.inf
+        return
     assert rc in (0, 2) and "Traceback" not in err
     if rc == 2:
         assert err.startswith("parameter error: ") and out == ""
@@ -232,9 +259,11 @@ def test_config_edge_value_sweep(capsys, tmp_path, section):
     ("[commutator_scaling]\nalpha = 1.5\nlam = 1e6\nN = 400\n", "commutator_scaling: slope_r"),
     ("[commutator_scaling]\nalpha = 1.5\nlam = 0\nX_R = 1e6\nN = 400\n",
      "commutator_scaling: slope_R"),
+    # the exact kernel underflows at every sample, which left no sample to fit
+    ("[heat_envelope]\nlams = 1e300\n", "heat_envelope: at lam=1e+300 the exact kernel"),
 ], ids=["schur-r0.5", "schur-r0.6", "pointwise-t0.01", "generalized-hardy-a2-lam1e300",
         "reversed-hardy-a2-lam1e300", "generalized-hardy-a2-lam1e6", "commutator-lam1e6",
-        "commutator-X_R1e6"])
+        "commutator-X_R1e6", "heat-envelope-lam1e300"])
 def test_config_window_edges(capsys, tmp_path, section, key):
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(section)

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hardyops.coupling import coupling_C, make_coupling
-from hardyops.kernels import (DomainError, diff_envelope,
+from hardyops.kernels import (DomainError, _log_envelope, diff_envelope,
                               diff_envelope_parts, dist, heat_envelope,
                               heat_exact_halfline, heat_exact_halfspace,
                               heat_images_halfline, master_regime_estimate,
@@ -456,3 +456,87 @@ class TestRieszExact:
                         assert math.isfinite(got), (lam, s, r, rho)
                         worst = max([worst] + [abs(got / float(ref) - 1.0) for ref in refs])
         assert worst <= 1e-10
+
+
+# (d, alpha, lambda, times, x_d, y_d, transverse coordinates): every
+# combination is one sample.  lambda = -0.079 at alpha = 0.5 gives p < 0, and
+# t^{1/alpha} leaves the double range at alpha = 0.01 for t = 1e-4 and 1e4;
+# each case holds points on the diagonal, where the Riesz envelope is inf, and
+# the huge and tiny coordinates of the float tests above
+ARRAY_CASES = {
+    "p-negative": (1, 0.5, -0.079, (1e-300, 1e-4, 1.0, 1e300), (5e-324, 1.0, 1e300),
+                   (2.0, 1e-200, 1e300, 1.0), ()),
+    "t-root-out-of-range": (1, 0.01, 0.5, (1e-4, 10.0, 1e4), (1.0, 3.0), (3.0, 1e-200), ()),
+    "fractional": (1, 1.5, 1.0, (0.01, 0.5, 7.0), (0.3, 1.0, 2.0), (0.3, 0.31, 5.0), ()),
+    "half-plane": (2, 2.0, 1.0, (1e-300, 0.01, 0.5, 100.0), (1e-200, 1.0, 1e200),
+                   (2e-200, 1.0, 5e199), (0.0, 3e-200, -1e-200, 1e200)),
+    "half-plane-critical": (2, 2.0, -0.25, (0.03, 2.0), (0.1, 1.0), (1.0, 3.0), (0.0, 0.3)),
+}
+ARRAY_FUNCTIONS = {
+    "dist": lambda cp, t, x, y: dist(x, y),
+    "_log_envelope": lambda cp, t, x, y: _log_envelope(cp.alpha, cp.d, cp.p, 0.2, t, x, y),
+    "heat_envelope": lambda cp, t, x, y: heat_envelope(cp, t, x, y, 0.2),
+    "diff_envelope_parts": lambda cp, t, x, y: diff_envelope_parts(cp, t, x, y, 0.2),
+    "diff_envelope": lambda cp, t, x, y: diff_envelope(cp, t, x, y, 0.2),
+    # called at s = s_max t/(2 + 2t), inside the window for every t > 0
+    "riesz_envelope": lambda cp, s, x, y: riesz_envelope(cp, s, x, y),
+    "heat_exact_halfspace": lambda cp, t, x, y: heat_exact_halfspace(cp.d, cp.lam, t, x, y),
+}
+
+
+def _within_ulps(got, expected, ulps=4):
+    if got == expected or (math.isnan(got) and math.isnan(expected)):
+        return True
+    return abs(got - expected) <= ulps * math.ulp(expected)
+
+
+class TestArrayCalls:
+    # the exact heat kernel is the alpha = 2 kernel
+    @pytest.mark.parametrize("case, func", [
+        (case, func) for case, spec in ARRAY_CASES.items() for func in ARRAY_FUNCTIONS
+        if spec[1] == 2.0 or func != "heat_exact_halfspace"])
+    def test_array_call_equals_the_float_calls(self, case, func):
+        d, alpha, lam, times, xs, ys, gaps = ARRAY_CASES[case]
+        cp = make_coupling(d, alpha, lam)
+        axes = [times, xs, ys] + [gaps] * 2 * (d - 1)
+        t, xd, yd, *g = (v.ravel() for v in np.meshgrid(*axes, indexing="ij"))
+        if func == "riesz_envelope":
+            t = 0.5 * riesz_s_max(alpha, d, cp.p) * t / (1.0 + t)
+        fn = ARRAY_FUNCTIONS[func]
+        got = fn(cp, t, pt(xd, *g[:d - 1]), pt(yd, *g[d - 1:]))
+        got = np.stack(got) if isinstance(got, tuple) else got[None, :]
+        assert isinstance(got, np.ndarray) and got.shape[1] == t.size
+        for i in range(t.size):
+            value = fn(cp, float(t[i]), pt(xd[i], *(c[i] for c in g[:d - 1])),
+                       pt(yd[i], *(c[i] for c in g[d - 1:])))
+            values = value if isinstance(value, tuple) else (value,)
+            assert all(type(v) is float for v in values)
+            for k, v in enumerate(values):
+                assert _within_ulps(float(got[k, i]), v), (func, case, i, got[k, i], v)
+        if func == "riesz_envelope":  # its singular diagonal
+            diag = (xd == yd) & np.all([a == b for a, b in zip(g[:d - 1], g[d - 1:])], axis=0)
+            assert np.any(diag) and np.all(got[0, diag] == math.inf)
+
+    def test_huge_and_tiny_coordinates_as_arrays(self):
+        # the float cases of test_distance_of_far_and_of_close_points and
+        # test_halfspace_huge_transverse_gap_is_zero, each as one array call
+        x = pt([2e-200, 1e200, 1.0, 1.0], [0.0, 0.0, 3e-200, 3.0])
+        y = pt([1e-200, 1e-200, 1.0, 5.0], [0.0, 0.0, -1e-200, 6.0])
+        assert dist(x, y).tolist() == [1e-200, 1e200, 4e-200, 5.0]
+        got = heat_exact_halfspace(2, 0.0, 1.0, pt([1.0, 1.0], [1e200, 0.3]),
+                                   pt([1.0, 0.7], [-1e200, 0.0]))
+        assert got[0] == 0.0
+        assert got[1] == heat_exact_halfspace(2, 0.0, 1.0, pt(1.0, 0.3), pt(0.7, 0.0))
+        got = heat_exact_halfspace(3, 0.0, np.array([1e-300, 1.0]),
+                                   pt(1.0, [1e200, 0.3], 0.0), pt(1.0, 0.0, 0.0))
+        assert got[0] == 0.0
+        assert got[1] == heat_exact_halfspace(3, 0.0, 1.0, pt(1.0, 0.3, 0.0), pt(1.0, 0.0, 0.0))
+
+    def test_array_points_are_checked_by_the_float_rules(self):
+        cp = make_coupling(1, 1.5, 1.0)
+        with pytest.raises(DomainError, match=r"xd must be positive, got -2\.0"):
+            pt(np.array([1.0, -2.0, 0.0]))
+        with pytest.raises(DomainError, match=r"t must be positive and finite, got nan"):
+            heat_envelope(cp, np.array([1.0, math.nan]), pt(1.0), pt(2.0))
+        with pytest.raises(DomainError, match=r"s must lie in \(0, .*\), got 0\.0"):
+            riesz_envelope(cp, np.array([0.5, 0.0]), pt(1.0), pt(2.0))

@@ -124,6 +124,42 @@ class TestKernelChecks:
             assert r.measured[f"c_upper_lam{lam:g}"] < 0.25
             assert r.measured[f"k1_lam{lam:g}"] > 0.0
 
+    @pytest.mark.parametrize("lams, n_log", [((0.0, 1.0), 5), ((-0.24, 0.0, 1.0, 5.0), 7)],
+                             ids=["campaign", "criterion-5"])
+    def test_heat_envelope_matches_the_per_point_loop(self, lams, n_log):
+        r = V.check_heat_envelope(lams=lams, n_log=n_log)
+        for lam, (k1, k21, c_up) in _per_point_heat_envelope(lams, n_log).items():
+            assert r.measured[f"k1_lam{lam:g}"] == pytest.approx(k1, rel=1e-12, abs=0.0)
+            assert r.measured[f"k2_over_k1_lam{lam:g}"] == pytest.approx(k21, rel=1e-12,
+                                                                         abs=0.0)
+            assert r.measured[f"c_upper_lam{lam:g}"] == c_up
+
+    def test_heat_envelope_reports_its_dropped_samples(self):
+        # the exact kernel underflows to 0 at small t and far-apart points
+        r = V.check_heat_envelope(lams=(0.0, 1.0), n_log=5)
+        assert "dropped of 375: lam=0: 90, lam=1: 90" in r.notes
+        with pytest.raises(DomainError, match="heat_envelope: at lam=1e[+]300 the exact "
+                                              "kernel is 0 or not finite at every sample"):
+            V.check_heat_envelope(lams=(0.0, 1e300), n_log=3)
+
+    def test_checks_evaluate_each_kernel_table_in_one_call(self, monkeypatch):
+        # one kernel call per coupling and Gaussian constant, not one per point;
+        # each binding the checks may call through is counted
+        calls = {}
+        for module in (V, kernels):
+            for name in ("heat_envelope", "heat_exact_halfspace", "diff_envelope_parts"):
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        calls[_name] = calls.get(_name, 0) + 1
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        lams = (-0.24, 0.0, 1.0, 5.0)
+        V.check_heat_envelope(lams=lams, n_log=7)
+        assert 0 < calls["heat_envelope"] <= 6 * len(lams)
+        assert 0 < calls["heat_exact_halfspace"] <= len(lams)
+        V.check_difference_bound(lams=(0.5, 2.0), n_duhamel=1)
+        assert 0 < calls["diff_envelope_parts"] <= 3 * 2
+
     def test_difference_bound(self):
         r = V.check_difference_bound(lams=(0.5,), n_duhamel=1, seed=5)
         assert r.verdict
@@ -145,6 +181,31 @@ class TestKernelChecks:
     def test_pointwise_bounds_rejects_an_unresolved_window(self, lam, t, key):
         with pytest.raises(DomainError, match=f"pointwise_bounds: {key} ="):
             V.check_pointwise_bounds(lam=lam, t=t)
+
+
+def _per_point_heat_envelope(lams, n_log):
+    """k1, k2/k1 and the upper constant per coupling from one kernel call per
+    sample point, the form check_heat_envelope had before the kernels took
+    arrays."""
+    d = 2
+    tvals = np.logspace(-2.0, 2.0, n_log)
+    xvals = np.logspace(-2.0, 2.0, n_log)
+    gaps = [0.0, 0.3, 3.0]
+    c_candidates = (0.05, 0.1, 0.15, 0.2, 0.24)
+    samples = [(t, kernels.pt(xd, 0.0), kernels.pt(yd, gap))
+               for t in tvals for xd in xvals for yd in xvals for gap in gaps]
+    out = {}
+    for lam in lams:
+        cp = coupling.make_coupling(d, 2.0, lam)
+        exact = [kernels.heat_exact_halfspace(d, lam, *s) for s in samples]
+        pts = [s for s, e in zip(samples, exact) if 0.0 < e < math.inf]
+        exact = np.array([e for e in exact if 0.0 < e < math.inf])
+        k1 = float(np.min(exact / np.array([kernels.heat_envelope(cp, *s) for s in pts])))
+        ratios = [float(np.max(exact / np.array([kernels.heat_envelope(cp, *s, c)
+                                                 for s in pts]))) / k1
+                  for c in c_candidates]
+        out[lam] = (k1, min(ratios), c_candidates[ratios.index(min(ratios))])
+    return out
 
 
 def _old_duhamel_rhs(lam, t, x, y):
