@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
+import json
 import math
 import sys
 
@@ -33,11 +35,32 @@ from hardyops.specfun import DomainError
 
 def _floats(flag: str, text: str) -> list[float]:
     """The comma-separated values of flag: at least one, all finite."""
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        vals = []
     if not vals or not all(math.isfinite(v) for v in vals):
         raise DomainError(f"{flag} needs one or more finite comma-separated "
                           f"numbers, got {text!r}")
     return vals
+
+
+@contextlib.contextmanager
+def _destination(path: str | None):
+    """stdout when path is None, else the file at path (UTF-8, newline="")."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+
+
+def dump_json(obj, stream) -> None:
+    """Strict JSON with a trailing newline: NaN and infinities become null."""
+    # floats round-trip exactly through repr; only the non-finite ones change
+    obj = json.loads(json.dumps(obj, default=float), parse_constant=lambda _: None)
+    json.dump(obj, stream, indent=1, allow_nan=False)
+    stream.write("\n")
 
 
 def write_table(stream, header: list[str], rows: list[list]) -> None:
@@ -58,10 +81,9 @@ def read_table(path: str) -> tuple[list[str], list[list[float]]]:
 
 
 def _emit(args, header, rows):
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
+    with _destination(args.out) as out:
         if args.format == "json":
-            V.dump_json([dict(zip(header, row)) for row in rows], out)
+            dump_json([dict(zip(header, row)) for row in rows], out)
         elif args.format == "csv":
             write_table(out, header, rows)
         else:
@@ -71,9 +93,6 @@ def _emit(args, header, rows):
                 out.write("  ".join((f"{v:.10g}" if isinstance(v, (float, np.floating))
                                      else str(v)).ljust(w)
                                     for v, w in zip(row, widths)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _reject_unused(mode: str, flags: dict) -> None:
@@ -191,11 +210,14 @@ def cmd_verify(args) -> int:
         config = {args.check: {}}
     reports = V.run_all(config, seed=args.seed)
     if args.summary:
-        V.write_reports_csv(reports, args.summary)
-    if args.out:
-        V.write_reports_json(reports, args.out)
-    else:
-        V.dump_json([r.as_dict() for r in reports], sys.stdout)
+        rows = [[r.check_name, key, float(r.measured[key]), float(cap),
+                 "pass" if r.measured[key] <= cap else "fail"]
+                for r in reports for key, cap in r.tolerances.items()]
+        with _destination(args.summary) as fh:
+            write_table(fh, ["check_name", "key_measured", "measured", "cap", "verdict"],
+                        rows)
+    with _destination(args.out or None) as fh:
+        dump_json([r.as_dict() for r in reports], fh)
     for r in reports:
         print(f"[{'PASS' if r.verdict else 'FAIL'}] {r.check_name}",
               file=sys.stderr)

@@ -37,11 +37,12 @@ assembly needs the output plus a few blocks of about _BLOCK_BYTES.  The bands
 and the Hardy potential are added in place, so each operator owns the only
 copy of its stiffness.  At alpha = 2 the stiffness is a (2, n) band array of
 O(N) memory, at any N.  DiscreteOperator.matvec is the one product with
-either layout.  Spectra come from MRRR on the bands at alpha = 2 and dense
-eigh below, both capped at DENSE_SOLVER_CAP since the eigenvectors are dense;
-the Hardy minimum from bisection on the bands at alpha = 2 (any N) and below
-from a Cholesky factor U, with Lanczos on the inverse applied as two
-triangular solves, U^T y = x and U z = y.
+either layout.  At alpha = 2 both solves run on the bands scaled by the root
+of a diagonal weight (_scaled_bands): MRRR on the mass-scaled bands for
+spectra (capped at DENSE_SOLVER_CAP, the eigenvectors being dense), bisection
+on the Hardy-scaled bands for the Hardy minimum (any N).  Below, dense eigh
+for spectra and, for the Hardy minimum, Lanczos on the inverse of a Cholesky
+factor U, applied as two triangular solves, U^T y = x and U z = y.
 """
 
 from __future__ import annotations
@@ -390,10 +391,15 @@ class SpectralDecomposition:
         return float(np.max(num / den))
 
 
-def _scaled_bands(diag: np.ndarray, off: np.ndarray,
-                  rw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of R^{-1} T R^{-1} for the tridiagonal T = (diag, off), R = diag(rw)."""
-    return diag / rw / rw, off / rw[:-1] / rw[1:]
+def _scaled_bands(op: DiscreteOperator, rw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of R^{-1} K R^{-1} for the alpha = 2 stiffness K of op and
+    R = diag(rw), rw the square root of a diagonal weight.  A non-finite rw
+    or band raises DomainError naming op's form."""
+    diag, off = _bands(op.stiffness)
+    with np.errstate(all="ignore"):
+        bands = diag / rw / rw, off / rw[:-1] / rw[1:]
+    _require_finite(op.alpha, op.lam, op.grid, rw, *bands)
+    return bands
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -409,14 +415,10 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     """
     _require_dense_size(op.grid)
     rw = np.sqrt(op.mass)
-    K = op.stiffness
     if op.alpha == 2.0:
-        with np.errstate(all="ignore"):
-            bands = _scaled_bands(*_bands(K), rw)
-        _require_finite(op.alpha, op.lam, op.grid, *bands)
-        vals, Y = eigh_tridiagonal(*bands, lapack_driver="stemr")
+        vals, Y = eigh_tridiagonal(*_scaled_bands(op, rw), lapack_driver="stemr")
     else:
-        vals, Y = eigh(K / rw[:, None] / rw[None, :])
+        vals, Y = eigh(op.stiffness / rw[:, None] / rw[None, :])
     return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
                                         operator=op), op.grid)
 
@@ -484,11 +486,8 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
     """
     op = assemble_form(alpha, 0.0, grid)
     if alpha == 2.0:
-        with np.errstate(all="ignore"):
-            rw = np.sqrt(op.hardy)
-            bands = _scaled_bands(*_bands(op.stiffness), rw)
-        _require_finite(alpha, 0.0, grid, rw, *bands)
-        return float(eigh_tridiagonal(*bands, eigvals_only=True, select="i",
+        return float(eigh_tridiagonal(*_scaled_bands(op, np.sqrt(op.hardy)),
+                                      eigvals_only=True, select="i",
                                       select_range=(0, 0), tol=np.finfo(float).tiny)[0])
     # the stiffness is symmetric, so its transpose is a Fortran-ordered view
     # that LAPACK factors without a copy
@@ -576,11 +575,6 @@ def interior_bump(grid: Grid1D, center: float = 2.0, halfwidth: float = 1.5) -> 
     """Smooth bump around center, scaled >= 1 on the inner half of its support."""
     edge = min(0.25, (0.5 / halfwidth) ** 2)
     return _bump((grid.nodes - center) / halfwidth) / math.exp(1.0 - 1.0 / (1.0 - edge))
-
-
-def dilate_bump(grid: Grid1D, R: float) -> np.ndarray:
-    """Interior bump dilated by R (mass moves outward with R)."""
-    return _bump((grid.nodes / R - 2.0) / 1.5)
 
 
 def singular_profile(grid: Grid1D, p_exp: float) -> np.ndarray:

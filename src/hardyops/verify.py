@@ -13,7 +13,8 @@ All checks are deterministic given their parameters; the two that draw random
 sample points (difference_bound, lemma_integral) take them from a seed.  The
 fractional-order norm-equivalence checks run purely through the discrete
 spectral calculus (no closed-form fractional kernels exist); every such
-report says so in its notes.
+report says so in its notes.  Checks return reports and write no file; the
+command line (hardyops.cli) writes them as JSON and a CSV summary.
 
 Every integral of difference_bound (Duhamel), pointwise_bounds,
 lemma_integral and schur_prop runs on one batched adaptive G10-K21
@@ -27,10 +28,8 @@ schur_prop's two infinite ends are closed forms (see _schur_rows).
 
 from __future__ import annotations
 
-import csv
 import functools
 import inspect
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,10 +41,9 @@ from scipy.special import hyp2f1
 from hardyops import discrete as dm
 from hardyops.coupling import CouplingParams, _check_alpha, exponent_p, make_coupling
 from hardyops.discrete import (Grid1D, assemble_form, boundary_bump,
-                               build_grid, commutator_norm, dilate_bump,
-                               decay_profile, eigendecompose, heat_apply,
-                               interior_bump, mass_norm, power_apply,
-                               sobolev_norm)
+                               build_grid, commutator_norm, decay_profile,
+                               eigendecompose, heat_apply, interior_bump,
+                               mass_norm, power_apply, sobolev_norm)
 from hardyops.kernels import (diff_envelope_parts, heat_envelope, heat_exact_halfline,
                               heat_exact_halfspace, pt)
 from hardyops.specfun import DomainError
@@ -104,30 +102,6 @@ def _finalize(name, params, measured, tolerances, notes="") -> VerificationRepor
     return VerificationReport(check_name=name, params=params, measured=clean,
                               tolerances=dict(tolerances), verdict=bool(ok),
                               notes=notes)
-
-
-def dump_json(obj, stream) -> None:
-    """Strict JSON with a trailing newline: NaN and infinities become null."""
-    # floats round-trip exactly through repr; only the non-finite ones change
-    obj = json.loads(json.dumps(obj, default=float), parse_constant=lambda _: None)
-    json.dump(obj, stream, indent=1, allow_nan=False)
-    stream.write("\n")
-
-
-def write_reports_json(reports: list[VerificationReport], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_json([r.as_dict() for r in reports], fh)
-
-
-def write_reports_csv(reports: list[VerificationReport], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["check_name", "key_measured", "measured", "cap", "verdict"])
-        for r in reports:
-            for key, cap in r.tolerances.items():
-                writer.writerow([r.check_name, key, repr(float(r.measured[key])),
-                                 repr(float(cap)),
-                                 "pass" if r.measured[key] <= cap else "fail"])
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +466,7 @@ def _reversed_family(grid: Grid1D, p: float,
                 for eps, u in eps_family(grid, gamma_exp)]
     for R in (0.5, 0.8, 1.2, 1.8, 2.4):
         if 3.5 * R < grid.X:
-            fam.append((f"dilated bump R={R:g}", dilate_bump(grid, R)))
+            fam.append((f"dilated bump R={R:g}", interior_bump(grid, 2.0 * R, 1.5 * R)))
     for c in (1.0, 1.5, 2.0, 2.5, 3.0):
         fam.append((f"interior bump at {c:g}",
                     interior_bump(grid, center=c, halfwidth=0.4 * c)))

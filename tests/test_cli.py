@@ -6,8 +6,8 @@ import math
 import pytest
 
 from hardyops import discrete
+from hardyops import verify as V
 from hardyops.cli import main, read_table
-from hardyops.verify import VerificationReport, write_reports_csv
 
 
 def run(capsys, *argv):
@@ -70,6 +70,16 @@ class TestExponent:
         rec = strict_json(out)[0]
         assert rec["p"] == pytest.approx(1e150, rel=1e-15)
         assert rec["residual"] <= 1e-15 * 1e300
+
+    def test_lambda_zero_flag(self, capsys):
+        # at alpha = 1 the comparison constant is 1/pi
+        rc, out, _ = run(capsys, "exponent", "--alpha", "1", "--lambda-zero",
+                         "--format", "json")
+        assert rc == 0
+        rec = json.loads(out)[0]
+        assert rec["lambda"] == rec["lambda_zero"] == pytest.approx(1.0 / math.pi,
+                                                                    rel=1e-15)
+        assert rec["residual"] <= 1e-15
 
     def test_dimension_flag_is_gone(self, capsys):
         # lambda_0 does not depend on d, so exponent takes no --d
@@ -203,8 +213,16 @@ def test_kernel_edge_value_sweep(capsys, base, flags):
             assert math.isfinite(float(value)) or (kind == "riesz-envelope" and x == y)
 
 
-# the verify --config slice of the sweep, for the checks whose integrals run
-# on the batched Gauss-Kronrod rule; each case is small
+def key_sweep(check: str, base: dict, fixed: str = "") -> list[str]:
+    """[check] configs setting one key of base to each sweep value, the other
+    keys to their base values, plus the fixed lines."""
+    return [f"[{check}]\n{fixed}" + "".join(f"{k} = {value if k == key else v}\n"
+                                            for k, v in base.items())
+            for key in base for value in SWEEP_VALUES]
+
+
+# the verify --config slice of the sweep: the checks whose integrals run on
+# the batched Gauss-Kronrod rule, and the spectral checks on a small grid
 CONFIG_SWEEP_CASES = (
     [f"[difference_bound]\nn_duhamel = 1\nlams = {value}\n" for value in SWEEP_VALUES]
     + [f"[difference_bound]\nn_duhamel = {value}\n" for value in SWEEP_VALUES]
@@ -217,11 +235,20 @@ CONFIG_SWEEP_CASES = (
     + [f"[pointwise_bounds]\n{key} = {value}\n" for key in ("lam", "t")
        for value in SWEEP_VALUES]
     + [f"[heat_envelope]\nn_log = 3\nlams = {value}\n" for value in SWEEP_VALUES]
-    + [f"[heat_envelope]\nn_log = {value}\n" for value in SWEEP_VALUES])
+    + [f"[heat_envelope]\nn_log = {value}\n" for value in SWEEP_VALUES]
+    + [case for check in ("equivalence", "generalized_hardy", "reversed_hardy")
+       for case in key_sweep(check, {"alpha": "1.5", "lam": "1", "s": "1"},
+                             "grid_cfg = 10 400 2\n")]
+    + key_sweep("commutator_scaling", {"alpha": "1.5", "lam": "1", "X_R": "500"},
+                "N = 400\n"))
 # Configs that run and fail their verdict with finite values, documented
-# failures rather than parameter errors: the fitted heat-envelope constant
-# grows with the coupling, to k2/k1 = 7.2e42 at lam = 1e6 (README, "verify")
-CONFIG_SWEEP_FAILURES = {"[heat_envelope]\nn_log = 3\nlams = 1e6\n": "k2_over_k1_lam1e+06"}
+# failures rather than parameter errors (README, "verify"): the fitted
+# heat-envelope constant grows with the coupling, to k2/k1 = 7.2e42 at
+# lam = 1e6, and so does the fractional norm ratio, to 1.7e3 at lam = 1e6
+# (alpha = 1.5, s = 1)
+CONFIG_SWEEP_FAILURES = {
+    "[heat_envelope]\nn_log = 3\nlams = 1e6\n": "k2_over_k1_lam1e+06",
+    "[equivalence]\ngrid_cfg = 10 400 2\nalpha = 1.5\nlam = 1e6\ns = 1\n": "ratio_max"}
 
 
 @pytest.mark.parametrize("section", CONFIG_SWEEP_CASES, ids=[
@@ -241,6 +268,37 @@ def test_config_edge_value_sweep(capsys, tmp_path, section):
         assert err.startswith("parameter error: ") and out == ""
     else:
         assert strict_json(out)[0]["verdict"] == "pass"
+
+
+# the exponent and discretize slices: each flag of a base command line takes
+# each sweep value; argparse rejects a non-integer --N or --count with exit 2
+TABLE_SWEEP_CASES = (
+    [(["exponent", "--alpha=1.5"], f"--lambda={value}") for value in SWEEP_VALUES]
+    + [(["exponent", "--lambda=1"], f"--alpha={value}") for value in SWEEP_VALUES]
+    + [(["exponent", flag], f"--alpha={value}") for flag in ("--lambda-star", "--lambda-zero")
+       for value in SWEEP_VALUES]
+    + [(["discretize", "--alpha=1.5", "--N=100", "--lambda=1"], f"{flag}={value}")
+       for flag in ("--alpha", "--lambda", "--N", "--X", "--g", "--count")
+       for value in SWEEP_VALUES]
+    + [(["discretize", "--hardy-min", "--alpha=2", "--N=250"], f"{flag}={value}")
+       for flag in ("--alpha", "--N", "--X", "--g") for value in SWEEP_VALUES])
+
+
+@pytest.mark.parametrize("base, flag", TABLE_SWEEP_CASES, ids=[
+    "-".join(a.lstrip("-") for a in (*base, flag)) for base, flag in TABLE_SWEEP_CASES])
+def test_table_edge_value_sweep(capsys, base, flag):
+    # the later of two equal flags wins
+    try:
+        rc = main([*base, flag, "--format=csv"])
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc in (0, 2) and "Traceback" not in captured.err
+    if rc == 0:
+        header, *rows = csv.reader(io.StringIO(captured.out))
+        # lambda_zero is not defined at alpha = 2
+        assert rows and all(math.isfinite(float(v)) or name == "lambda_zero"
+                            for row in rows for name, v in zip(header, row))
 
 
 @pytest.mark.parametrize("section, key", [
@@ -433,6 +491,10 @@ class TestParameterErrors:
         (["exponent", "--alpha", "1e-7", "--lambda", "1"], "alpha must lie in [0.01, 2]"),
         (["kernel", "--kind", "heat-envelope", "--alpha", "1e-300", "--x", "1", "--y", "2"],
          "alpha must lie in [0.01, 2]"),
+        (["kernel", "--kind", "heat-exact", "--x", "abc", "--y", "1"], "--x"),
+        (["kernel", "--kind", "heat-exact", "--t", "1,abc", "--x", "1", "--y", "1"], "--t"),
+        (["kernel", "--kind", "heat-exact", "--x", "1", "--y", "1e"], "--y"),
+        (["exponent", "--alpha", "1"], "provide --lambda, --lambda-star or --lambda-zero"),
     ], ids=["riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
@@ -444,7 +506,8 @@ class TestParameterErrors:
             "heat-envelope-lambda-nan", "heat-envelope-c-exp-nan", "discretize-X-huge",
             "discretize-X-tiny", "spectrum-X-tiny", "exponent-lambda-huge",
             "exponent-alpha-subnormal", "exponent-alpha-below-min",
-            "heat-envelope-alpha-tiny"])
+            "heat-envelope-alpha-tiny", "heat-exact-x-word", "heat-exact-t-word",
+            "heat-exact-y-bare-exponent", "exponent-no-lambda"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
@@ -474,14 +537,29 @@ class TestVerify:
         assert json.loads(out)[0]["check_name"] == "schur_prop"
         assert summary.read_text().startswith("check_name,")
 
-    def test_summary_has_the_table_line_end(self, tmp_path):
+    def test_summary_has_the_table_line_end(self, capsys, tmp_path, monkeypatch):
         summary = tmp_path / "summary.csv"
-        report = VerificationReport("schur_prop", {}, {"sup_row_r0": 3.0},
-                                    {"sup_row_r0": 1e3}, True)
-        write_reports_csv([report, report], str(summary))
+        report = V.VerificationReport("schur_prop", {}, {"sup_row_r0": 3.0},
+                                      {"sup_row_r0": 1e3}, True)
+        monkeypatch.setattr(V, "run_all", lambda config, seed: [report, report])
+        rc, _, _ = run(capsys, "verify", "--summary", str(summary))
+        assert rc == 0
         data = summary.read_bytes()
         assert b"\r" not in data
         assert data.count(b"\n") == 3 and data.endswith(b"pass\n")
+
+    def test_check_keeps_only_its_config_sections(self, capsys, tmp_path):
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("[schur_prop]\nalpha = 1.2\nn_x = 3\n"
+                       "[schur_prop:b]\nalpha = 1.4\nn_x = 3\n"
+                       "[lemma_integral]\nnsamples = 0\n")
+        rc, out, err = run(capsys, "verify", "--check", "schur_prop", "--config", str(cfg))
+        assert rc == 0
+        assert [r["params"]["alpha"] for r in strict_json(out)] == [1.2, 1.4]
+        assert "lemma_integral" not in err
+        rc, out, err = run(capsys, "verify", "--check", "heat_envelope", "--config", str(cfg))
+        assert rc == 2 and out == ""
+        assert err == "parameter error: config has no section for check 'heat_envelope'\n"
 
     def test_config_campaign_failure_exit_code(self, capsys, tmp_path):
         # at alpha = 0.5 this grid misses the boundary rate by more than SLOPE_TOL

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -117,6 +118,13 @@ class TestGammaFunctionOfP:
         ref = float(mp.quad(lambda t: (t ** p - 1) * (1 - t ** (alpha - p - 1))
                             / (1 - t) ** (1 + alpha), [0, 1]))
         assert gamma_integral(0.8, 0.3) == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("fn", [gamma_integral, gamma_closed])
+    @pytest.mark.parametrize("p", [-1.0, 1.5, 2.0])
+    def test_exponent_window(self, fn, p):
+        with pytest.raises(DomainError, match=re.escape(f"p must lie in (-1, alpha), "
+                                                        f"got {p!r}")):
+            fn(1.5, p)
 
     def test_closed_matches_integral(self):
         rng = np.random.default_rng(1)
@@ -260,6 +268,13 @@ class TestCouplingParams:
                 for shift in (1.0 - 1e-9, 1.0 + 1e-9):
                     with pytest.raises(DomainError):
                         dataclasses.replace(cp, p=cp.p * shift).check()
+
+    def test_check_rejects_coupling_below_sharp_constant(self):
+        # p at the branch start (alpha - 1)/2, where C(p) = lambda_star
+        cp = make_coupling(1, 1.5, lambda_star(1.5))
+        low = dataclasses.replace(cp, lam=cp.lambda_star - 1.0, p=0.25)
+        with pytest.raises(DomainError, match="lambda below lambda_star"):
+            low.check()
 
     def test_second_order_has_no_comparison_constant(self):
         cp = make_coupling(1, 2.0, 0.3)

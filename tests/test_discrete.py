@@ -384,6 +384,10 @@ class TestSpectralCalculus:
         assert max(ratios) / min(ratios) < 1.5
         assert 0.3 < min(ratios) <= max(ratios) < 3.0
 
+    def test_negative_heat_time_is_domain_error(self, dec):
+        with pytest.raises(DomainError, match="t >= 0"):
+            heat_apply(dec, -1e-3, boundary_bump(dec.operator.grid, 0.1, 1.5))
+
     def test_power_apply_inverse(self, dec):
         u = boundary_bump(dec.operator.grid, 0.1, 1.5)
         v = power_apply(dec, -1.2, power_apply(dec, 1.2, u))
@@ -693,6 +697,14 @@ class TestCommutator:
         u = interior_bump(grid)
         with pytest.raises(DomainError):
             commutator_norm(op, u, 1e-4, 10.0)
+
+    @pytest.mark.parametrize("r, R", [(0.0, 2.0), (1.5, 2.0), (0.5, 0.5), (0.5, 15.0)])
+    def test_cutoff_window_guard(self, r, R):
+        grid = build_grid(30.0, 100, 1.0)
+        op = assemble_form(2.0, 0.0, grid)
+        with pytest.raises(DomainError, match=f"need 0 < r <= 1 <= R < X/2, got r={r!r}, "
+                                              f"R={R!r}"):
+            commutator_norm(op, interior_bump(grid), r, R)
 
     def test_multiplier_form(self):
         grid = build_grid(30.0, 400, 2.0)

@@ -147,6 +147,19 @@ class TestExactKernel:
         with pytest.raises(DomainError):
             heat_exact_halfline(0.0, -1.0, 1.0, 1.0)
 
+    def test_point_dimensions_are_checked(self):
+        with pytest.raises(DomainError, match="different dimensions"):
+            dist(pt(1.0), pt(1.0, 0.5))
+        for d in (0, 2):
+            with pytest.raises(DomainError, match="point dimension does not match d"):
+                heat_exact_halfspace(d, 0.0, 1.0, pt(1.0), pt(2.0))
+
+    @pytest.mark.parametrize("t, r, s", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+                                         (1.0, 1.0, 0.0)])
+    def test_images_reduction_domain(self, t, r, s):
+        with pytest.raises(DomainError, match="t, r, s must be positive"):
+            heat_images_halfline(t, r, s)
+
     def test_nan_coupling_rejected(self):
         with pytest.raises(DomainError, match="lambda"):
             heat_exact_halfline(math.nan, 1.0, 1.0, 1.0)
@@ -274,6 +287,9 @@ class TestRieszEnvelope:
             assert riesz_envelope(cp, s, pt(x), pt(y)) == pytest.approx(float(ref),
                                                                         rel=1e-12)
 
+    def test_exact_kernel_diagonal_is_infinite(self):
+        assert riesz_exact_halfline(0.5, 0.5, 1.3, 1.3) == math.inf
+
     def test_s_window(self):
         cp = make_coupling(1, 1.5, 0.5)
         with pytest.raises(DomainError):
@@ -311,6 +327,15 @@ class TestMasterTimeIntegral:
         taus = np.logspace(-8, 10, 300001)
         ref = np.trapezoid([f(t) for t in taus], taus)
         assert val == pytest.approx(ref, rel=1e-3)
+
+    @pytest.mark.parametrize("s, T, S, match", [
+        (0.5, 0.0, 1.0, "T, S must be positive"), (0.5, 1.0, -1.0, "T, S must be positive"),
+        (0.0, 1.0, 1.0, "s outside the convergence window"),
+        (1.7, 1.0, 1.0, "s outside the convergence window")])
+    def test_domain(self, s, T, S, match):
+        # riesz_s_max(1.2, 1, 0.8) = 5/3
+        with pytest.raises(DomainError, match=match):
+            master_time_integral(1.2, 1, 0.8, s, T, S)
 
     def test_pair_constraint(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 
 from hardyops import coupling, kernels
 from hardyops import verify as V
+from hardyops.cli import dump_json, main
+from hardyops.discrete import build_grid
 from hardyops.kernels import heat_exact_halfline
 from hardyops.specfun import DomainError
 
@@ -80,6 +82,11 @@ class TestEquivalence:
         r = V.check_equivalence(1.5, 1.0, 1.0, grid_cfg=FAST)
         assert r.verdict
         assert "spectral calculus" in r.notes
+
+    def test_coarse_grid_has_no_bump_family(self):
+        # a uniform grid of step 10/16 resolves none of the scales eps <= 0.2
+        with pytest.raises(DomainError, match="grid too coarse for the requested bump family"):
+            V.eps_family(build_grid(10.0, 16, 1.0), 1.0)
 
 
 class TestGeneralizedHardy:
@@ -448,13 +455,15 @@ class TestCommutator:
 
 
 class TestReportsAndCampaign:
-    def test_report_serialization(self, tmp_path):
-        reports = [V.check_schur_prop(alpha=1.2, r_values=(0.2,), n_x=3),
-                   V.check_lemma_integral(N=1, betas=(0.5,), nsamples=10, seed=0)]
+    def test_report_serialization(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("[schur_prop]\nalpha = 1.2\nr_values = 0.2\nn_x = 3\n"
+                       "[lemma_integral]\nN = 1\nbetas = 0.5\nnsamples = 10\n")
         jpath = tmp_path / "reports.json"
         cpath = tmp_path / "summary.csv"
-        V.write_reports_json(reports, str(jpath))
-        V.write_reports_csv(reports, str(cpath))
+        main(["verify", "--config", str(cfg), "--seed", "0", "--out", str(jpath),
+              "--summary", str(cpath)])
+        capsys.readouterr()
         data = json.loads(jpath.read_text())
         assert isinstance(data, list) and len(data) == 2
         assert data[0]["verdict"] in ("pass", "fail")
@@ -469,7 +478,8 @@ class TestReportsAndCampaign:
                       "ratio_curve": [[0.2, float("inf")], [0.1, 2.0]]},
             tolerances={"ratio_max": 1e3}, verdict=False)
         jpath = tmp_path / "reports.json"
-        V.write_reports_json([report], str(jpath))
+        with open(jpath, "w", encoding="utf-8") as fh:
+            dump_json([report.as_dict()], fh)
 
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
