@@ -184,10 +184,12 @@ def cmd_discretize(args) -> int:
         _emit(args, ["N", "hardy_min", "target", "rel_err"], rows)
         return 0
     lam = 0.0 if args.lam is None else args.lam
-    count = 20 if args.count is None else args.count
-    if count < 1:
-        raise DomainError(f"--count must be at least 1, got {count}")
-    vals = V.get_dec(args.alpha, lam, build_grid(args.X, args.N, args.g)).eigenvalues
+    grid = build_grid(args.X, args.N, args.g)
+    count = min(20, args.N - 1) if args.count is None else args.count
+    if not 1 <= count <= args.N - 1:
+        raise DomainError(f"--count must lie between 1 and N-1 = {args.N - 1}, the number "
+                          f"of eigenvalues, got {count}")
+    vals = V.get_dec(args.alpha, lam, grid).eigenvalues
     rows = [[i, v] for i, v in enumerate(vals[:count])]
     _emit(args, ["index", "eigenvalue"], rows)
     return 0
@@ -209,14 +211,14 @@ def cmd_verify(args) -> int:
     elif args.check != "all":
         config = {args.check: {}}
     reports = V.run_all(config, seed=args.seed)
-    if args.summary:
+    if args.summary is not None:
         rows = [[r.check_name, key, float(r.measured[key]), float(cap),
                  "pass" if r.measured[key] <= cap else "fail"]
                 for r in reports for key, cap in r.tolerances.items()]
         with _destination(args.summary) as fh:
             write_table(fh, ["check_name", "key_measured", "measured", "cap", "verdict"],
                         rows)
-    with _destination(args.out or None) as fh:
+    with _destination(args.out) as fh:
         dump_json([r.as_dict() for r in reports], fh)
     for r in reports:
         print(f"[{'PASS' if r.verdict else 'FAIL'}] {r.check_name}",
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Hardy-minimum table; the quotient is dilation-invariant, "
                          "so --X does not change it")
     pd.add_argument("--count", type=int, default=None,
-                    help="spectrum rows (default 20)")
+                    help="spectrum rows, at most N-1 (default 20, or N-1 if fewer)")
     pd.set_defaults(func=cmd_discretize)
 
     pv = sub.add_parser("verify", help="run verification checks")
@@ -288,6 +290,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        # checked before any work: verify writes only after its whole campaign
+        for flag in ("--out", "--summary"):
+            if getattr(args, flag[2:], None) == "":
+                raise DomainError(f"{flag} needs a file path, got an empty one")
         return args.func(args)
     except DomainError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

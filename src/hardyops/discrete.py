@@ -43,6 +43,12 @@ spectra (capped at DENSE_SOLVER_CAP, the eigenvectors being dense), bisection
 on the Hardy-scaled bands for the Hardy minimum (any N).  Below, dense eigh
 for spectra and, for the Hardy minimum, Lanczos on the inverse of a Cholesky
 factor U, applied as two triangular solves, U^T y = x and U z = y.
+
+The spectral calculus takes blocks.  DiscreteOperator.matvec and apply,
+SpectralDecomposition.coefficients and synthesize, heat_apply, power_apply,
+sobolev_norm, mass_norm, and commutator_with_multiplier in its multiplier take
+a nodal array of shape (n,) or (n, k) and give one column or value per column
+(a per-node vector meets it through _col); a 1-D call gives what it always did.
 """
 
 from __future__ import annotations
@@ -293,9 +299,7 @@ class DiscreteOperator:
         """K u at unit scale, for u of shape (n,) or (n, k)."""
         if self.alpha != 2.0:
             return self.stiffness @ u
-        diag, off = _bands(self.stiffness)
-        if u.ndim == 2:
-            diag, off = diag[:, None], off[:, None]
+        diag, off = (_col(band, u) for band in _bands(self.stiffness))
         v = diag * u
         v[:-1] += off * u[1:]
         v[1:] += off * u[:-1]
@@ -306,7 +310,18 @@ class DiscreteOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Operator action in the mass inner product: M^{-1} K u."""
-        return _power(self, -self.alpha) * (self.matvec(u) / self.mass)
+        return _power(self, -self.alpha) * (self.matvec(u) / _col(self.mass, u))
+
+
+def _col(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """w, one entry per node or mode, shaped to act on each column of u."""
+    return w if u.ndim == 1 else w[:, None]
+
+
+def _norms(w: np.ndarray, u: np.ndarray) -> float | np.ndarray:
+    """sqrt(sum_i w_i u_i^2) of u, a float, or of each column of u (n, k)."""
+    norms = np.sqrt(np.sum(_col(w, u) * u * u, axis=0))
+    return float(norms) if u.ndim == 1 else norms
 
 
 def _bands(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +391,7 @@ class SpectralDecomposition:
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         op = self.operator
-        return _power(op, 0.5) * (self.eigenvectors.T @ (op.mass * u))
+        return _power(op, 0.5) * (self.eigenvectors.T @ (_col(op.mass, u) * u))
 
     def synthesize(self, coeff: np.ndarray) -> np.ndarray:
         return _power(self.operator, -0.5) * (self.eigenvectors @ coeff)
@@ -447,22 +462,21 @@ def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarra
     """exp(-t L) u through the spectral representation."""
     if t < 0.0:
         raise DomainError("heat_apply requires t >= 0")
-    return dec.synthesize(np.exp(-t * dec.eigenvalues) * dec.coefficients(u))
+    return dec.synthesize(_col(np.exp(-t * dec.eigenvalues), u) * dec.coefficients(u))
 
 
 def power_apply(dec: SpectralDecomposition, s: float, u: np.ndarray) -> np.ndarray:
     """L^{s/2} u; negative s gives the Riesz (inverse) powers."""
-    return dec.synthesize(dec.eigenvalues ** (0.5 * s) * dec.coefficients(u))
+    return dec.synthesize(_col(dec.eigenvalues ** (0.5 * s), u) * dec.coefficients(u))
 
 
-def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float:
+def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float | np.ndarray:
     """|| L^{s/2} u || in the mass norm, via the spectral measure."""
-    c = dec.coefficients(u)
-    return float(math.sqrt(np.sum(dec.eigenvalues ** s * c * c)))
+    return _norms(dec.eigenvalues ** s, dec.coefficients(u))
 
 
-def mass_norm(op: DiscreteOperator, u: np.ndarray) -> float:
-    return _power(op, 0.5) * math.sqrt(np.sum(op.mass * u * u))
+def mass_norm(op: DiscreteOperator, u: np.ndarray) -> float | np.ndarray:
+    return _power(op, 0.5) * _norms(op.mass, u)
 
 
 def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
@@ -514,14 +528,14 @@ def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
 
 
 def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,
-                               m: np.ndarray) -> float:
-    """Mass norm of [A, m] u for a multiplier m given on the nodes.
+                               m: np.ndarray) -> float | np.ndarray:
+    """Mass norm of [A, m] u for a multiplier m on the nodes, or per column of m (n, k).
 
     Diagonal potential terms commute with multiplication operators, so the
     full stiffness stands in for the pure nonlocal part.
     """
-    v = op.matvec(m * u) - m * op.matvec(u)
-    return _power(op, 0.5 - op.alpha) * math.sqrt(np.sum(v * v / op.mass))
+    v = op.matvec(m * _col(u, m)) - m * _col(op.matvec(u), m)
+    return _power(op, 0.5 - op.alpha) * _norms(1.0 / op.mass, v)
 
 
 def commutator_norm(op: DiscreteOperator, u: np.ndarray, r: float, R: float) -> float:

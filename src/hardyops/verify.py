@@ -137,40 +137,46 @@ def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
     return dm.dilate(dec, grid)
 
 
-def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float:
-    """|| x^{power/2} u || in the lumped mass norm."""
-    return float(math.sqrt(np.sum(grid.weights * grid.nodes ** power * u * u)))
+def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float | np.ndarray:
+    """|| x^{power/2} u || in the lumped mass norm, of u or of each column of u (n, k)."""
+    return dm._norms(grid.weights * grid.nodes ** power, u)
 
 
-def eps_family(grid: Grid1D, gamma_exp: float) -> list[tuple[float, np.ndarray]]:
-    """Boundary-bump family over eight halved concentration scales from 0.2."""
-    out = []
+def eps_family(grid: Grid1D, gamma_exp: float) -> tuple[list[float], np.ndarray]:
+    """Boundary-bump family over eight halved concentration scales from 0.2:
+    the scales, and the bumps as the columns of one (n, k) array."""
+    scales = []
     eps = 0.2
     for _ in range(8):
         h_local = np.min(np.diff(grid.vertices[grid.vertices <= 2 * eps]),
                          initial=np.inf)
         if not np.isfinite(h_local) or h_local > eps / 3.0:
             break
-        out.append((eps, boundary_bump(grid, eps, gamma_exp)))
+        scales.append(eps)
         eps *= 0.5
-    if len(out) < 4:
+    if len(scales) < 4:
         raise DomainError("grid too coarse for the requested bump family")
-    return out
+    return scales, np.column_stack([boundary_bump(grid, eps, gamma_exp) for eps in scales])
 
 
-def _norm(check: str, grid: Grid1D, what: str, value: float) -> float:
-    """value, the norm of test function what that check divides by.
+def _norm(check: str, grid: Grid1D, whats: list[str], norms) -> np.ndarray:
+    """norms, of the test functions whats that check divides by: shape (k,),
+    or (k, m) for m norms of each, in the order they are divided by.
 
     Test functions live at fixed scales (bumps at eps <= 0.2, a taper to 2,
     interior bumps out to 3.5), so on a grid far smaller or larger than those
     one can vanish on every node or leave double precision.  A norm whose
     square is not a finite normal double (zero, subnormal or overflowing)
     keeps too few digits for the ratios and identities built on it, so
-    DomainError names it.
+    DomainError names the first, row by row.
     """
-    if not np.finfo(float).tiny <= value * value < math.inf:
-        raise _unresolved(check, grid, f"the test function {what} has norm {value!r}")
-    return value
+    norms = np.asarray(norms, dtype=float)
+    sq = norms * norms
+    bad = np.argwhere(~((np.finfo(float).tiny <= sq) & (sq < math.inf)))
+    if bad.size:
+        raise _unresolved(check, grid, f"the test function {whats[bad[0, 0]]} has norm "
+                                       f"{float(norms[tuple(bad[0])])!r}")
+    return norms
 
 
 def _unresolved(check: str, grid: Grid1D, what: str) -> DomainError:
@@ -319,8 +325,8 @@ def check_equivalence(alpha: float, lam: float, s: float,
 
     # s = 1 identity: squared-ratio equals 1 + lam <u, x^-a u>/||L0^(1/2)u||^2
     u = boundary_bump(grid, 0.05, p + 0.51)
-    n0 = norm("boundary bump eps=0.05", sobolev_norm(dec_0, 1.0, u))
-    nl = norm("boundary bump eps=0.05", sobolev_norm(dec_l, 1.0, u))
+    n0, nl = norm(["boundary bump eps=0.05"],
+                  [[sobolev_norm(dec_0, 1.0, u), sobolev_norm(dec_l, 1.0, u)]])[0]
     hardy_term = weighted_norm(grid, u, -alpha) ** 2
     lhs = (nl / n0) ** 2
     rhs = 1.0 + lam * hardy_term / n0 ** 2
@@ -337,15 +343,12 @@ def check_equivalence(alpha: float, lam: float, s: float,
     threshold = (1.0 + 2.0 * cp.q) / alpha
     measured["threshold"] = threshold
     if s < threshold:
-        fam = eps_family(grid, p + 0.51)
-        ratios = []
-        for eps, uu in fam:
-            what = f"boundary bump eps={eps:g}"
-            ratios.append(norm(what, sobolev_norm(dec_l, s, uu))
-                          / norm(what, sobolev_norm(dec_0, s, uu)))
-        measured["ratio_curve"] = [[eps, float(r)]
-                                   for (eps, _), r in zip(fam, ratios)]
-        ratios = np.array(ratios)
+        scales, U = eps_family(grid, p + 0.51)
+        nl, n0 = norm([f"boundary bump eps={eps:g}" for eps in scales],
+                      np.column_stack([sobolev_norm(dec_l, s, U),
+                                       sobolev_norm(dec_0, s, U)])).T
+        ratios = nl / n0
+        measured["ratio_curve"] = [[eps, float(r)] for eps, r in zip(scales, ratios)]
         measured["ratio_max"] = float(np.max(np.maximum(ratios, 1.0 / ratios)))
         measured["family_spread"] = float(np.max(ratios) / np.min(ratios))
         tol["ratio_max"] = CAP
@@ -356,16 +359,14 @@ def check_equivalence(alpha: float, lam: float, s: float,
         # the boundary), so the lam-norm of its semigroup mollifications stays
         # bounded while the comparison norm picks the singular content up
         seed_vec = dm.singular_profile(grid, p)
-        inv_ratios = []
         eps_list = [0.2 * 2.0 ** (-j) for j in range(8)]
-        for eps in eps_list:
-            ueps = heat_apply(dec_l, eps ** alpha, seed_vec)
-            what = f"heat image t={eps ** alpha:g} of the singular profile"
-            inv_ratios.append(norm(what, sobolev_norm(dec_0, s, ueps))
-                              / norm(what, sobolev_norm(dec_l, s, ueps)))
-        measured["ratio_curve"] = [[eps, float(r)]
-                                   for eps, r in zip(eps_list, inv_ratios)]
-        inv_ratios = np.array(inv_ratios)
+        U = np.column_stack([heat_apply(dec_l, eps ** alpha, seed_vec) for eps in eps_list])
+        n0, nl = norm([f"heat image t={eps ** alpha:g} of the singular profile"
+                       for eps in eps_list],
+                      np.column_stack([sobolev_norm(dec_0, s, U),
+                                       sobolev_norm(dec_l, s, U)])).T
+        inv_ratios = n0 / nl
+        measured["ratio_curve"] = [[eps, float(r)] for eps, r in zip(eps_list, inv_ratios)]
         run = best = 0
         for dv in np.diff(inv_ratios):
             run = run + 1 if dv > 0.0 else 0
@@ -393,25 +394,21 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
     tol: dict = {}
     notes = []
     if s < threshold:
-        fam = eps_family(grid, p + 0.51)
-        sup = 0.0
-        for eps, uu in fam:
-            what = f"boundary bump eps={eps:g}"
-            sup = max(sup, norm(what, weighted_norm(grid, uu, -alpha * s))
-                      / norm(what, sobolev_norm(dec, s, uu)))
-        measured["sup_ratio"] = sup
+        scales, U = eps_family(grid, p + 0.51)
+        num, den = norm([f"boundary bump eps={eps:g}" for eps in scales],
+                        np.column_stack([weighted_norm(grid, U, -alpha * s),
+                                         sobolev_norm(dec, s, U)])).T
+        measured["sup_ratio"] = float(np.max(num / den))
         tol["sup_ratio"] = CAP
     else:
         # necessity probe: u = L^{-s/2} phi behaves like x^p at the boundary;
         # windowed weighted norms against the fixed denominator ||phi|| grow
         # like eps^{-(alpha s/2 - p - 1/2)}
         phi = interior_bump(grid)
-        n_phi = norm("interior bump at 2", mass_norm(dec.operator, phi))
+        n_phi, = norm(["interior bump at 2"], [mass_norm(dec.operator, phi)])
         u = power_apply(dec, -s, phi)
         measured["riesz_seed_resid"] = abs(sobolev_norm(dec, s, u) - n_phi) / n_phi
         tol["riesz_seed_resid"] = 1e-8
-        eps_list = np.array([0.05 * 2.0 ** (-j) for j in range(8)])
-        vals, oracle = [], []
         # boundary amplitude for the closed-form window oracle
         fit_mask = (grid.nodes >= 1e-3) & (grid.nodes <= 0.05)
         if not np.any(fit_mask):
@@ -424,28 +421,22 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
                               f"on the amplitude fit window [1e-3, 0.05]")
         c_fit = float(np.exp(np.mean(np.log(amp) - p * np.log(grid.nodes[fit_mask]))))
         expo = 2.0 * p - alpha * s
-        for eps in eps_list:
-            win = (grid.nodes >= eps) & (grid.nodes < 2.0 * eps)
-            if not np.any(win):
-                break
-            m = math.sqrt(float(np.sum(grid.weights[win]
-                                       * grid.nodes[win] ** (-alpha * s)
-                                       * u[win] ** 2)))
-            vals.append(m)
-            oracle.append(c_fit * math.sqrt(((2.0 * eps) ** (expo + 1.0)
-                                             - eps ** (expo + 1.0)) / (expo + 1.0)))
-        if len(vals) < 2:
+        # the windows [eps, 2 eps) before the first that holds no node
+        eps_list = 0.05 * 2.0 ** -np.arange(8.0)
+        wins = (grid.nodes[:, None] >= eps_list) & (grid.nodes[:, None] < 2.0 * eps_list)
+        eps_used = eps_list[:np.logical_and.accumulate(wins.any(axis=0)).sum()]
+        if eps_used.size < 2:
             raise _unresolved("generalized_hardy", grid,
                               "fewer than two windows [eps, 2 eps) hold a node")
-        vals = np.array(vals)
-        eps_used = eps_list[: len(vals)]
+        vals = weighted_norm(grid, u[:, None] * wins[:, :eps_used.size], -alpha * s)
+        oracle = c_fit * np.sqrt(((2.0 * eps_used) ** (expo + 1.0)
+                                  - eps_used ** (expo + 1.0)) / (expo + 1.0))
         rate = alpha * s / 2.0 - p - 0.5
         slope = _slope("generalized_hardy", "slope", grid, 1.0 / eps_used, vals)
         measured["slope"] = slope
         measured["analytic_rate"] = rate
         measured["slope_err"] = abs(slope - rate)
-        measured["oracle_spread"] = float(np.max(vals / np.array(oracle))
-                                          / np.min(vals / np.array(oracle)))
+        measured["oracle_spread"] = float(np.max(vals / oracle) / np.min(vals / oracle))
         ups = np.sum(np.diff(vals) > 0.0) if rate > 0 else 4
         measured["monotone_deficit"] = float(max(0, 4 - ups))
         tol["slope_err"] = 0.2
@@ -457,13 +448,14 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
 
 
 def _reversed_family(grid: Grid1D, p: float,
-                     dec: dm.SpectralDecomposition) -> list[tuple[str, np.ndarray]]:
-    """~40 named test functions: boundary bumps at three decay rates,
-    dilates, interior translates and semigroup mollifications."""
+                     dec: dm.SpectralDecomposition) -> tuple[list[str], np.ndarray]:
+    """Names and (n, k) columns of ~40 test functions: boundary bumps at three
+    decay rates, dilates, interior translates and semigroup mollifications."""
     fam = []
     for gamma_exp in (p + 0.51, p + 1.1, p + 2.0):
+        scales, U = eps_family(grid, gamma_exp)
         fam += [(f"boundary bump eps={eps:g}, exponent {gamma_exp:g}", u)
-                for eps, u in eps_family(grid, gamma_exp)]
+                for eps, u in zip(scales, U.T)]
     for R in (0.5, 0.8, 1.2, 1.8, 2.4):
         if 3.5 * R < grid.X:
             fam.append((f"dilated bump R={R:g}", interior_bump(grid, 2.0 * R, 1.5 * R)))
@@ -476,7 +468,8 @@ def _reversed_family(grid: Grid1D, p: float,
                     heat_apply(dec, t, base)))
     fam.append(("heat image t=0.05 of the interior bump at 2",
                 heat_apply(dec, 0.05, interior_bump(grid))))
-    return fam
+    whats, cols = zip(*fam)
+    return list(whats), np.column_stack(cols)
 
 
 def check_reversed_hardy(alpha: float, lam: float, s: float,
@@ -489,21 +482,16 @@ def check_reversed_hardy(alpha: float, lam: float, s: float,
     dec_0 = get_dec(alpha, 0.0, grid)
     measured: dict = {"p": p}
     tol: dict = {}
-    fam = _reversed_family(grid, p, dec=dec_l)
-    sup = 0.0
-    for what, u in fam:
-        den = norm(what, weighted_norm(grid, u, -alpha * s))
-        diff = power_apply(dec_l, s, u) - power_apply(dec_0, s, u)
-        num = mass_norm(dec_l.operator, diff)
-        sup = max(sup, num / den)
-    measured["sup_ratio"] = sup
-    measured["n_family"] = len(fam)
+    whats, U = _reversed_family(grid, p, dec=dec_l)
+    den = norm(whats, weighted_norm(grid, U, -alpha * s))
+    num = mass_norm(dec_l.operator, power_apply(dec_l, s, U) - power_apply(dec_0, s, U))
+    measured["sup_ratio"] = float(np.max(num / den))
+    measured["n_family"] = len(whats)
     tol["sup_ratio"] = CAP
     # s = 2 reduction: the ratio is exactly |lam|
     u = boundary_bump(grid, 0.05, p + 0.51)
-    diff2 = dec_l.operator.apply(u) - dec_0.operator.apply(u)
-    ratio2 = mass_norm(dec_l.operator, diff2) \
-        / norm("boundary bump eps=0.05", weighted_norm(grid, u, -2.0 * alpha))
+    ratio2 = mass_norm(dec_l.operator, dec_l.operator.apply(u) - dec_0.operator.apply(u)) \
+        / norm(["boundary bump eps=0.05"], [weighted_norm(grid, u, -2.0 * alpha)])[0]
     measured["identity_s2_err"] = abs(ratio2 - abs(lam)) / max(abs(lam), 1e-30) \
         if lam != 0.0 else ratio2
     tol["identity_s2_err"] = 1e-10
@@ -863,9 +851,8 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     dec_r = get_dec(alpha, lam, grid_r)
     psi = heat_apply(dec_r, t_r, interior_bump(grid_r, center=1.25, halfwidth=0.75))
     r_list = np.array([0.25 * 2.0 ** (-j) for j in range(5)])
-    norms_r = np.array([dm.commutator_with_multiplier(dec_r.operator, psi,
-                                                      dm.boundary_cutoff(grid_r, r))
-                        for r in r_list])
+    norms_r = dm.commutator_with_multiplier(
+        dec_r.operator, psi, np.column_stack([dm.boundary_cutoff(grid_r, r) for r in r_list]))
     slope_r = _slope("commutator_scaling", "slope_r", grid_r, r_list, norms_r)
     measured["slope_r"] = slope_r
     measured["rate_r"] = p - alpha + 0.5
@@ -881,9 +868,8 @@ def check_commutator_scaling(alpha: float, lam: float, N: int = 2000,
     else:
         u_far = decay_profile(grid_R, p, alpha)
     R_list = X_R / np.array([40.0, 20.0, 10.0, 5.0])
-    norms_R = np.array([dm.commutator_with_multiplier(op_R, u_far,
-                                                      dm.radial_cutoff(grid_R, R))
-                        for R in R_list])
+    norms_R = dm.commutator_with_multiplier(
+        op_R, u_far, np.column_stack([dm.radial_cutoff(grid_R, R) for R in R_list]))
     slope_R = _slope("commutator_scaling", "slope_R", grid_R, R_list, norms_R)
     measured["slope_R"] = slope_R
     measured["rate_R"] = -alpha - 0.5

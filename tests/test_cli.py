@@ -495,6 +495,8 @@ class TestParameterErrors:
         (["kernel", "--kind", "heat-exact", "--t", "1,abc", "--x", "1", "--y", "1"], "--t"),
         (["kernel", "--kind", "heat-exact", "--x", "1", "--y", "1e"], "--y"),
         (["exponent", "--alpha", "1"], "provide --lambda, --lambda-star or --lambda-zero"),
+        (["discretize", "--alpha", "2", "--N", "16", "--count", "100"],
+         "--count must lie between 1 and N-1 = 15"),
     ], ids=["riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
@@ -507,12 +509,37 @@ class TestParameterErrors:
             "discretize-X-tiny", "spectrum-X-tiny", "exponent-lambda-huge",
             "exponent-alpha-subnormal", "exponent-alpha-below-min",
             "heat-envelope-alpha-tiny", "heat-exact-x-word", "heat-exact-t-word",
-            "heat-exact-y-bare-exponent", "exponent-no-lambda"])
+            "heat-exact-y-bare-exponent", "exponent-no-lambda", "discretize-count-above-n"])
     def test_bad_input_is_parameter_error(self, capsys, argv, name):
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert err.startswith("parameter error: ") and name in err
         assert "Traceback" not in err and out == ""
+
+    def test_spectrum_count_runs_up_to_n_minus_one(self, capsys):
+        # the default 20 rows become N-1 on a grid with fewer eigenvalues
+        for argv in (["--count", "15"], []):
+            rc, out, _ = run(capsys, "discretize", "--alpha", "2", "--N", "16",
+                             "--format", "csv", *argv)
+            assert rc == 0
+            assert len(out.splitlines()) == 16
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--check", "schur_prop", "--out", ""], "--out"),
+        (["verify", "--check", "schur_prop", "--summary", ""], "--summary"),
+        (["exponent", "--alpha", "1", "--lambda", "1", "--out", ""], "--out"),
+        (["kernel", "--kind", "heat-exact", "--x", "1", "--y", "1", "--out", ""], "--out"),
+        (["discretize", "--alpha", "2", "--N", "100", "--out", ""], "--out"),
+    ], ids=["verify-out", "verify-summary", "exponent-out", "kernel-out", "discretize-out"])
+    def test_empty_output_path_is_parameter_error(self, capsys, monkeypatch, argv, flag):
+        # rejected before any work: neither the campaign nor a spectrum runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before the output path was checked")
+        monkeypatch.setattr(V, "run_all", no_work)
+        monkeypatch.setattr(V, "get_dec", no_work)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == f"parameter error: {flag} needs a file path, got an empty one\n"
 
 
 class TestVerify:
@@ -611,6 +638,9 @@ class TestVerify:
         ("[lemma_integral]\nbetas = nan\n", "[lemma_integral] betas"),
         *[(f"[reversed_hardy]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = {X} 200 2\n",
            "reversed_hardy: the test function") for X in ("1e-100", "1e-6", "0.1", "1")],
+        # the first member without a norm is not the family's first column
+        ("[reversed_hardy]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = 1e-6 200 2\n",
+         "reversed_hardy: the test function interior bump at 1 has norm 0.0"),
         *[(f"[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = {X} 200 2\n",
            "generalized_hardy: the test function interior bump at 2")
           for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100")],
@@ -633,6 +663,7 @@ class TestVerify:
             "n-log-zero", "n-x-zero", "n-duhamel-zero", "difference-bound-no-lams",
             "grid-cfg-inf", "t-inf", "alpha-nan", "betas-nan",
             *(f"reversed-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1")),
+            "reversed-hardy-X1e-6-member",
             *(f"generalized-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100",
                                                  "1e200")),
             "equivalence-X1e6", "equivalence-X1e100", "equivalence-X1e-100",

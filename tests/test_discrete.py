@@ -394,6 +394,64 @@ class TestSpectralCalculus:
         assert np.max(np.abs(v - u)) <= 1e-8 * np.max(np.abs(u))
 
 
+@pytest.fixture(scope="module")
+def unit_decs():
+    """One decomposition at X = 1 per alpha: alpha = 2 has the band
+    stiffness, alpha = 1.5 the dense one."""
+    return {alpha: eigendecompose(assemble_form(alpha, 1.0, build_grid(1.0, 200, 2.0)))
+            for alpha in (1.5, 2.0)}
+
+
+def _bump_block(grid):
+    """Four nodal test functions as the columns of one (n, 4) array."""
+    return np.column_stack([boundary_bump(grid, 0.1 * grid.X, 1.5),
+                            boundary_bump(grid, 0.02 * grid.X, 2.5),
+                            interior_bump(grid, 0.2 * grid.X, 0.1 * grid.X),
+                            singular_profile(grid, 0.7)])
+
+
+# name -> (call on a decomposition and one nodal argument, returns a float)
+BLOCK_CALLS = {
+    "matvec": (lambda dec, u: dec.operator.matvec(u), False),
+    "apply": (lambda dec, u: dec.operator.apply(u), False),
+    "coefficients": (lambda dec, u: dec.coefficients(u), False),
+    "synthesize": (lambda dec, u: dec.synthesize(u), False),
+    "heat_apply": (lambda dec, u: heat_apply(dec, 0.01, u), False),
+    "power_apply": (lambda dec, u: power_apply(dec, -1.3, u), False),
+    "sobolev_norm": (lambda dec, u: sobolev_norm(dec, 1.3, u), True),
+    "mass_norm": (lambda dec, u: mass_norm(dec.operator, u), True),
+    # the nodal argument is the multiplier
+    "commutator_with_multiplier": (lambda dec, m: commutator_with_multiplier(
+        dec.operator, interior_bump(dec.operator.grid, 0.3 * dec.operator.grid.X,
+                                    0.2 * dec.operator.grid.X), m), True),
+}
+
+
+class TestBlockConvention:
+    """Every function of the spectral calculus takes (n,) or (n, k): a block
+    call gives the k column calls, and a 1-D call keeps its return type."""
+
+    @pytest.mark.parametrize("name", list(BLOCK_CALLS))
+    @pytest.mark.parametrize("X", [1.0, 10.0])
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_block_equals_column_calls(self, unit_decs, alpha, X, name):
+        dec = dilate(unit_decs[alpha], build_grid(X, 200, 2.0))
+        call, gives_float = BLOCK_CALLS[name]
+        U = _bump_block(dec.operator.grid)
+        block = call(dec, U)
+        cols = [call(dec, np.ascontiguousarray(U[:, j])) for j in range(U.shape[1])]
+        if gives_float:
+            assert all(type(c) is float for c in cols)
+            assert isinstance(block, np.ndarray) and block.shape == (U.shape[1],)
+            for got, want in zip(block, cols):
+                assert abs(got - want) <= 1e-13 * abs(want)
+        else:
+            assert all(c.shape == (U.shape[0],) for c in cols)
+            assert block.shape == U.shape
+            for got, want in zip(block.T, cols):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestDilation:
     """Every form is assembled and decomposed at X = 1; X is a scalar."""
 
