@@ -33,14 +33,15 @@ does not depend on X.
 Below alpha = 2 the whole-line form is written into one preallocated n x n
 array (N <= DENSE_SOLVER_CAP) a block of rows at a time, from the columns at
 or right of the diagonal, each block's transpose filling the mirror entries:
-assembly needs the output plus a few blocks of about _BLOCK_BYTES.  The bands
-and the Hardy potential are added in place, so each operator owns the only
-copy of its stiffness.  At alpha = 2 the stiffness is a (2, n) band array of
-O(N) memory, at any N.  DiscreteOperator.matvec is the one product with
-either layout.  At alpha = 2 both solves run on the bands scaled by the root
-of a diagonal weight (_scaled_bands): MRRR on the mass-scaled bands for
-spectra (capped at DENSE_SOLVER_CAP, the eigenvectors being dense), bisection
-on the Hardy-scaled bands for the Hardy minimum (any N).  Below, dense eigh
+assembly needs the output plus a few blocks of about _BLOCK_BYTES.  At
+alpha = 2 the stiffness is a (2, n) band array of O(N) memory, at any N.
+Either layout holds the lambda = 0 form, lam being a scalar that the methods
+apply, so forms at several couplings share one stiffness.
+DiscreteOperator.matvec is the one product with either layout.  At alpha = 2
+both solves run on the bands scaled by the root of a diagonal weight
+(_scaled_bands): MRRR on the mass-scaled bands for spectra (capped at
+DENSE_SOLVER_CAP, the eigenvectors being dense), bisection on the
+Hardy-scaled bands for the Hardy minimum (any N).  Below, dense eigh
 for spectra and, for the Hardy minimum, Lanczos on the inverse of a Cholesky
 factor U, applied as two triangular solves, U^T y = x and U z = y.
 
@@ -288,9 +289,9 @@ class DiscreteOperator:
     alpha: float
     lam: float
     grid: Grid1D
-    # K, with the lambda-potential: dense (n, n) below alpha = 2; at alpha = 2
-    # the (2, n) upper band array in LAPACK ab layout, row 0 the off-diagonal
-    # after one padding entry, row 1 the diagonal.  Multiply by it with matvec
+    # K0, the lambda = 0 form (K = K0 + lam * diag(hardy)): dense (n, n) below
+    # alpha = 2; at alpha = 2 the (2, n) upper band array in LAPACK ab layout,
+    # row 0 the off-diagonal after one padding entry, row 1 the diagonal
     stiffness: np.ndarray
     hardy: np.ndarray      # diagonal of the Hardy weight, weights * x^{-alpha}
     mass: np.ndarray       # lumped mass diagonal (= unit-grid weights)
@@ -298,8 +299,12 @@ class DiscreteOperator:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """K u at unit scale, for u of shape (n,) or (n, k)."""
         if self.alpha != 2.0:
-            return self.stiffness @ u
-        diag, off = (_col(band, u) for band in _bands(self.stiffness))
+            v = self.stiffness @ u
+            if self.lam != 0.0:
+                v += _col(self.lam * self.hardy, u) * u
+            return v
+        diag, off = _bands(self.stiffness)
+        diag, off = _col(diag + self.lam * self.hardy, u), _col(off, u)
         v = diag * u
         v[:-1] += off * u[1:]
         v[1:] += off * u[:-1]
@@ -320,7 +325,8 @@ def _col(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _norms(w: np.ndarray, u: np.ndarray) -> float | np.ndarray:
     """sqrt(sum_i w_i u_i^2) of u, a float, or of each column of u (n, k)."""
-    norms = np.sqrt(np.sum(_col(w, u) * u * u, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.sum(_col(w, u) * u * u, axis=0))
     return float(norms) if u.ndim == 1 else norms
 
 
@@ -329,15 +335,23 @@ def _bands(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return K[1], K[0, 1:]
 
 
+def _couple(op: DiscreteOperator, lam: float) -> DiscreteOperator:
+    """The lambda = 0 form op at coupling lam, sharing its arrays.  A lam * hardy
+    that is not finite (so a lam that is not, as hardy > 0) is a DomainError."""
+    with np.errstate(all="ignore"):
+        _require_finite(op.alpha, lam, op.grid, lam * op.hardy)
+    return replace(op, lam=lam)
+
+
 def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
     """Assemble the discrete quadratic form for coupling lam.
 
     lam must be finite; below the sharp constant it is allowed (indefinite
-    forms are useful optimality probes).  The stiffness is built in one fresh
-    array at unit scale: at alpha = 2 the (2, n) bands of the P1 form plus lam
-    times the Hardy potential on the diagonal, at any N; below 2 a dense part
-    plus three bands plus that diagonal, so N > DENSE_SOLVER_CAP is rejected
-    before any work.  A form that is not finite raises DomainError.
+    forms are useful optimality probes), and stored as a scalar beside the
+    lambda = 0 stiffness, built in one fresh array at unit scale: at alpha = 2
+    the (2, n) bands of the P1 form, at any N; below 2 a dense part plus three
+    bands, so N > DENSE_SOLVER_CAP is rejected before any work.  A form or a
+    lam * hardy that is not finite raises DomainError.
     """
     _check_alpha(alpha, include_two=True)
     if not math.isfinite(lam):
@@ -352,7 +366,7 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
             diag, off = _local_bands(unit)
             K = np.zeros((2, n))
             K[0, 1:] = off
-            np.add(diag, lam * hardy, out=K[1])
+            K[1] = diag
         else:
             K = _nonlocal_stiffness(alpha, unit)
             A = normalization_A(1, alpha)
@@ -364,11 +378,9 @@ def assemble_form(alpha: float, lam: float, grid: Grid1D) -> DiscreteOperator:
             K[np.diag_indices(n)] += diag
             K[i, i + 1] += off
             K[i + 1, i] += off
-            K[np.diag_indices(n)] += lam * hardy
-    # a non-finite hardy entry shows in K too, as inf or as 0 * inf = nan
     _require_finite(alpha, lam, grid, K)
-    return DiscreteOperator(alpha=alpha, lam=lam, grid=grid, stiffness=K,
-                            hardy=hardy, mass=unit.weights)
+    return _couple(DiscreteOperator(alpha=alpha, lam=0.0, grid=grid, stiffness=K,
+                                    hardy=hardy, mass=unit.weights), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +419,12 @@ class SpectralDecomposition:
 
 
 def _scaled_bands(op: DiscreteOperator, rw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of R^{-1} K R^{-1} for the alpha = 2 stiffness K of op and
-    R = diag(rw), rw the square root of a diagonal weight.  A non-finite rw
-    or band raises DomainError naming op's form."""
+    """Bands of R^{-1} K R^{-1} for the alpha = 2 form K of op, lam term
+    included, and R = diag(rw), rw the square root of a diagonal weight.  A
+    non-finite rw or band raises DomainError naming op's form."""
     diag, off = _bands(op.stiffness)
     with np.errstate(all="ignore"):
-        bands = diag / rw / rw, off / rw[:-1] / rw[1:]
+        bands = (diag + op.lam * op.hardy) / rw / rw, off / rw[:-1] / rw[1:]
     _require_finite(op.alpha, op.lam, op.grid, rw, *bands)
     return bands
 
@@ -423,19 +435,24 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     Solved on the unit-scale arrays.  At alpha = 2 the stiffness is stored as
     its bands, which, scaled by M^{-1/2} on both sides, go to the tridiagonal
     MRRR solver (LAPACK stemr); it keeps the lowest modes' residuals at the
-    level of dense eigh.  For alpha < 2 the scaled matrix goes to dense eigh.
-    The eigenvectors are dense at every alpha, so N > DENSE_SOLVER_CAP is
-    rejected before any work.  Scaled bands that are not finite, or a spectrum
-    that leaves the normal double range at the operator's X, raise DomainError.
+    level of dense eigh.  For alpha < 2 the scaled matrix is built in one
+    Fortran-ordered array, which dense eigh overwrites.  The eigenvectors are
+    dense at every alpha, so N > DENSE_SOLVER_CAP is rejected before any work.
+    Scaled bands that are not finite, or a spectrum that leaves the normal
+    double range at the operator's X, raise DomainError.
     """
     _require_dense_size(op.grid)
     rw = np.sqrt(op.mass)
     if op.alpha == 2.0:
         vals, Y = eigh_tridiagonal(*_scaled_bands(op, rw), lapack_driver="stemr")
     else:
-        vals, Y = eigh(op.stiffness / rw[:, None] / rw[None, :])
-    return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
-                                        operator=op), op.grid)
+        B = np.divide(op.stiffness.T, rw[:, None])
+        B /= rw[None, :]
+        np.fill_diagonal(B, (np.diagonal(op.stiffness) + op.lam * op.hardy) / rw / rw)
+        vals, Y = eigh(B, overwrite_a=True)
+    Y /= rw[:, None]
+    return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y, operator=op),
+                  op.grid)
 
 
 def dilate(dec: SpectralDecomposition, grid: Grid1D) -> SpectralDecomposition:
@@ -467,12 +484,15 @@ def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarra
 
 def power_apply(dec: SpectralDecomposition, s: float, u: np.ndarray) -> np.ndarray:
     """L^{s/2} u; negative s gives the Riesz (inverse) powers."""
-    return dec.synthesize(_col(dec.eigenvalues ** (0.5 * s), u) * dec.coefficients(u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = _col(dec.eigenvalues ** (0.5 * s), u) * dec.coefficients(u)
+    return dec.synthesize(image)
 
 
 def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float | np.ndarray:
     """|| L^{s/2} u || in the mass norm, via the spectral measure."""
-    return _norms(dec.eigenvalues ** s, dec.coefficients(u))
+    with np.errstate(over="ignore"):
+        return _norms(dec.eigenvalues ** s, dec.coefficients(u))
 
 
 def mass_norm(op: DiscreteOperator, u: np.ndarray) -> float | np.ndarray:
@@ -531,10 +551,11 @@ def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,
                                m: np.ndarray) -> float | np.ndarray:
     """Mass norm of [A, m] u for a multiplier m on the nodes, or per column of m (n, k).
 
-    Diagonal potential terms commute with multiplication operators, so the
-    full stiffness stands in for the pure nonlocal part.
+    The Hardy term is diagonal and commutes exactly with m, so the lambda = 0
+    form gives it at every lam: the term is left out, not added and cancelled.
     """
-    v = op.matvec(m * _col(u, m)) - m * _col(op.matvec(u), m)
+    free = replace(op, lam=0.0)
+    v = free.matvec(m * _col(u, m)) - m * _col(free.matvec(u), m)
     return _power(op, 0.5 - op.alpha) * _norms(1.0 / op.mass, v)
 
 

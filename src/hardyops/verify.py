@@ -108,12 +108,20 @@ def _finalize(name, params, measured, tolerances, notes="") -> VerificationRepor
 # Shared machinery
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
+def _form(alpha: float, N: int, g: float) -> dm.DiscreteOperator:
+    # the lambda = 0 form, shared, read-only, by the decompositions at every lam
+    op = assemble_form(alpha, 0.0, build_grid(1.0, N, g))
+    for arr in (op.stiffness, op.hardy, op.mass):
+        arr.flags.writeable = False
+    return op
+
+
 @functools.lru_cache(maxsize=8)
 def _decompose(alpha: float, lam: float, N: int, g: float) -> dm.SpectralDecomposition:
     # shared, read-only, by every later caller with the same key, at any X
-    dec = eigendecompose(assemble_form(alpha, lam, build_grid(1.0, N, g)))
-    for arr in (dec.unit_eigenvalues, dec.eigenvectors, dec.operator.stiffness,
-                dec.operator.hardy, dec.operator.mass):
+    dec = eigendecompose(dm._couple(_form(alpha, N, g), lam))
+    for arr in (dec.unit_eigenvalues, dec.eigenvectors):
         arr.flags.writeable = False
     return dec
 
@@ -123,11 +131,12 @@ def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
 
     Every decomposition holds unit-scale arrays (see discrete.DiscreteOperator),
     so the cache holds one per (alpha, lam, N, g), and each call rebinds it to
-    grid with discrete.dilate, which copies no array.  A plain public
-    function around the cache: the benchmark tracer (bench/tracer.py) times
-    it and counts a miss for each eigendecompose it reaches.  A failed
-    decomposition is not cached; it is repeated on grid itself, so that its
-    DomainError names the caller's X, not the unit grid's.
+    grid with discrete.dilate, which copies no array.  Those of one (alpha,
+    N, g) share one read-only lambda = 0 form (_form), lam being a scalar.  A
+    plain public function around the cache: the benchmark tracer
+    (bench/tracer.py) times it and counts a miss for each eigendecompose it
+    reaches.  A failed decomposition is not cached; it is repeated on grid
+    itself, so that its DomainError names the caller's X, not the unit grid's.
     """
     try:
         dec = _decompose(alpha, lam, grid.N, grid.grading)

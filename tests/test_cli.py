@@ -650,6 +650,9 @@ class TestVerify:
         # at 1e-100 the bump's squared norms are subnormal: too few digits
         *[(f"[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = {X} 200 2\n",
            "equivalence: the test function boundary bump") for X in ("1e6", "1e100", "1e-100")],
+        # the spectrum to the power s overflows: a non-finite norm, without a warning
+        ("[equivalence]\nalpha = 2\nlam = -0.24\ns = 1.5\ngrid_cfg = 1e-100 200 2\n",
+         "heat image t=0.04 of the singular profile has norm"),
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 2000 200 2\n",
          "fewer than two windows"),
         ("[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\ngrid_cfg = 4000 200 2\n",
@@ -667,7 +670,7 @@ class TestVerify:
             *(f"generalized-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100",
                                                  "1e200")),
             "equivalence-X1e6", "equivalence-X1e100", "equivalence-X1e-100",
-            "generalized-hardy-no-windows",
+            "equivalence-power-overflow", "generalized-hardy-no-windows",
             "generalized-hardy-no-fit-window", "X-1e-300"])
     def test_bad_config_is_parameter_error(self, capsys, tmp_path, section, key):
         cfg = tmp_path / "bad.cfg"

@@ -48,12 +48,12 @@ def banded(diag, off):
 
 
 def dense_stiffness(op):
-    """op.stiffness as an n x n matrix: at alpha = 2 it is stored as its
+    """K = op.stiffness + op.lam * diag(op.hardy) as an n x n matrix: the
+    stiffness is the lambda = 0 form, and at alpha = 2 it is stored as its
     (2, n) upper bands, row 0 the off-diagonal after one pad, row 1 the
     diagonal."""
-    if op.alpha != 2.0:
-        return op.stiffness
-    return banded(op.stiffness[1], op.stiffness[0, 1:])
+    K0 = op.stiffness if op.alpha != 2.0 else banded(op.stiffness[1], op.stiffness[0, 1:])
+    return K0 + op.lam * np.diag(op.hardy)
 
 
 def oneshot_fullline_form(alpha, grid):
@@ -774,3 +774,51 @@ class TestCommutator:
         assert commutator_with_multiplier(op, u, m) == pytest.approx(
             math.sqrt(np.sum(direct ** 2 / mass)), rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_hardy_term_is_left_out(self, alpha):
+        # lam * x^{-alpha} commutes with m, so every lam gives the lambda = 0
+        # commutator bit for bit, not after a cancellation
+        grid = build_grid(30.0, 700, 2.0)
+        u = singular_profile(grid, 1.0)
+        m = np.column_stack([cutoff_product(grid, r, R) for r, R in ((0.2, 8.0), (0.5, 3.0))])
+        norms = [commutator_with_multiplier(assemble_form(alpha, lam, grid), u, m)
+                 for lam in (0.0, 1.0)]
+        assert np.array_equal(norms[0], norms[1])
+
+
+class TestCouplingAsScalar:
+    """lam is a scalar of the operator: the stiffness holds the lambda = 0
+    form, and the solvers add lam times the Hardy diagonal themselves."""
+
+    @pytest.mark.parametrize("alpha, lam", [
+        *[(alpha, lam) for alpha in (0.5, 1.0, 1.5) for lam in (-0.1, 1.0, 3.0)],
+        *[(2.0, lam) for lam in (-0.24, 1.0, 3.0)]])
+    def test_eigenpairs_equal_the_summed_form(self, alpha, lam):
+        # bit for bit the eigenpairs of the matrix with lam * hardy summed in:
+        # dense eigh of the mass-scaled sum, or MRRR on its scaled bands
+        from scipy.linalg import eigh, eigh_tridiagonal
+        op = assemble_form(alpha, lam, build_grid(10.0, 300, 2.0))
+        dec = eigendecompose(op)
+        rw = np.sqrt(op.mass)
+        if alpha == 2.0:
+            diag, off = op.stiffness[1] + lam * op.hardy, op.stiffness[0, 1:]
+            vals, Y = eigh_tridiagonal(diag / rw / rw, off / rw[:-1] / rw[1:],
+                                       lapack_driver="stemr")
+        else:
+            vals, Y = eigh(dense_stiffness(op) / rw[:, None] / rw[None, :])
+        assert np.array_equal(dec.unit_eigenvalues, vals)
+        assert np.array_equal(dec.eigenvectors, Y / rw[:, None])
+
+    @pytest.mark.parametrize("alpha, cap", [(1.5, 2.1), (2.0, 1.1)])
+    def test_eigendecompose_memory(self, alpha, cap):
+        # below alpha = 2 one scaled copy, which eigh overwrites, and the
+        # eigenvectors; at alpha = 2 the eigenvectors alone, scaled in place
+        op = assemble_form(alpha, 1.0, build_grid(10.0, 1000, 2.0))
+        n = op.mass.size
+        tracemalloc.start()
+        try:
+            eigendecompose(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap * 8 * n * n, peak / (8 * n * n)

@@ -55,6 +55,20 @@ class TestDecompositionCache:
             assert np.shares_memory(dec.eigenvectors, cached.eigenvectors)
             assert np.shares_memory(dec.operator.stiffness, cached.operator.stiffness)
 
+    def test_couplings_share_one_assembled_form(self, monkeypatch):
+        # lam is a scalar of the form: a key (alpha, N, g) no other test uses
+        # is assembled once for both couplings, and both hold that stiffness
+        from hardyops import discrete
+        calls = []
+        build = discrete._nonlocal_stiffness
+        monkeypatch.setattr(discrete, "_nonlocal_stiffness",
+                            lambda *a: calls.append(a) or build(*a))
+        grid = build_grid(10.0, 77, 2.0)
+        decs = [V.get_dec(1.5, lam, grid) for lam in (0.0, 1.0)]
+        assert len(calls) == 1
+        assert np.shares_memory(decs[0].operator.stiffness, decs[1].operator.stiffness)
+        assert [d.operator.lam for d in decs] == [0.0, 1.0]
+
     @pytest.mark.parametrize("alpha, X", [(2.0, 1e200), (1.5, 1e250)])
     def test_underflowing_spectrum_is_domain_error(self, alpha, X):
         # X^{-alpha} times the unit spectrum leaves the normal range: an error
