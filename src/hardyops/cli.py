@@ -27,7 +27,7 @@ import numpy as np
 
 from hardyops import verify as V
 from hardyops.coupling import coupling_C, lambda_star, lambda_zero, make_coupling
-from hardyops.discrete import build_grid, hardy_quotient_min
+from hardyops.discrete import assemble_form, build_grid, eigendecompose, hardy_quotient_min
 from hardyops.kernels import (diff_envelope, heat_envelope, heat_exact_halfline,
                               pt, riesz_envelope)
 from hardyops.specfun import DomainError
@@ -189,7 +189,7 @@ def cmd_discretize(args) -> int:
     if not 1 <= count <= args.N - 1:
         raise DomainError(f"--count must lie between 1 and N-1 = {args.N - 1}, the number "
                           f"of eigenvalues, got {count}")
-    vals = V.get_dec(args.alpha, lam, grid).eigenvalues
+    vals = eigendecompose(assemble_form(args.alpha, lam, grid)).eigenvalues
     rows = [[i, v] for i, v in enumerate(vals[:count])]
     _emit(args, ["index", "eigenvalue"], rows)
     return 0

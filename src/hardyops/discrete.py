@@ -438,7 +438,7 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     level of dense eigh.  For alpha < 2 the scaled matrix is built in one
     Fortran-ordered array, which dense eigh overwrites.  The eigenvectors are
     dense at every alpha, so N > DENSE_SOLVER_CAP is rejected before any work.
-    Scaled bands that are not finite, or a spectrum that leaves the normal
+    A scaled form that is not finite, or a spectrum that leaves the normal
     double range at the operator's X, raise DomainError.
     """
     _require_dense_size(op.grid)
@@ -446,10 +446,12 @@ def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
     if op.alpha == 2.0:
         vals, Y = eigh_tridiagonal(*_scaled_bands(op, rw), lapack_driver="stemr")
     else:
-        B = np.divide(op.stiffness.T, rw[:, None])
-        B /= rw[None, :]
-        np.fill_diagonal(B, (np.diagonal(op.stiffness) + op.lam * op.hardy) / rw / rw)
-        vals, Y = eigh(B, overwrite_a=True)
+        with np.errstate(all="ignore"):
+            B = np.divide(op.stiffness.T, rw[:, None])
+            B /= rw[None, :]
+            np.fill_diagonal(B, (np.diagonal(op.stiffness) + op.lam * op.hardy) / rw / rw)
+        _require_finite(op.alpha, op.lam, op.grid, B)
+        vals, Y = eigh(B, overwrite_a=True, check_finite=False)
     Y /= rw[:, None]
     return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y, operator=op),
                   op.grid)

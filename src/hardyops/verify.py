@@ -21,8 +21,9 @@ lemma_integral and schur_prop runs on one batched adaptive G10-K21
 Gauss-Kronrod rule, _gauss_kronrod: every round evaluates the open panels of
 all integrals in array calls of at most _GK_ROWS panels, and an integral
 that would pass its panel cap raises DomainError naming it.  They keep the
-tolerances, break points and caps of the scalar quad calls they replaced,
-except that the lemma's integrals are purely relative (see _lemma_lhs) and
+epsrel, break points and caps of the scalar quads they replaced, and every
+one is purely relative: each integrand is nonnegative, and a fixed epsabs
+cost small values, such as pointwise_bounds' boundary values, their digits.
 schur_prop's two infinite ends are closed forms (see _schur_rows).
 """
 
@@ -253,21 +254,23 @@ def _panels(lo, hi, *points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return idx[keep], a[keep], b[keep]
 
 
-def _gauss_kronrod(f, idx: np.ndarray, a: np.ndarray, b: np.ndarray, *, epsabs: float,
-                   epsrel: float, limit: int, what) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_kronrod(f, idx: np.ndarray, a: np.ndarray, b: np.ndarray, *, epsrel: float,
+                   limit: int, what) -> tuple[np.ndarray, np.ndarray]:
     """Many integrals at once, by adaptive G10-K21 panels.
 
     Integral i is the sum of int_a^b f over its panels (i, a, b), as _panels
     makes them.  f(i, x) takes the integral index of each row (shape (m,)) and
     the nodes x (shape (m, 21)) and returns f there.  Each round evaluates
     the 21 nodes of every open panel, _GK_ROWS panels per call, and takes
-    |K21 - G10| as a panel's error.  With tol_i = max(epsabs, epsrel |I_i|),
-    I_i the current estimate, an integral is done once its summed error is
-    at most tol_i.  Until then a panel is kept when its error is at most its
-    length's share of tol_i / 2, and bisected otherwise; the other half of
-    tol_i is left for panels at an integrable endpoint singularity, whose
-    error falls slower than their length.  Returns each integral's K21 value
-    and its summed error.  An integral that would need more than limit
+    |K21 - G10| as a panel's error.  With tol_i = epsrel |I_i|, I_i the
+    current estimate, an integral is done once its summed error is at most
+    tol_i: f >= 0 here, so |I_i| bounds each panel's part, and an integral
+    that is 0 is 0 at every node, done in one round with zero error.  Until
+    then a panel is kept when its error is at most its length's share of
+    tol_i / 2, and bisected otherwise; the other half of tol_i is left for
+    panels at an integrable endpoint singularity, whose error falls slower
+    than their length.  Returns each integral's K21 value and its summed
+    error.  An integral that would need more than limit
     panels, the counterpart of quad's limit, raises DomainError with what(i),
     which names the integral and its parameters.
     """
@@ -283,7 +286,7 @@ def _gauss_kronrod(f, idx: np.ndarray, a: np.ndarray, b: np.ndarray, *, epsabs: 
             fx = f(idx[rows], c[rows, None] + h[rows, None] * _GK_X)
             k[rows], g[rows] = fx @ _GK_WK, fx @ _GK_WG
         k, e = h * k, h * np.abs(k - g)
-        tol = np.maximum(epsabs, epsrel * np.abs(val + np.bincount(idx, k, n)))
+        tol = epsrel * np.abs(val + np.bincount(idx, k, n))
         finished = err + np.bincount(idx, e, n) <= tol
         keep = finished[idx] | (e <= tol[idx] * (b - a) * half_share[idx])
         val += np.bincount(idx[keep], k[keep], n)
@@ -575,18 +578,16 @@ def _duhamel_rhs(lam: float, t: float, x: float, y: float) -> float:
             si = sig_i[i, None]
             return heat_exact_halfline(0.0, t - si, x, z) * z ** (-2.0) \
                 * heat_exact_halfline(lam, si, z, y)
-        val = _gauss_kronrod(f, *_panels(np.zeros(sig_i.size), zhi, x, y),
-                             epsabs=1e-13, epsrel=1e-8, limit=200,
-                             what=lambda i: f"{where}, inner z integral at "
-                                            f"s={float(sig_i[i])!r}")[0]
+        val = _gauss_kronrod(f, *_panels(np.zeros(sig_i.size), zhi, x, y), epsrel=1e-8,
+                             limit=200, what=lambda i: f"{where}, inner z integral "
+                                                       f"at s={float(sig_i[i])!r}")[0]
         return val.reshape(sig.shape)
 
     # the inner integral extends continuously to both endpoints, so the
     # trimmed slivers contribute O(1e-6 t) relative weight
     lo, hi = 1e-6 * t, (1.0 - 1e-6) * t
-    # epsabs is quad's default, as before
     val = _gauss_kronrod(inner, *_panels(lo, hi, 0.25 * t, 0.5 * t, 0.75 * t),
-                         epsabs=1.49e-8, epsrel=1e-6, limit=100, what=lambda i: where)[0]
+                         epsrel=1e-6, limit=100, what=lambda i: where)[0]
     return lam * float(val[0])
 
 
@@ -650,8 +651,7 @@ def check_pointwise_bounds(lam: float = 1.0, t: float = 0.5) -> VerificationRepo
 
     def f(i: np.ndarray, y: np.ndarray) -> np.ndarray:
         return heat_exact_halfline(lam, t, xs[i, None], y) * dm._bump((y - 1.25) / 0.75)
-    vals = _gauss_kronrod(f, *_panels(np.full(xs.size, 0.5), sup_y), epsabs=1e-13,
-                          epsrel=1e-8, limit=100,
+    vals = _gauss_kronrod(f, *_panels(np.full(xs.size, 0.5), sup_y), epsrel=1e-8, limit=100,
                           what=lambda i: f"pointwise_bounds: the bump integral at "
                                          f"x={float(xs[i])!r}, lam={lam!r}, t={t!r}")[0]
     maj = np.minimum(1.0, xs / math.sqrt(t)) ** p \
@@ -680,9 +680,8 @@ def _lemma_lhs(N: int, beta, r, s, delta):
     """Convolution of two off-center power bells, reduced by symmetry.
 
     The arguments broadcast as arrays, one integral per element, all on the
-    batched Gauss-Kronrod rule; floats give a float.  The integrals are purely
-    relative (epsabs = 0): the value can be far below the absolute tolerances
-    of the scalar quads they replaced (1e-13 at N = 1, quad's default 1.49e-8
+    batched Gauss-Kronrod rule; floats give a float.  The value can lie far
+    below the old scalar quads' absolute tolerances (1e-13 at N = 1, 1.49e-8
     at N = 2, 3), under which a panel that missed the second bell passed.
     """
     scalar = all(np.ndim(v) == 0 for v in (beta, r, s, delta))
@@ -700,8 +699,7 @@ def _lemma_lhs(N: int, beta, r, s, delta):
             b1, ri, si, di = 1.0 + beta[i, None], r[i, None], s[i, None], delta[i, None]
             return (ri * si) ** beta[i, None] / ((ri ** b1 + np.abs(x) ** b1)
                                                  * (si ** b1 + np.abs(x - di) ** b1))
-        val = _gauss_kronrod(f, *_panels(-L, L, 0.0, delta), epsabs=0.0, epsrel=1e-8,
-                             limit=300, what=what)[0]
+        val = _gauss_kronrod(f, *_panels(-L, L, 0.0, delta), epsrel=1e-8, limit=300, what=what)[0]
     else:
         flat = N == 2
         # by the angle to the second center: 2 dtheta on S^1, 2 pi sin dtheta on S^2
@@ -717,15 +715,15 @@ def _lemma_lhs(N: int, beta, r, s, delta):
                 d2 = dk * dk + rk * rk - 2.0 * dk * rk * np.cos(th)
                 return (1.0 if flat else np.sin(th)) / (s[k] ** nb + d2 ** (0.5 * nb))
             ang = _gauss_kronrod(g, *_panels(np.zeros(rho_i.size), math.pi),
-                                 epsabs=0.0, epsrel=1e-7, limit=60,
+                                 epsrel=1e-7, limit=60,
                                  what=lambda j: f"{what(i_rho[j])}, angular integral "
                                                 f"at rho={float(rho_i[j])!r}")[0]
             nb = N + beta[i, None]
             return (rho if flat else rho * rho) * sphere * ang.reshape(rho.shape) \
                 / (r[i, None] ** nb + rho ** nb)
         val = (r * s) ** beta * _gauss_kronrod(
-            radial, *_panels(0.0, L, r, np.maximum(delta, 1e-6)),
-            epsabs=0.0, epsrel=1e-6, limit=200, what=what)[0]
+            radial, *_panels(0.0, L, r, np.maximum(delta, 1e-6)), epsrel=1e-6, limit=200,
+            what=what)[0]
     return float(val[0]) if scalar else val
 
 
@@ -788,7 +786,7 @@ def _schur_rows(alpha: float, r: np.ndarray, x, epsrel: float) -> np.ndarray:
         return (xi / y) ** 0.5 * ((hi / np.sqrt(xi * y)) ** (2.0 * r[i, None]) * hi ** alpha
                                   / np.maximum(np.abs(xi - y), lo) ** (1.0 + alpha))
     mid = _gauss_kronrod(f, *_panels(x * 1e-4, x * 1e4, 0.5 * x, x, 2.0 * x),
-                         epsabs=1e-14, epsrel=epsrel, limit=400,
+                         epsrel=epsrel, limit=400,
                          what=lambda i: f"schur_prop: the row integral at alpha={alpha!r}, "
                                         f"r={float(r[i])!r}, x={float(x[i])!r}")[0]
     return mid + 2.0 * _schur_end(0.5 - r, alpha)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hardyops import discrete
+from hardyops import cli, discrete
 from hardyops import verify as V
 from hardyops.cli import main, read_table
 
@@ -385,6 +385,15 @@ class TestDiscretize:
             assert part in err
         assert "Traceback" not in err and out == ""
 
+    def test_spectrum_of_overflowing_form_is_parameter_error(self, capsys):
+        # below alpha = 2 the mass-scaled matrix overflows: the message names
+        # the form and lambda, as at alpha = 2, with no warning on the way
+        rc, out, err = run(capsys, "discretize", "--alpha", "1.5", "--N", "100",
+                           "--lambda", "1e305")
+        assert rc == 2 and out == ""
+        assert err == ("parameter error: the discrete form at alpha=1.5, X=10.0, N=100, "
+                       "g=2.0 with lambda=1e+305 is not finite in double precision\n")
+
     def test_hardy_min_table_past_dense_cap_at_alpha2(self, capsys, tmp_path):
         path = tmp_path / "hardy.csv"
         rc, _, _ = run(capsys, "discretize", "--alpha", "2", "--N", "64000",
@@ -536,7 +545,7 @@ class TestParameterErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("computed before the output path was checked")
         monkeypatch.setattr(V, "run_all", no_work)
-        monkeypatch.setattr(V, "get_dec", no_work)
+        monkeypatch.setattr(cli, "eigendecompose", no_work)
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err == f"parameter error: {flag} needs a file path, got an empty one\n"

@@ -266,13 +266,15 @@ def _old_lemma_lhs(N, beta, r, s, delta, tight=False):
                                   epsabs=epsabs, epsrel=1e-10 if tight else 1e-6)[0]
 
 
-def _old_bump_integral(lam, t, x):
-    """The scalar quad form of pointwise_bounds' bump integrals."""
+def _old_bump_integral(lam, t, x, tight=False):
+    """The scalar quad form of pointwise_bounds' bump integrals; tight runs
+    it purely relative at 1e-12 instead."""
     def f(y):
         s = (y - 1.25) / 0.75
         bump = math.exp(1.0 - 1.0 / (1.0 - s * s)) if abs(s) < 1.0 else 0.0
         return heat_exact_halfline(lam, t, x, y) * bump
-    return quad(f, 0.5, 2.0, limit=100, epsabs=1e-13, epsrel=1e-8)[0]
+    return quad(f, 0.5, 2.0, limit=200 if tight else 100, epsabs=0.0 if tight else 1e-13,
+                epsrel=1e-12 if tight else 1e-8)[0]
 
 
 def _old_log_line_integral(f, x, epsrel):
@@ -301,6 +303,22 @@ def _old_schur_scale(alpha, r):
     return _old_log_line_integral(f, 1.0, 1e-9)
 
 
+def _record_relative_tolerance(monkeypatch) -> list:
+    """Wrap the batched rule: (size, failures) per call, where an integral
+    fails unless it is nonnegative, as the purely relative rule assumes, and
+    its summed error is within epsrel |value|.  (The rule itself raises past
+    its panel cap.)"""
+    batches = []
+
+    def recording_gk(*args, _gk=V._gauss_kronrod, **kwargs):
+        val, err = _gk(*args, **kwargs)
+        ok = (val >= 0.0) & (err <= kwargs["epsrel"] * np.abs(val))
+        batches.append((val.size, int(np.sum(~ok))))
+        return val, err
+    monkeypatch.setattr(V, "_gauss_kronrod", recording_gk)
+    return batches
+
+
 class TestGaussKronrod:
     def test_rule_integrates_polynomials_exactly(self):
         # K21 is exact to degree 31 on [-1, 1], G10 to degree 19
@@ -319,7 +337,7 @@ class TestGaussKronrod:
     def test_non_integrable_integrand_raises(self):
         with pytest.raises(DomainError, match=r"x\^-1 on \(0, 1\) does not converge within "
                                               r"50 Gauss-Kronrod panels"):
-            V._gauss_kronrod(lambda i, x: 1.0 / x, *V._panels(0.0, 1.0), epsabs=0.0,
+            V._gauss_kronrod(lambda i, x: 1.0 / x, *V._panels(0.0, 1.0),
                              epsrel=1e-8, limit=50, what=lambda i: "x^-1 on (0, 1)")
 
     def test_endpoint_singularities_converge(self):
@@ -328,7 +346,7 @@ class TestGaussKronrod:
 
         def f(i, x):
             return np.choose(i[:, None], [fn(x) for fn in fs])
-        val, err = V._gauss_kronrod(f, *V._panels(np.zeros(3), 1.0), epsabs=0.0,
+        val, err = V._gauss_kronrod(f, *V._panels(np.zeros(3), 1.0),
                                     epsrel=1e-10, limit=200, what=str)
         assert val == pytest.approx([2.0, 1.0, math.sin(1.0)], rel=1e-10)
         assert np.all(err <= 1e-10 * np.abs(val))
@@ -340,10 +358,24 @@ class TestGaussKronrod:
             rows.append(x.shape[0])
             return np.ones_like(x)
         n = 2 * V._GK_ROWS + 7
-        val, _ = V._gauss_kronrod(f, *V._panels(np.zeros(n), 2.0, 1.0), epsabs=0.0,
+        val, _ = V._gauss_kronrod(f, *V._panels(np.zeros(n), 2.0, 1.0),
                                   epsrel=1e-12, limit=2, what=str)
         assert np.all(val == pytest.approx(2.0, rel=1e-14))
         assert max(rows) == V._GK_ROWS and sum(rows) == 2 * n
+
+    def test_zero_integral_is_done_in_one_round(self):
+        # an integrand that is 0 everywhere, next to a nonzero one: one call,
+        # no bisection (limit=1 raises on any), and exactly 0 with zero error
+        calls = []
+
+        def f(i, x):
+            calls.append(i.size)
+            return np.where(i[:, None] == 0, 0.0, x * x)
+        val, err = V._gauss_kronrod(f, *V._panels(np.zeros(2), 1.0), epsrel=1e-10,
+                                    limit=1, what=str)
+        assert calls == [2]
+        assert val[0] == 0.0 and err[0] == 0.0
+        assert val[1] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize("lam, t, x, y", [(0.5, 0.8, 1.2, 0.6), (2.0, 0.4, 0.5, 2.1),
                                               (-0.2, 1.1, 0.9, 1.4)])
@@ -385,6 +417,18 @@ class TestGaussKronrod:
         old = [_old_bump_integral(lam, t, x) for x in xs]
         assert len(batches) == 1
         assert batches[0] == pytest.approx(old, rel=1e-7, abs=2e-13)
+
+    @pytest.mark.parametrize("lam, t", [(3.0, 2.0), (-0.25, 0.05), (1e3, 1e3)])
+    def test_pointwise_bounds_match_a_tight_quad(self, monkeypatch, lam, t):
+        # the boundary values fall far below any fixed absolute tolerance
+        # here: an absolute 1e-13 put these measures 29%, 4.6% and 6.6e-5 off
+        got = V.check_pointwise_bounds(lam=lam, t=t).measured
+        xs = np.concatenate([np.logspace(-4, 0, 25), np.linspace(1.2, 12.0, 25)])
+        ref = np.array([_old_bump_integral(lam, t, x, tight=True) for x in xs])
+        monkeypatch.setattr(V, "_gauss_kronrod", lambda *a, **k: (ref, np.zeros(ref.size)))
+        want = V.check_pointwise_bounds(lam=lam, t=t).measured
+        for key in ("sup_ratio", "boundary_limit_spread", "far_ratio"):
+            assert got[key] == pytest.approx(want[key], rel=1e-7, abs=0.0), key
 
     @pytest.mark.parametrize("alpha", [0.01, 1.2, 1.99])
     def test_schur_rows_match_the_old_quad_form(self, alpha):
@@ -531,17 +575,19 @@ class TestReportsAndCampaign:
                 calls.append(_name)
                 return _quad(*args, **kwargs)
             monkeypatch.setattr(mod, "quad", recording)
-        # the batched rule raises past its panel cap; every integral it
-        # returns must also hold its summed error within its tolerance
-        batches = []
-
-        def recording_gk(*args, _gk=V._gauss_kronrod, **kwargs):
-            val, err = _gk(*args, **kwargs)
-            tol = np.maximum(kwargs["epsabs"], kwargs["epsrel"] * np.abs(val))
-            batches.append((val.size, int(np.sum(~(err <= tol)))))
-            return val, err
-        monkeypatch.setattr(V, "_gauss_kronrod", recording_gk)
+        batches = _record_relative_tolerance(monkeypatch)
         V.run_all(seed=0)
         assert calls == []
         assert batches and sum(n for n, _ in batches) > 300
+        assert sum(bad for _, bad in batches) == 0
+
+    def test_benchmark_quadratures_hold_their_relative_tolerance(self, monkeypatch):
+        # the verify calls of the benchmark's quadrature workload
+        batches = _record_relative_tolerance(monkeypatch)
+        V.check_difference_bound(lams=(0.5, 2.0), n_duhamel=5, seed=0)
+        for seed in (0, 1, 2):
+            V.check_lemma_integral(N=1, nsamples=150, seed=seed)
+        V.check_lemma_integral(N=2, nsamples=96, seed=2)
+        V.check_schur_prop(1.2)
+        assert sum(n for n, _ in batches) > 1000
         assert sum(bad for _, bad in batches) == 0
