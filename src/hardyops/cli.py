@@ -26,8 +26,9 @@ import sys
 import numpy as np
 
 from hardyops import verify as V
-from hardyops.coupling import coupling_C, lambda_star, lambda_zero, make_coupling
-from hardyops.discrete import assemble_form, build_grid, eigendecompose, hardy_quotient_min
+from hardyops.coupling import (LAMBDA_SLACK, coupling_C, lambda_star, lambda_zero,
+                               make_coupling)
+from hardyops.discrete import build_grid, hardy_quotient_min, lowest_eigenvalues
 from hardyops.kernels import (diff_envelope, heat_envelope, heat_exact_halfline,
                               pt, riesz_envelope)
 from hardyops.specfun import DomainError
@@ -163,6 +164,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_discretize(args) -> int:
+    lstar = lambda_star(args.alpha)
     if args.hardy_min:
         _reject_unused("--hardy-min (the lambda = 0 Hardy quotient)",
                        {"--lambda": args.lam, "--count": args.count,
@@ -170,27 +172,23 @@ def cmd_discretize(args) -> int:
         if args.N < 250:
             raise DomainError(f"--hardy-min needs --N >= 250, its smallest "
                               f"table size; got {args.N}")
-        target = abs(lambda_star(args.alpha))
+        target = abs(lstar)
         rows = []
-        N = args.N
-        sizes = []
-        while N >= 250:
-            sizes.append(N)
-            N //= 2
-        for n in reversed(sizes):
+        for n in sorted(args.N // 2 ** k for k in range(args.N.bit_length())
+                        if args.N // 2 ** k >= 250):
             nu = hardy_quotient_min(args.alpha, build_grid(args.X, n, args.g))
-            rows.append([n, nu, target,
-                         (nu - target) / target if target > 0 else nu])
+            rows.append([n, nu, target, (nu - target) / target if target > 0 else nu])
         _emit(args, ["N", "hardy_min", "target", "rel_err"], rows)
         return 0
     lam = 0.0 if args.lam is None else args.lam
+    if lam < lstar - LAMBDA_SLACK:
+        raise DomainError(f"lambda={lam!r} below the sharp constant {lstar!r}")
     grid = build_grid(args.X, args.N, args.g)
     count = min(20, args.N - 1) if args.count is None else args.count
     if not 1 <= count <= args.N - 1:
         raise DomainError(f"--count must lie between 1 and N-1 = {args.N - 1}, the number "
                           f"of eigenvalues, got {count}")
-    vals = eigendecompose(assemble_form(args.alpha, lam, grid)).eigenvalues
-    rows = [[i, v] for i, v in enumerate(vals[:count])]
+    rows = [[i, v] for i, v in enumerate(lowest_eigenvalues(args.alpha, lam, grid, count))]
     _emit(args, ["index", "eigenvalue"], rows)
     return 0
 

@@ -37,13 +37,9 @@ assembly needs the output plus a few blocks of about _BLOCK_BYTES.  At
 alpha = 2 the stiffness is a (2, n) band array of O(N) memory, at any N.
 Either layout holds the lambda = 0 form, lam being a scalar that the methods
 apply, so forms at several couplings share one stiffness.
-DiscreteOperator.matvec is the one product with either layout.  At alpha = 2
-both solves run on the bands scaled by the root of a diagonal weight
-(_scaled_bands): MRRR on the mass-scaled bands for spectra (capped at
-DENSE_SOLVER_CAP, the eigenvectors being dense), bisection on the
-Hardy-scaled bands for the Hardy minimum (any N).  Below, dense eigh
-for spectra and, for the Hardy minimum, Lanczos on the inverse of a Cholesky
-factor U, applied as two triangular solves, U^T y = x and U z = y.
+DiscreteOperator.matvec is the one product with either layout.  _lowest
+gives the lowest eigenvalues against the mass or the Hardy weight, with no
+eigenvector; eigendecompose gives every eigenpair, for the spectral calculus.
 
 The spectral calculus takes blocks.  DiscreteOperator.matvec and apply,
 SpectralDecomposition.coefficients and synthesize, heat_apply, power_apply,
@@ -430,17 +426,13 @@ def _scaled_bands(op: DiscreteOperator, rw: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
-    """Generalized symmetric eigendecomposition against the lumped mass.
-
-    Solved on the unit-scale arrays.  At alpha = 2 the stiffness is stored as
-    its bands, which, scaled by M^{-1/2} on both sides, go to the tridiagonal
-    MRRR solver (LAPACK stemr); it keeps the lowest modes' residuals at the
-    level of dense eigh.  For alpha < 2 the scaled matrix is built in one
-    Fortran-ordered array, which dense eigh overwrites.  The eigenvectors are
-    dense at every alpha, so N > DENSE_SOLVER_CAP is rejected before any work.
-    A scaled form that is not finite, or a spectrum that leaves the normal
-    double range at the operator's X, raise DomainError.
-    """
+    """Every eigenpair against the lumped mass, for the spectral calculus, by
+    MRRR on the unit-scale form scaled by M^{-1/2}: LAPACK stemr on the
+    alpha = 2 bands, dense eigh in place below.  MRRR is accurate only to eps
+    times the scaled norm, so from g = 4 on it loses the lowest modes, which
+    _lowest keeps.  The eigenvectors are dense, so N > DENSE_SOLVER_CAP is
+    rejected before any work; a scaled form that is not finite, or a spectrum
+    outside the normal doubles at the operator's X, raises DomainError."""
     _require_dense_size(op.grid)
     rw = np.sqrt(op.mass)
     if op.alpha == 2.0:
@@ -501,48 +493,64 @@ def mass_norm(op: DiscreteOperator, u: np.ndarray) -> float | np.ndarray:
     return _power(op, 0.5) * _norms(op.mass, u)
 
 
-def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
-    """Smallest generalized eigenvalue of (Form_{lambda=0}, Hardy weight).
-
-    Converges to |lambda_star(alpha)| as the grid resolves the boundary.
-    Form and weight scale alike, so grid.X only names the form in errors.  At
-    alpha = 2 the bands of assemble_form(2, 0, grid), scaled by the Hardy
-    weight, go straight to bisection (LAPACK stebz): no n x n array is formed,
-    so any N runs.  The tiny tol leaves bisection to its relative stopping
-    rule; the default absolute one, eps * ||T||_1, grows as N^2.  For
-    alpha < 2 the minimum is 1/mu for the largest eigenvalue mu of
-    H^{1/2} K^{-1} H^{1/2}: K (capped at DENSE_SOLVER_CAP) is
-    Cholesky-factored in place as U^T U, and Lanczos (ARPACK) runs on the
-    inverse from the start vector H^{1/2}, each step two triangular solves
-    with U (BLAS trsv; LAPACK's potrs, behind cho_solve, takes twice as long
-    on one vector).  Neither the factorization nor the solves re-scan the
-    form, which assemble_form has checked finite.  A minimum that is not
-    finite, or a form that is not positive definite (a failed assembly, since
-    the lambda = 0 form is positive), raises DomainError.
-    """
-    op = assemble_form(alpha, 0.0, grid)
-    if alpha == 2.0:
-        return float(eigh_tridiagonal(*_scaled_bands(op, np.sqrt(op.hardy)),
-                                      eigvals_only=True, select="i",
-                                      select_range=(0, 0), tol=np.finfo(float).tiny)[0])
-    # the stiffness is symmetric, so its transpose is a Fortran-ordered view
-    # that LAPACK factors without a copy
-    try:
-        U, _ = cho_factor(op.stiffness.T, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        raise DomainError(f"{_form_at(alpha, grid)} is not positive definite, "
-                          f"so it has no Hardy minimum") from None
-    rw = np.sqrt(op.hardy)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        # K^{-1} = U^{-1} U^{-T} for the upper factor K = U^T U
-        y = solve_triangular(U, rw * x.ravel(), trans="T", check_finite=False)
-        return rw * solve_triangular(U, y, overwrite_b=True, check_finite=False)
-
-    inverse = LinearOperator(op.stiffness.shape, dtype=float, matvec=matvec)
-    mu = eigsh(inverse, k=1, which="LA", v0=rw, tol=0, return_eigenvectors=False)
+def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
+    """The k lowest eigenvalues, ascending, of the unit-scale pencil
+    (K, diag(weight)), K the form of op, whose stiffness is factored in place.
+    At alpha = 2, bisection (LAPACK stebz) on the bands scaled by
+    weight^{-1/2}, at any N, with a tiny tol for its relative stopping rule.
+    Below, 1/mu for the k largest mu of R K^{-1} R, R = diag(weight)^{1/2}:
+    Lanczos (ARPACK) from R, each step two triangular solves with U = chol(K),
+    or at k = n, past ARPACK, dense eigh of C^T C, C = U^{-T} R.  R is scaled
+    by 2^j, j = floor(log4 min_i K_ii / weight_i), exactly, lest ARPACK's
+    convergence test turn absolute below eps^(2/3) (5e-5 off at lam = 1e100).
+    On g = 2 mass pencils all routes are within 1.8e-11 relative of dense
+    eigh; bisection keeps the graded modes MRRR loses."""
+    rw = np.sqrt(weight)
+    if op.alpha == 2.0:
+        return eigh_tridiagonal(*_scaled_bands(op, rw), eigvals_only=True, select="i",
+                                select_range=(0, k - 1), tol=np.finfo(float).tiny)
+    K = op.stiffness
+    K[np.diag_indices(len(rw))] += op.lam * op.hardy
     with np.errstate(all="ignore"):
-        nu = float(1.0 / mu[0])
+        least = float(np.min(np.diagonal(K) / weight))
+    try:  # K is symmetric: its transpose is a Fortran view that LAPACK factors
+        U, _ = cho_factor(K.T, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        raise DomainError(f"{_form_at(op.alpha, op.grid)} with lambda={op.lam!r} "
+                          f"is not positive definite") from None
+    j = math.floor(0.5 * math.log2(least))  # least > 0, as Cholesky succeeded
+    rw *= 2.0 ** j
+    if k == len(rw):
+        C = solve_triangular(U, np.diag(rw), trans="T", check_finite=False)
+        mu = eigh(C.T @ C, eigvals_only=True)
+    else:
+        def matvec(x: np.ndarray) -> np.ndarray:  # K^{-1} = U^{-1} U^{-T}
+            y = solve_triangular(U, rw * x.ravel(), trans="T", check_finite=False)
+            return rw * solve_triangular(U, y, overwrite_b=True, check_finite=False)
+        mu = eigsh(LinearOperator(K.shape, dtype=float, matvec=matvec), k=k, which="LA",
+                   v0=rw, tol=0, return_eigenvectors=False)
+    with np.errstate(all="ignore"):
+        return np.sort(4.0 ** j / mu)
+
+
+def lowest_eigenvalues(alpha: float, lam: float, grid: Grid1D, count: int) -> np.ndarray:
+    """The count lowest eigenvalues of assemble_form(alpha, lam, grid) against
+    the mass at grid.X, by _lowest; an indefinite form below alpha = 2, or a
+    value that is not finite, raises DomainError."""
+    op = assemble_form(alpha, lam, grid)
+    vals = _power(op, -alpha) * _lowest(op, op.mass, count)
+    if not np.isfinite(vals).all():
+        raise DomainError(f"the spectrum of {_form_at(alpha, grid)} is not finite "
+                          f"in double precision")
+    return vals
+
+
+def hardy_quotient_min(alpha: float, grid: Grid1D) -> float:
+    """Smallest generalized eigenvalue of (Form_{lambda=0}, Hardy weight), by
+    _lowest, |lambda_star(alpha)| in the limit; grid.X only names the form.  A
+    non-finite minimum or an indefinite (so failed) assembly is a DomainError."""
+    op = assemble_form(alpha, 0.0, grid)
+    nu = float(_lowest(op, op.hardy, 1)[0])
     if not math.isfinite(nu):
         raise DomainError(f"the Hardy minimum of {_form_at(alpha, grid)} is not "
                           f"finite in double precision")

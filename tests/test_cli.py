@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hardyops import cli, discrete
+from hardyops import cli, coupling, discrete
 from hardyops import verify as V
 from hardyops.cli import main, read_table
 
@@ -386,13 +386,23 @@ class TestDiscretize:
         assert "Traceback" not in err and out == ""
 
     def test_spectrum_of_overflowing_form_is_parameter_error(self, capsys):
-        # below alpha = 2 the mass-scaled matrix overflows: the message names
-        # the form and lambda, as at alpha = 2, with no warning on the way
+        # lambda times the Hardy weight overflows: the message names the form
+        # and lambda, as at alpha = 2, with no warning on the way
         rc, out, err = run(capsys, "discretize", "--alpha", "1.5", "--N", "100",
-                           "--lambda", "1e305")
+                           "--lambda", "1e307")
         assert rc == 2 and out == ""
         assert err == ("parameter error: the discrete form at alpha=1.5, X=10.0, N=100, "
-                       "g=2.0 with lambda=1e+305 is not finite in double precision\n")
+                       "g=2.0 with lambda=1e+307 is not finite in double precision\n")
+
+    def test_spectrum_of_huge_finite_form(self, capsys):
+        # the form is finite at lambda = 1e305, and Lanczos on the exactly
+        # rescaled inverse keeps its relative digits (dense eigh of the form
+        # over lambda gives 3.2590754604182e303 too)
+        rc, out, err = run(capsys, "discretize", "--alpha", "1.5", "--N", "100",
+                           "--lambda", "1e305", "--count", "1", "--format", "json")
+        assert rc == 0 and err == ""
+        assert strict_json(out)[0]["eigenvalue"] == pytest.approx(3.2590754604182e303,
+                                                                  rel=1e-12)
 
     def test_hardy_min_table_past_dense_cap_at_alpha2(self, capsys, tmp_path):
         path = tmp_path / "hardy.csv"
@@ -405,12 +415,58 @@ class TestDiscretize:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] > 0.25
 
-    def test_alpha2_spectrum_past_dense_cap_is_parameter_error(self, capsys):
-        # the alpha = 2 form is banded at any N, but its eigenvectors are dense
-        rc, out, err = run(capsys, "discretize", "--alpha", "2", "--N", "4001",
-                           "--spectrum")
+    def test_alpha2_spectrum_runs_past_dense_cap(self, capsys):
+        # bisection on the bands forms no eigenvector, so any N runs
+        rc, out, err = run(capsys, "discretize", "--spectrum", "--alpha", "2", "--N", "64000",
+                           "--count", "3", "--format", "json")
+        assert rc == 0 and err == ""
+        vals = [r["eigenvalue"] for r in strict_json(out)]
+        assert vals == pytest.approx([(math.pi / 10.0) ** 2 * k * k for k in (1, 2, 3)],
+                                     rel=0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha, N, g", [(2.0, 700, 4.0), (2.0, 2000, 4.0),
+                                             (2.0, 2000, 6.0), (1.5, 700, 6.0)])
+    def test_spectrum_on_graded_mesh(self, capsys, alpha, N, g):
+        # the full MRRR solve printed 21.56, 5015.0, 2233.4 and 89.78 here;
+        # the lowest eigenvalue is the Dirichlet one (pi/10)^2 at alpha = 2,
+        # and at alpha = 1.5 it agrees with the g = 2, N = 2000 value
+        argv = ["discretize", "--alpha", str(alpha), "--count", "1", "--format", "json"]
+        rc, out, _ = run(capsys, *argv, "--N", str(N), "--g", str(g))
+        assert rc == 0
+        if alpha == 2.0:
+            ref = (math.pi / 10.0) ** 2
+        else:
+            ref = strict_json(run(capsys, *argv, "--N", "2000", "--g", "2")[1])[0]["eigenvalue"]
+        assert strict_json(out)[0]["eigenvalue"] == pytest.approx(ref, rel=0.0, abs=1e-5)
+
+    def test_spectrum_with_count_n_matches_eigendecompose(self, capsys):
+        # --count N-1 asks for every eigenvalue, past what Lanczos can give
+        rc, out, _ = run(capsys, "discretize", "--alpha", "1.5", "--N", "16", "--format", "json")
+        assert rc == 0
+        ref = discrete.eigendecompose(discrete.assemble_form(
+            1.5, 0.0, discrete.build_grid(10.0, 16, 2.0))).eigenvalues
+        assert [r["eigenvalue"] for r in strict_json(out)] == pytest.approx(ref, rel=1e-12,
+                                                                            abs=0.0)
+
+    def test_lambda_below_sharp_constant_is_parameter_error(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a grid was built before lambda was checked")
+        monkeypatch.setattr(cli, "build_grid", no_work)
+        rc, out, err = run(capsys, "discretize", "--alpha", "1.5", "--N", "300",
+                           "--lambda", "-0.07")
         assert rc == 2 and out == ""
-        assert err.startswith("parameter error: ") and "dense solver capped" in err
+        assert err == ("parameter error: lambda=-0.07 below the sharp constant "
+                       f"{coupling.lambda_star(1.5)!r}\n")
+
+    def test_indefinite_form_at_sharp_constant_is_parameter_error(self, capsys):
+        # the lumped Hardy term makes this graded form indefinite, where it
+        # printed -4.0e8; the continuous form is nonnegative at lambda_star
+        lam = repr(coupling.lambda_star(1.5))
+        rc, out, err = run(capsys, "discretize", "--alpha", "1.5", "--N", "300", "--g", "4",
+                           "--lambda", lam)
+        assert rc == 2 and out == ""
+        assert err == ("parameter error: the discrete form at alpha=1.5, X=10.0, N=300, "
+                       f"g=4.0 with lambda={lam} is not positive definite\n")
 
     def test_hardy_min_ignores_X(self, capsys):
         # the quotient is dilation-invariant and computed at X = 1, so an X
@@ -545,7 +601,7 @@ class TestParameterErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("computed before the output path was checked")
         monkeypatch.setattr(V, "run_all", no_work)
-        monkeypatch.setattr(cli, "eigendecompose", no_work)
+        monkeypatch.setattr(cli, "lowest_eigenvalues", no_work)
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err == f"parameter error: {flag} needs a file path, got an empty one\n"

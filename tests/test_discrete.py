@@ -528,7 +528,7 @@ class TestDilation:
             call()
         # the mass norm's X^{1/2} stays in range, and the Hardy quotient is X-free
         assert mass_norm(op, u) == pytest.approx(math.sqrt(X) * math.sqrt(np.sum(op.mass)),
-                                                 rel=1e-14)
+                                                 rel=1e-14, abs=0.0)
         assert hardy_quotient_min(alpha, op.grid) == \
             hardy_quotient_min(alpha, build_grid(1.0, 100, 2.0))
 
@@ -557,6 +557,33 @@ class TestSpectralGuarantees:
         grid = build_grid(10.0, 400, 2.0)
         dec = eigendecompose(assemble_form(2.0, -0.24, grid))
         assert dec.eigenvalues[0] > 0.0
+
+
+class TestLowestEigenvalues:
+    @pytest.mark.parametrize("alpha, lam, N", [
+        (alpha, lam, N) for alpha in (0.5, 1.0, 1.5, 2.0) for lam in (0.0, 1.0, -0.05)
+        for N in (250, 2000) if lam >= lambda_star(alpha)])
+    def test_matches_the_full_spectrum_on_g2(self, alpha, lam, N):
+        # the full eigendecompose the routine replaced in discretize
+        # --spectrum, accurate on g = 2 meshes
+        grid = build_grid(10.0, N, 2.0)
+        ref = eigendecompose(assemble_form(alpha, lam, grid)).eigenvalues[:20]
+        assert discrete.lowest_eigenvalues(alpha, lam, grid, 20) == pytest.approx(
+            ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("count", [3, 98, 99])
+    def test_keeps_relative_digits_at_huge_coupling(self, count):
+        # unscaled, the Ritz values fell below eps^(2/3), where the test of
+        # ARPACK turns absolute: the lowest two came out 3.7e-7 and 5e-5 off.
+        # At count = n the top of C^T C loses eps times its condition, 2e-12
+        from scipy.linalg import eigh
+        grid = build_grid(10.0, 100, 2.0)
+        op = assemble_form(1.5, 1e100, grid)
+        rw = np.sqrt(op.mass)
+        B = (op.stiffness * 1e-100 + np.diag(op.hardy)) / rw[:, None] / rw[None, :]
+        ref = 1e100 * 10.0 ** -1.5 * eigh(B, eigvals_only=True)[:count]
+        got = discrete.lowest_eigenvalues(1.5, 1e100, grid, count)
+        assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
 
 
 class TestHardyQuotient:

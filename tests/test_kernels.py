@@ -55,7 +55,7 @@ class TestHeatEnvelope:
             ref = min(1, x / ta) ** p * min(1, y / ta) ** p * tt ** (-1 / a) \
                 * min(1, ta / abs(x - y)) ** (1 + a)
         assert heat_envelope(cp, t, pt(1.0), pt(3.0)) == pytest.approx(float(ref),
-                                                                        rel=1e-12)
+                                                                        rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(alpha=0.005), r"alpha must lie in \[0.01, 2\]"),
@@ -81,7 +81,7 @@ class TestExactKernel:
                 for s in np.logspace(-1, 1, 8):
                     a = heat_exact_halfline(0.0, float(t), float(r), float(s))
                     b = heat_images_halfline(float(t), float(r), float(s))
-                    assert a == pytest.approx(b, rel=1e-12)
+                    assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_symmetry(self):
         assert heat_exact_halfline(2.0, 0.7, 1.1, 0.4) == \
@@ -285,7 +285,7 @@ class TestRieszEnvelope:
                 r, n, p = abs(mp.mpf(x) - mp.mpf(y)), mp.mpf(min(x, y)), mp.mpf(cp.p)
                 ref = r ** (mp.mpf(0.25) * s - 1) * (n / r) ** p
             assert riesz_envelope(cp, s, pt(x), pt(y)) == pytest.approx(float(ref),
-                                                                        rel=1e-12)
+                                                                        rel=1e-12, abs=0.0)
 
     def test_exact_kernel_diagonal_is_infinite(self):
         assert riesz_exact_halfline(0.5, 0.5, 1.3, 1.3) == math.inf

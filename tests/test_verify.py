@@ -241,29 +241,55 @@ def _old_duhamel_rhs(lam, t, x, y):
                       points=[0.25 * t, 0.5 * t, 0.75 * t], limit=100, epsrel=1e-6)[0]
 
 
-def _old_lemma_lhs(N, beta, r, s, delta, tight=False):
-    """The scalar quad form the batched lemma integral replaced; tight runs it
-    purely relative at 1e-10 (1e-11 for the inner integrals) instead."""
+def _old_lemma_lhs(N, beta, r, s, delta):
+    """The scalar quad form the batched lemma integral replaced."""
     L = 60.0 * max(r, s, delta, 1.0)
-    epsabs, limit = (0.0, 400) if tight else (1.49e-8, 200)
     if N == 1:
         return quad(lambda x: (r * s) ** beta / ((r ** (1 + beta) + abs(x) ** (1 + beta))
                                                  * (s ** (1 + beta)
                                                     + abs(x - delta) ** (1 + beta))),
-                    -L, L, points=[0.0, delta], limit=limit if tight else 300,
-                    epsabs=0.0 if tight else 1e-13, epsrel=1e-11 if tight else 1e-8)[0]
+                    -L, L, points=[0.0, delta], limit=300, epsabs=1e-13, epsrel=1e-8)[0]
     nb = N + beta
 
     def radial(rho):
         def g(th):
             d2 = delta * delta + rho * rho - 2.0 * delta * rho * math.cos(th)
             return (1.0 if N == 2 else math.sin(th)) / (s ** nb + d2 ** (0.5 * nb))
-        ang = quad(g, 0.0, math.pi, limit=limit, epsabs=epsabs,
-                   epsrel=1e-11 if tight else 1e-7)[0]
+        ang = quad(g, 0.0, math.pi, limit=200, epsabs=1.49e-8, epsrel=1e-7)[0]
         sphere = 2.0 if N == 2 else 2.0 * math.pi
         return rho ** (N - 1) * ang * sphere / (r ** nb + rho ** nb)
-    return (r * s) ** beta * quad(radial, 0.0, L, points=[r, max(delta, 1e-6)], limit=limit,
-                                  epsabs=epsabs, epsrel=1e-10 if tight else 1e-6)[0]
+    return (r * s) ** beta * quad(radial, 0.0, L, points=[r, max(delta, 1e-6)], limit=200,
+                                  epsabs=1.49e-8, epsrel=1e-6)[0]
+
+
+def _tight_lemma_lhs(N, beta, r, s, delta):
+    """The lemma integral by nested scalar quads, purely relative at 1e-12
+    (1e-11 for the radial one), split at widths 2^j, j = 0..16, of each bell
+    as well as at its center, so that no bell falls between quad's nodes."""
+    L = 60.0 * max(r, s, delta, 1.0)
+    widths = 2.0 ** np.arange(17)
+    bells = np.concatenate([[r, delta], r * widths, delta - s * widths, delta + s * widths])
+    if N == 1:
+        points = np.unique(np.concatenate([bells, -r * widths, [0.0]]))
+        return quad(lambda x: (r * s) ** beta / ((r ** (1 + beta) + abs(x) ** (1 + beta))
+                                                 * (s ** (1 + beta)
+                                                    + abs(x - delta) ** (1 + beta))),
+                    -L, L, points=points[np.abs(points) < L], limit=2000, epsabs=0.0,
+                    epsrel=1e-12)[0]
+    nb = N + beta
+
+    def radial(rho):
+        def g(th):
+            d2 = delta * delta + rho * rho - 2.0 * delta * rho * math.cos(th)
+            return (1.0 if N == 2 else math.sin(th)) / (s ** nb + d2 ** (0.5 * nb))
+        angles = np.unique(s / rho * widths)
+        ang = quad(g, 0.0, math.pi, points=angles[angles < math.pi], limit=2000, epsabs=0.0,
+                   epsrel=1e-12)[0]
+        sphere = 2.0 if N == 2 else 2.0 * math.pi
+        return rho ** (N - 1) * ang * sphere / (r ** nb + rho ** nb)
+    points = np.unique(bells)
+    return (r * s) ** beta * quad(radial, 0.0, L, points=points[(points > 0.0) & (points < L)],
+                                  limit=2000, epsabs=0.0, epsrel=1e-11)[0]
 
 
 def _old_bump_integral(lam, t, x, tight=False):
@@ -388,20 +414,27 @@ class TestGaussKronrod:
         samples = [(0.5, 0.3, 2.0, 1.5), (1.0, 4.0, 0.2, 0.0), (2.0, 0.15, 0.4, 30.0)]
         got = V._lemma_lhs(N, *np.array(samples).T)
         old = [_old_lemma_lhs(N, *sample) for sample in samples]
-        assert got == pytest.approx(old, rel=1e-7 if N == 1 else 1e-5)
+        assert got == pytest.approx(old, rel=1e-7 if N == 1 else 1e-5, abs=0.0)
         assert V._lemma_lhs(N, *samples[0]) == pytest.approx(got[0], rel=1e-14)
 
     @pytest.mark.parametrize("N, sample, expected", [
         # criterion 12, N = 2, seed 2: the old radial quad missed the second
         # bell beyond delta and returned 3.217e-7 ("probably divergent")
         (2, (2.0, 1.685215143103623, 0.3722761475954037, 70.38495427191977), 5.99548e-7),
-        # far below the old epsabs = 1e-13, which passed a 51% error
-        (1, (8.0, 0.3, 0.5, 80.0), 3.07585e-20),
-    ], ids=["N2-criterion-12-seed-2", "N1-beta-8"])
+        # far below the old epsabs = 1e-13; the bell of width r = 0.3 at a
+        # panel end lay between Kronrod nodes, which gave 49% too little
+        (1, (8.0, 0.3, 0.5, 80.0), 6.04201e-20),
+        # likewise for the second bell, 43% to 48% too little without the
+        # break points at its widths
+        (2, (8.0, 3.0, 0.5, 50.0), 2.25971e-13), (2, (16.0, 3.0, 0.5, 50.0), 3.63376e-23),
+        (2, (32.0, 3.0, 0.5, 50.0), 1.02070e-42), (3, (8.0, 3.0, 0.5, 50.0), 6.38995e-15),
+        (3, (16.0, 3.0, 0.5, 50.0), 9.88914e-25), (3, (32.0, 3.0, 0.5, 50.0), 2.73247e-44),
+    ], ids=["N2-criterion-12-seed-2", "N1-beta-8", "N2-beta-8", "N2-beta-16", "N2-beta-32",
+            "N3-beta-8", "N3-beta-16", "N3-beta-32"])
     def test_lemma_holds_its_relative_tolerance_on_tiny_values(self, N, sample, expected):
-        tight = _old_lemma_lhs(N, *sample, tight=True)
-        assert tight == pytest.approx(expected, rel=1e-5)
-        assert V._lemma_lhs(N, *sample) == pytest.approx(tight, rel=1e-8)
+        tight = _tight_lemma_lhs(N, *sample)
+        assert tight == pytest.approx(expected, rel=1e-5, abs=0.0)
+        assert V._lemma_lhs(N, *sample) == pytest.approx(tight, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("lam, t", [(1.0, 0.5), (-0.25, 0.05), (30.0, 5.0)])
     def test_pointwise_bump_integrals_match_the_old_quad_form(self, monkeypatch, lam, t):
