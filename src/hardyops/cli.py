@@ -26,8 +26,8 @@ import sys
 import numpy as np
 
 from hardyops import verify as V
-from hardyops.coupling import (LAMBDA_SLACK, coupling_C, lambda_star, lambda_zero,
-                               make_coupling)
+from hardyops.coupling import (coupling_C, lambda_star, lambda_zero, make_coupling,
+                               require_lambda)
 from hardyops.discrete import build_grid, hardy_quotient_min, lowest_eigenvalues
 from hardyops.kernels import (diff_envelope, heat_envelope, heat_exact_halfline,
                               pt, riesz_envelope)
@@ -181,8 +181,7 @@ def cmd_discretize(args) -> int:
         _emit(args, ["N", "hardy_min", "target", "rel_err"], rows)
         return 0
     lam = 0.0 if args.lam is None else args.lam
-    if lam < lstar - LAMBDA_SLACK:
-        raise DomainError(f"lambda={lam!r} below the sharp constant {lstar!r}")
+    require_lambda(args.alpha, lam)
     grid = build_grid(args.X, args.N, args.g)
     count = min(20, args.N - 1) if args.count is None else args.count
     if not 1 <= count <= args.N - 1:

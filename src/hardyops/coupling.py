@@ -71,6 +71,16 @@ def lambda_star(alpha: float) -> float:
                              / math.gamma(1.0 - 0.5 * alpha))
 
 
+def require_lambda(alpha: float, lam: float) -> float:
+    """lambda_star(alpha), once lam is checked finite and >= lambda_star - LAMBDA_SLACK."""
+    lstar = lambda_star(alpha)
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam!r}")
+    if lam < lstar - LAMBDA_SLACK:
+        raise DomainError(f"lambda={lam!r} below the sharp constant {lstar!r}")
+    return lstar
+
+
 def coupling_C(alpha: float, p: float) -> float:
     """Coupling function C(p) on the branch domain (-1, M).
 
@@ -157,12 +167,7 @@ def exponent_p(alpha: float, lam: float) -> float:
     lam <= 1e3.  Beyond that p nears the pole (alpha - p ~ 2e-8 at
     lam = 1e6), where one ulp of p moves C by about 1e-8 relative.
     """
-    _check_alpha(alpha, include_two=True)
-    if not math.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam!r}")
-    lstar = lambda_star(alpha)
-    if lam < lstar - LAMBDA_SLACK:
-        raise DomainError(f"lambda={lam!r} below the sharp constant {lstar!r}")
+    lstar = require_lambda(alpha, lam)
     p_lo = 0.5 * (alpha - 1.0)
     # C(p_lo) equals lambda_star only up to rounding; above both values the
     # residual at p_lo is negative, which the root bracket needs.
@@ -221,6 +226,7 @@ class CouplingParams:
         """Re-verify the defining relations; raise DomainError if one fails.
         |C(p) - lam| may also reach the change in C over four ulps of p, which
         near the pole at alpha exceeds the relative tolerance."""
+        require_lambda(self.alpha, self.lam)
         C = coupling_C(self.alpha, self.p)
         resid = abs(C - self.lam)
         tol = 1e-10 * max(1.0, abs(self.lam)) if self.lam != 0.0 else 1e-12
@@ -228,8 +234,6 @@ class CouplingParams:
             tol += abs(C - coupling_C(self.alpha, self.p - 4.0 * math.ulp(self.p)))
             if resid > tol:
                 raise DomainError(f"C(p) residual {resid} exceeds tolerance {tol}")
-        if self.lam < self.lambda_star - LAMBDA_SLACK:
-            raise DomainError("lambda below lambda_star")
 
 
 def make_coupling(d: int, alpha: float, lam: float) -> CouplingParams:

@@ -313,6 +313,10 @@ class DiscreteOperator:
         """Operator action in the mass inner product: M^{-1} K u."""
         return _power(self, -self.alpha) * (self.matvec(u) / _col(self.mass, u))
 
+    def potential(self, u: np.ndarray) -> np.ndarray:
+        """The Hardy term M^{-1} H u: apply(u) is the lam = 0 action plus lam times it."""
+        return _power(self, -self.alpha) * (_col(self.hardy, u) * u / _col(self.mass, u))
+
 
 def _col(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """w, one entry per node or mode, shaped to act on each column of u."""
@@ -503,12 +507,17 @@ def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
     or at k = n, past ARPACK, dense eigh of C^T C, C = U^{-T} R.  R is scaled
     by 2^j, j = floor(log4 min_i K_ii / weight_i), exactly, lest ARPACK's
     convergence test turn absolute below eps^(2/3) (5e-5 off at lam = 1e100).
-    On g = 2 mass pencils all routes are within 1.8e-11 relative of dense
-    eigh; bisection keeps the graded modes MRRR loses."""
+    On g = 2 mass pencils all routes are within 1.8e-11 relative of dense eigh;
+    bisection keeps the graded modes MRRR loses.  An indefinite form raises DomainError."""
     rw = np.sqrt(weight)
+    indefinite = DomainError(f"{_form_at(op.alpha, op.grid)} with lambda={op.lam!r} "
+                             f"is not positive definite")
     if op.alpha == 2.0:
-        return eigh_tridiagonal(*_scaled_bands(op, rw), eigvals_only=True, select="i",
+        vals = eigh_tridiagonal(*_scaled_bands(op, rw), eigvals_only=True, select="i",
                                 select_range=(0, k - 1), tol=np.finfo(float).tiny)
+        if vals[0] <= 0.0:
+            raise indefinite
+        return vals
     K = op.stiffness
     K[np.diag_indices(len(rw))] += op.lam * op.hardy
     with np.errstate(all="ignore"):
@@ -516,8 +525,7 @@ def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
     try:  # K is symmetric: its transpose is a Fortran view that LAPACK factors
         U, _ = cho_factor(K.T, overwrite_a=True, check_finite=False)
     except LinAlgError:
-        raise DomainError(f"{_form_at(op.alpha, op.grid)} with lambda={op.lam!r} "
-                          f"is not positive definite") from None
+        raise indefinite from None
     j = math.floor(0.5 * math.log2(least))  # least > 0, as Cholesky succeeded
     rw *= 2.0 ** j
     if k == len(rw):
@@ -535,8 +543,8 @@ def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
 
 def lowest_eigenvalues(alpha: float, lam: float, grid: Grid1D, count: int) -> np.ndarray:
     """The count lowest eigenvalues of assemble_form(alpha, lam, grid) against
-    the mass at grid.X, by _lowest; an indefinite form below alpha = 2, or a
-    value that is not finite, raises DomainError."""
+    the mass at grid.X, by _lowest; an indefinite form, or a value that is
+    not finite, raises DomainError."""
     op = assemble_form(alpha, lam, grid)
     vals = _power(op, -alpha) * _lowest(op, op.mass, count)
     if not np.isfinite(vals).all():

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 from scipy.special import gammainc, gammaincc, gammaln, hyp2f1, ive
 
-from hardyops.coupling import CouplingParams
+from hardyops.coupling import CouplingParams, require_lambda
 from hardyops.specfun import DomainError
 
 
@@ -110,8 +110,7 @@ def heat_exact_halfline(lam: float, t, r, s):
     s broadcast as arrays, and floats give a float.  As in float arithmetic,
     a value past the double range is inf or NaN, never an error or a warning.
     """
-    if not lam >= -0.25 - 1e-12:
-        raise DomainError(f"lambda must be >= -1/4, got {lam!r}")
+    require_lambda(2.0, lam)
     # floats stay floats: float calls skip the cost of converting to arrays
     if np.count_nonzero(np.logical_not((t > 0.0) & (r > 0.0) & (s > 0.0))):
         raise DomainError("t, r, s must be positive")
@@ -287,6 +286,7 @@ def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:
     2^{1-s} M^{s-1} q^{mu+1/2} Gamma(mu+1-s/2) / (Gamma(s/2) Gamma(mu+1))
     * 2F1(mu+1-s/2, 1-s/2; mu+1; q^2), for s in (0, min(1, 1 + 2p)).
     """
+    require_lambda(2.0, lam)
     mu = math.sqrt(max(lam + 0.25, 0.0))
     p = mu + 0.5
     if not (0.0 < s < min(1.0, 1.0 + 2.0 * p)):

@@ -468,6 +468,22 @@ class TestDiscretize:
         assert err == ("parameter error: the discrete form at alpha=1.5, X=10.0, N=300, "
                        f"g=4.0 with lambda={lam} is not positive definite\n")
 
+    @pytest.mark.parametrize("g, lam", [("3", "-0.25"), ("4", "-0.25"), ("6", "-0.1")])
+    def test_indefinite_second_order_form_is_parameter_error(self, capsys, g, lam):
+        # bisection ran on these indefinite bands and printed -1.72e12,
+        # -6.73e19 and -9.45e30 with exit 0; the continuous forms are positive
+        rc, out, err = run(capsys, "discretize", "--alpha", "2", "--N", "700", "--g", g,
+                           "--lambda", lam)
+        assert rc == 2 and out == ""
+        assert err == ("parameter error: the discrete form at alpha=2.0, X=10.0, N=700, "
+                       f"g={float(g)} with lambda={float(lam)!r} is not positive definite\n")
+
+    def test_second_order_sharp_coupling_on_g2_prints(self, capsys):
+        rc, out, _ = run(capsys, "discretize", "--alpha", "2", "--N", "700", "--lambda",
+                         "-0.25", "--count", "1", "--format", "json")
+        assert rc == 0
+        assert strict_json(out)[0]["eigenvalue"] == pytest.approx(0.0622681, rel=1e-6)
+
     def test_hardy_min_ignores_X(self, capsys):
         # the quotient is dilation-invariant and computed at X = 1, so an X
         # whose own form would leave double precision prints the X = 1 table

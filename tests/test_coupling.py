@@ -6,10 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hardyops.coupling import (ALPHA_MIN, DomainError, branch_upper,
+from hardyops.coupling import (ALPHA_MIN, LAMBDA_SLACK, DomainError, branch_upper,
                                coupling_C, exponent_p, gamma_closed,
                                gamma_integral, lambda_star, lambda_zero,
-                               make_coupling, normalization_A)
+                               make_coupling, normalization_A, require_lambda)
 
 mp.mp.dps = 40
 
@@ -220,6 +220,39 @@ class TestExponentInversion:
             exponent_p(1.5, lambda_star(1.5) - 1e-6)
 
 
+class TestRequireLambda:
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.0])
+    def test_returns_the_sharp_constant_within_the_slack(self, alpha):
+        lstar = lambda_star(alpha)
+        assert require_lambda(alpha, lstar - 0.5 * LAMBDA_SLACK) == lstar
+        assert require_lambda(alpha, 1e6) == lstar
+        with pytest.raises(DomainError, match=re.escape(f"below the sharp constant {lstar!r}")):
+            require_lambda(alpha, lstar - 2.0 * LAMBDA_SLACK)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            require_lambda(1.5, lam)
+
+    def test_every_caller_keeps_the_one_rule(self):
+        # exponent_p, the exact second-order kernels and discretize all
+        # accept the same couplings at alpha = 2
+        from hardyops import cli
+        from hardyops.kernels import heat_exact_halfline, riesz_exact_halfline
+
+        def discretize(lam):
+            args = cli.build_parser().parse_args(["discretize", "--alpha", "2", "--N", "16",
+                                                  "--count", "1", "--lambda", repr(lam)])
+            return args.func(args)
+        calls = [lambda lam: exponent_p(2.0, lam),
+                 lambda lam: heat_exact_halfline(lam, 1.0, 1.0, 2.0),
+                 lambda lam: riesz_exact_halfline(lam, 0.5, 1.0, 2.0), discretize]
+        for call in calls:
+            call(-0.25 - 0.5 * LAMBDA_SLACK)
+            with pytest.raises(DomainError):
+                call(-0.25 - 2.0 * LAMBDA_SLACK)
+
+
 class TestLambdaZero:
     def test_one_dimensional_closed_form(self):
         assert lambda_zero(1, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
@@ -273,8 +306,15 @@ class TestCouplingParams:
         # p at the branch start (alpha - 1)/2, where C(p) = lambda_star
         cp = make_coupling(1, 1.5, lambda_star(1.5))
         low = dataclasses.replace(cp, lam=cp.lambda_star - 1.0, p=0.25)
-        with pytest.raises(DomainError, match="lambda below lambda_star"):
+        with pytest.raises(DomainError, match="below the sharp constant"):
             low.check()
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_check_rejects_non_finite_coupling(self, lam):
+        # inf passed: its residual tolerance 1e-10 |lam| was inf too
+        cp = dataclasses.replace(make_coupling(1, 1.5, 1.0), lam=lam)
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            cp.check()
 
     def test_second_order_has_no_comparison_constant(self):
         cp = make_coupling(1, 2.0, 0.3)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -163,6 +164,13 @@ class TestExactKernel:
     def test_nan_coupling_rejected(self):
         with pytest.raises(DomainError, match="lambda"):
             heat_exact_halfline(math.nan, 1.0, 1.0, 1.0)
+
+    def test_infinite_coupling_rejected(self):
+        # mu = inf gave NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lambda must be finite, got inf"):
+                heat_exact_halfline(math.inf, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("lam", [-0.25, 0.0, 1.0, 100.0])
     def test_array_call_equals_scalar_calls(self, lam):
@@ -447,6 +455,16 @@ class TestRieszExact:
     def test_s_window(self):
         with pytest.raises(DomainError):
             riesz_exact_halfline(1.0, 1.2, 1.0, 2.0)
+
+    @pytest.mark.parametrize("lam, match", [(-1.0, "below the sharp constant -0.25"),
+                                            (math.nan, "lambda must be finite"),
+                                            (math.inf, "lambda must be finite")])
+    def test_inadmissible_coupling_rejected(self, lam, match):
+        # lam = -1 gave the lam = -1/4 value 0.28077
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                riesz_exact_halfline(lam, 0.5, 1.0, 2.0)
 
     def test_mpmath_oracle(self):
         # away from the diagonal at lam <= 2 and the ends of the s window, the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -101,6 +102,40 @@ class TestEquivalence:
         # a uniform grid of step 10/16 resolves none of the scales eps <= 0.2
         with pytest.raises(DomainError, match="grid too coarse for the requested bump family"):
             V.eps_family(build_grid(10.0, 16, 1.0), 1.0)
+
+
+@pytest.fixture
+def clear_caches():
+    # a test that patches the assembly must neither read nor leave cached forms
+    for cache in (V._form, V._decompose):
+        cache.cache_clear()
+    yield
+    for cache in (V._form, V._decompose):
+        cache.cache_clear()
+
+
+class TestIdentitiesUseTheOperatorsHardyTerm:
+    @pytest.mark.parametrize("alpha, lam", [(1.5, 1.0), (2.0, 1.0), (2.0, -0.2)])
+    def test_identities_hold_for_a_rescaled_hardy_term(self, monkeypatch, clear_caches,
+                                                       alpha, lam):
+        # the s = 1 and s = 2 identities read the Hardy term from the
+        # operator, so a form assembled with another Hardy weight keeps them;
+        # re-deriving x^{-alpha} in verify read 0.08 to 0.5 here
+        assemble = V.assemble_form
+
+        def scaled(a, lam, grid):
+            op = assemble(a, lam, grid)
+            return dataclasses.replace(op, hardy=1.5 * op.hardy)
+        monkeypatch.setattr(V, "assemble_form", scaled)
+        grid = build_grid(**FAST)
+        assert np.array_equal(V.get_dec(alpha, lam, grid).operator.hardy,
+                              1.5 * assemble(alpha, 0.0, grid).hardy)
+        reports = [V.check_equivalence(alpha, lam, 1.0, grid_cfg=FAST),
+                   V.check_reversed_hardy(alpha, lam, 1.3, grid_cfg=FAST)]
+        for r in reports:
+            for key in ("identity_s1_err", "identity_s2_err"):
+                if key in r.measured:
+                    assert r.measured[key] <= 1e-10, (r.check_name, key, r.measured[key])
 
 
 class TestGeneralizedHardy:
@@ -489,6 +524,18 @@ class TestGaussKronrod:
 
 
 class TestLemmaAndSchur:
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_lemma_peak_memory_is_bounded(self, N):
+        # the angular integrals are batched per block of radial rows; one
+        # batch per radial round peaked at 12.6 (N=2) and 14.6 MiB (N=3)
+        tracemalloc.start()
+        try:
+            V.check_lemma_integral(N=N, nsamples=96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 << 20, peak
+
     def test_lemma_dimension_one(self):
         r = V.check_lemma_integral(N=1, betas=(0.7,), nsamples=40, seed=3)
         assert r.verdict
