@@ -112,7 +112,7 @@ def cmd_exponent(args) -> int:
         lam = lambda_star(alpha)
     elif args.lambda_zero_flag:
         _reject_unused("--lambda-zero", {"--lambda": args.lam})
-        lam = lambda_zero(1, alpha)
+        lam = lambda_zero(alpha)
     elif args.lam is None:
         raise DomainError("provide --lambda, --lambda-star or --lambda-zero")
     else:
@@ -130,8 +130,6 @@ def cmd_exponent(args) -> int:
 
 def cmd_kernel(args) -> int:
     lam = args.lam if args.lam is not None else 0.0
-    if not math.isfinite(lam):
-        raise DomainError(f"--lambda must be finite, got {lam!r}")
     xs = _floats("--x", args.x)
     ys = _floats("--y", args.y)
     ts = _floats("--t", args.t)

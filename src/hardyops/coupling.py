@@ -3,8 +3,8 @@
 Parameterizes the operator family by the boundary-decay exponent p: the
 coupling function C(p), its inverse p(lambda), the sharp Hardy constant
 lambda_star, the nonlocal-form normalization A(d, -alpha), the comparison
-constant lambda_zero, and an auxiliary one-dimensional integral gamma(alpha, p)
-available both as a quadrature and in closed form.
+constant lambda_zero, and the integral gamma(alpha, p) by quadrature; its closed
+form is C(p)/A(1, -alpha), that is coupling_C(alpha, p) / normalization_A(1, alpha).
 
 Conventions: alpha in [ALPHA_MIN, 2] is the operator order, lambda the
 coupling.  The principal branch of C is the increasing one on [(alpha-1)/2, M)
@@ -138,23 +138,6 @@ def gamma_integral(alpha: float, p: float) -> float:
     return lower + upper
 
 
-def gamma_closed(alpha: float, p: float) -> float:
-    """Closed form of gamma(alpha, p) for alpha != 1.
-
-    Both Gamma ratios are folded into a single pole-free product
-    Gamma(1+p) Gamma(alpha-p) (sin(pi(p-alpha)) + sin(pi p)) / pi, so the
-    expression is stable on the whole domain.
-    """
-    _check_alpha(alpha, include_two=False)
-    if alpha == 1.0:
-        raise DomainError("gamma_closed is singular at alpha = 1; use gamma_integral")
-    if not (-1.0 < p < alpha):
-        raise DomainError(f"p must lie in (-1, alpha), got {p!r}")
-    combo = math.exp(math.lgamma(1.0 + p) + math.lgamma(alpha - p)) \
-        * (_sinpi(p - alpha) + _sinpi(p)) / math.pi
-    return 1.0 / alpha + math.gamma(1.0 - alpha) * combo / alpha
-
-
 def exponent_p(alpha: float, lam: float) -> float:
     """Unique p in [(alpha-1)/2, M) with C(p) = lam, on the increasing branch.
 
@@ -165,7 +148,7 @@ def exponent_p(alpha: float, lam: float) -> float:
     branch start, so just above lambda_star p carries about the square root
     of the rounding in C.  Residual |C(p) - lam| <= 1e-10 max(1,|lam|) for
     lam <= 1e3.  Beyond that p nears the pole (alpha - p ~ 2e-8 at
-    lam = 1e6), where one ulp of p moves C by about 1e-8 relative.
+    lam = 1e6), where the residual is within C's change over four ulps of p.
     """
     lstar = require_lambda(alpha, lam)
     p_lo = 0.5 * (alpha - 1.0)
@@ -188,14 +171,13 @@ def exponent_p(alpha: float, lam: float) -> float:
                   xtol=1e-15, rtol=4.0 * math.ulp(1.0))
 
 
-def lambda_zero(d: int, alpha: float) -> float:
+def lambda_zero(alpha: float) -> float:
     """Comparison constant lambda_0 > 0 for alpha in (0, 2).
 
     Defined through the exterior integral of the nonlocal kernel over the
     reflected half-space.  The transverse directions integrate out, so it is
-    independent of d: A(1, -alpha)/alpha = sin(pi alpha/2) Gamma(alpha)/pi.
+    independent of the dimension: A(1, -alpha)/alpha = sin(pi alpha/2) Gamma(alpha)/pi.
     """
-    _check_d(d)
     return normalization_A(1, alpha) / alpha
 
 
@@ -222,24 +204,11 @@ class CouplingParams:
     def r(self) -> float:  # -min(q, 0) >= 0
         return max(-self.q, 0.0)
 
-    def check(self) -> None:
-        """Re-verify the defining relations; raise DomainError if one fails.
-        |C(p) - lam| may also reach the change in C over four ulps of p, which
-        near the pole at alpha exceeds the relative tolerance."""
-        require_lambda(self.alpha, self.lam)
-        C = coupling_C(self.alpha, self.p)
-        resid = abs(C - self.lam)
-        tol = 1e-10 * max(1.0, abs(self.lam)) if self.lam != 0.0 else 1e-12
-        if resid > tol and self.p > 0.5 * (self.alpha - 1.0):
-            tol += abs(C - coupling_C(self.alpha, self.p - 4.0 * math.ulp(self.p)))
-            if resid > tol:
-                raise DomainError(f"C(p) residual {resid} exceeds tolerance {tol}")
-
 
 def make_coupling(d: int, alpha: float, lam: float) -> CouplingParams:
     """Build CouplingParams from the raw triple, solving for p."""
     _check_d(d)
     p = exponent_p(alpha, lam)
-    lz = lambda_zero(d, alpha) if alpha < 2.0 else None
+    lz = lambda_zero(alpha) if alpha < 2.0 else None
     return CouplingParams(d=d, alpha=alpha, lam=lam, p=p,
                           lambda_star=lambda_star(alpha), lambda_zero=lz)

@@ -219,7 +219,7 @@ def _nonlocal_stiffness(alpha: float, grid: Grid1D) -> np.ndarray:
     Hat i has slope +1/h_i on cell i and -1/h_{i+1} on cell i + 1.
     """
     n = grid.N - 1
-    K = np.empty((n, n))
+    K = np.empty((n, n), dtype=grid.vertices.dtype)
     A = normalization_A(1, alpha)
     rows = max(1, _BLOCK_BYTES // (8 * grid.N))
     with np.errstate(all="ignore"):

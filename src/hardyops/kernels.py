@@ -141,16 +141,16 @@ def heat_images_halfline(t: float, r: float, s: float) -> float:
         / math.sqrt(4.0 * math.pi * t)
 
 
-def heat_exact_halfspace(d: int, lam: float, t: float | np.ndarray, x: HalfSpacePoint,
+def heat_exact_halfspace(lam: float, t: float | np.ndarray, x: HalfSpacePoint,
                          y: HalfSpacePoint) -> float | np.ndarray:
     """Separated form: free Gaussian transverse factor times the half-line kernel."""
-    if d < 1 or len(x.xprime) != d - 1 or len(y.xprime) != d - 1:
-        raise DomainError("point dimension does not match d")
+    if len(x.xprime) != len(y.xprime):
+        raise DomainError("points live in different dimensions")
     k = heat_exact_halfline(lam, t, x.xd, y.xd)
     # one exponential of summed logarithms, so that no factor leaves the double range
     with np.errstate(all="ignore"):
         gap2 = sum(np.square(np.subtract(a, b)) for a, b in zip(x.xprime, y.xprime))
-        log_trans = -0.5 * (d - 1) * np.log(4.0 * math.pi * t) - gap2 / (4.0 * t)
+        log_trans = -0.5 * len(x.xprime) * np.log(4.0 * math.pi * t) - gap2 / (4.0 * t)
         return _out(np.exp(log_trans) * k)
 
 
@@ -291,6 +291,8 @@ def riesz_exact_halfline(lam: float, s: float, r: float, rho: float) -> float:
     p = mu + 0.5
     if not (0.0 < s < min(1.0, 1.0 + 2.0 * p)):
         raise DomainError(f"s must lie in (0, {min(1.0, 1.0 + 2.0 * p)}), got {s!r}")
+    if not (0.0 < r < math.inf and 0.0 < rho < math.inf):
+        raise DomainError(f"r, rho must be positive and finite, got {r!r}, {rho!r}")
     if r == rho:
         return math.inf  # kernel is diagonally singular for s < 2d/alpha
     # the argument q^2 keeps near-diagonal digits that (2 r rho/(r^2+rho^2))^2 loses

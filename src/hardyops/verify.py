@@ -535,7 +535,7 @@ def check_heat_envelope(lams=(-0.24, 0.0, 1.0, 5.0), n_log: int = 7) -> Verifica
     dropped = []
     for lam in lams:
         cp = make_coupling(d, 2.0, lam)
-        exact = heat_exact_halfspace(d, lam, t, x, y)
+        exact = heat_exact_halfspace(lam, t, x, y)
         keep = (0.0 < exact) & (exact < math.inf)
         if not np.any(keep):
             raise DomainError(f"heat_envelope: at lam={lam!r} the exact kernel is 0 or "

@@ -553,7 +553,7 @@ class TestParameterErrors:
         (["kernel", "--kind", "heat-exact", "--lambda", "nan", "--x", "1", "--y", "1"],
          "lambda"),
         (["kernel", "--kind", "heat-exact", "--lambda", "inf", "--x", "1", "--y", "1"],
-         "--lambda"),
+         "lambda must be finite"),
         (["kernel", "--kind", "heat-exact", "--x", ",", "--y", "1"], "--x"),
         (["kernel", "--kind", "diff-envelope", "--t", "nan", "--x", "1", "--y", "2"],
          "--t"),

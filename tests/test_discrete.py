@@ -1,6 +1,8 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -245,6 +247,28 @@ class TestAssembly:
             diff = base - _nonlocal_stiffness(alpha, build_grid(1.0, grid.N, grid.grading))
             assert np.all(diff[far] == 0.0), (alpha, np.max(np.abs(diff[far])))
 
+    # the dense part and the bands in double against the same code run on the
+    # same vertices in long double, relative to the largest entry: this finds
+    # rounding and cancellation, not a wrong formula (the quad oracles do that)
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is double precision on this platform")
+    @pytest.mark.parametrize("N, g, alpha, dense_tol, band_tol", [
+        (2000, 2.0, 0.5, 2.2e-9, 1.7e-13), (2000, 2.0, 1.0, 2e-10, 4.5e-14),
+        (2000, 2.0, 1.5, 1.2e-12, 2.1e-15), (300, 4.0, 0.5, 1.1e-9, 4e-14),
+        (300, 4.0, 1.0, 2e-9, 5e-14), (300, 4.0, 1.5, 2.2e-12, 5.2e-16)],
+        ids=[f"N{N}-g{g}-alpha{a}" for N, g in ((2000, 2), (300, 4)) for a in (0.5, 1, 1.5)])
+    def test_long_double_assembly_oracle(self, N, g, alpha, dense_tol, band_tol):
+        grid = build_grid(10.0, N, g)
+        v = grid.vertices.astype(np.longdouble)
+        wide = replace(grid, vertices=v, nodes=v[1:-1], weights=0.5 * (v[2:] - v[:-2]))
+        K = _nonlocal_stiffness(alpha, wide)
+        bands = np.concatenate(_exterior_bands(wide, alpha))
+        assert K.dtype == bands.dtype == np.longdouble
+        dense_err = np.max(np.abs(_nonlocal_stiffness(alpha, grid) - K)) / np.max(np.abs(K))
+        band_err = (np.max(np.abs(np.concatenate(_exterior_bands(grid, alpha)) - bands))
+                    / np.max(np.abs(bands)))
+        assert dense_err <= dense_tol and band_err <= band_tol, (dense_err, band_err)
+
     def test_operators_are_independent(self):
         grid = build_grid(5.0, 60, 2.0)
         for alpha in (1.5, 2.0):
@@ -310,6 +334,19 @@ class TestAssembly:
                                                          rel=2e-5, abs=1e-10)
 
 
+def _heat_semigroup_error(N, g, lam, t):
+    grid = build_grid(10.0, N, g)
+    heat = heat_apply(eigendecompose(assemble_form(2.0, lam, grid)), t, interior_bump(grid))
+    idx = [int(np.argmin(np.abs(grid.nodes - x))) for x in (0.05, 0.3, 1.0, 2.0, 3.0, 4.5)]
+
+    def u(y):  # the bump off the grid, supported on [0.5, 3.5]
+        return float(interior_bump(SimpleNamespace(nodes=np.array([y])))[0])
+    exact = np.array([integrate.quad(lambda y: heat_exact_halfline(lam, t, grid.nodes[i], y)
+                                     * u(y), 0.5, 3.5, epsrel=1e-11, limit=200)[0]
+                      for i in idx])
+    return float(np.max(np.abs(heat[idx] - exact)) / np.max(np.abs(exact)))
+
+
 @pytest.fixture(scope="module")
 def dec():
     return eigendecompose(assemble_form(2.0, 1.0, build_grid(6.0, 300, 2.0)))
@@ -357,16 +394,18 @@ class TestSpectralCalculus:
         assert np.max(np.abs(two - one)) <= 1e-10 * np.max(np.abs(one))
 
     def test_heat_kernel_against_exact(self):
-        # discrete heat kernel entry vs the exact half-line kernel
-        lam, t = 2.0, 0.7
-        grid = build_grid(10.0, 1500, 2.0)
-        dec = eigendecompose(assemble_form(2.0, lam, grid))
-        i = int(np.argmin(np.abs(grid.nodes - 1.1)))
-        j = int(np.argmin(np.abs(grid.nodes - 0.4)))
-        V = dec.eigenvectors / math.sqrt(grid.X)  # at X
-        entry = float(np.sum(np.exp(-t * dec.eigenvalues) * V[i] * V[j]))
-        ref = heat_exact_halfline(lam, t, grid.nodes[i], grid.nodes[j])
-        assert entry == pytest.approx(ref, rel=2e-2)
+        # e^{-tL} of the interior bump against its integral with the exact
+        # half-line kernel, at the nodes nearest six points, relative to the
+        # largest value; truncation at X costs about e^{-(X - 3.5)^2/4t} < 1e-9
+        for g in (2.0, 3.0):
+            for lam, t in ((0.0, 0.5), (1.0, 0.5), (3.0, 0.1)):
+                err = _heat_semigroup_error(2000, g, lam, t)
+                assert err <= 5e-6, (g, lam, t, err)
+
+    @pytest.mark.xfail(strict=True, reason="at g = 4 the alpha = 2 decomposition is "
+                                           "wrong and heat_apply returns 0 (ROADMAP item 5)")
+    def test_heat_kernel_against_exact_on_a_strongly_graded_mesh(self):
+        assert _heat_semigroup_error(1000, 4.0, 1.0, 0.5) <= 5e-6
 
     def test_riesz_entry_against_continuum(self):
         lam, s = 1.0, 0.7
@@ -752,7 +791,7 @@ class TestFormIdentities:
             u = boundary_bump(grid, 0.2, 1.0)
             scale = grid.X ** (1.0 - alpha)  # unit-scale arrays to X
             lhs = scale * float(u @ (K_full @ u))
-            rhs = op0.form(u) + lambda_zero(1, alpha) \
+            rhs = op0.form(u) + lambda_zero(alpha) \
                 * scale * float(np.sum(op0.hardy * u * u))
             assert lhs == pytest.approx(rhs, rel=2e-2)
 

@@ -103,11 +103,11 @@ class TestExactKernel:
 
     def test_halfspace_factorization(self):
         lam, t = 1.5, 0.6
-        assert heat_exact_halfspace(1, lam, t, pt(1.1), pt(0.7)) == \
+        assert heat_exact_halfspace(lam, t, pt(1.1), pt(0.7)) == \
             heat_exact_halfline(lam, t, 1.1, 0.7)
         x = pt(1.1, 0.3, -0.2)
         y = pt(0.7, 0.3, -0.2)
-        assert heat_exact_halfspace(3, lam, t, x, y) == pytest.approx(
+        assert heat_exact_halfspace(lam, t, x, y) == pytest.approx(
             heat_exact_halfline(lam, t, 1.1, 0.7) / (4.0 * math.pi * t), rel=1e-13)
 
     def test_submarkov_mass(self):
@@ -151,9 +151,8 @@ class TestExactKernel:
     def test_point_dimensions_are_checked(self):
         with pytest.raises(DomainError, match="different dimensions"):
             dist(pt(1.0), pt(1.0, 0.5))
-        for d in (0, 2):
-            with pytest.raises(DomainError, match="point dimension does not match d"):
-                heat_exact_halfspace(d, 0.0, 1.0, pt(1.0), pt(2.0))
+        with pytest.raises(DomainError, match="different dimensions"):
+            heat_exact_halfspace(0.0, 1.0, pt(1.0), pt(2.0, 0.5))
 
     @pytest.mark.parametrize("t, r, s", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
                                          (1.0, 1.0, 0.0)])
@@ -201,8 +200,8 @@ class TestExactKernel:
 
     def test_halfspace_huge_transverse_gap_is_zero(self):
         # the squared gap and (4 pi t)^{-(d-1)/2} leave the double range
-        assert heat_exact_halfspace(2, 0.0, 1.0, pt(1.0, 1e200), pt(1.0, -1e200)) == 0.0
-        assert heat_exact_halfspace(3, 0.0, 1e-300, pt(1.0, 1e200, 0.0),
+        assert heat_exact_halfspace(0.0, 1.0, pt(1.0, 1e200), pt(1.0, -1e200)) == 0.0
+        assert heat_exact_halfspace(0.0, 1e-300, pt(1.0, 1e200, 0.0),
                                     pt(1.0, 0.0, 0.0)) == 0.0
 
     def test_distance_of_far_and_of_close_points(self):
@@ -456,6 +455,13 @@ class TestRieszExact:
         with pytest.raises(DomainError):
             riesz_exact_halfline(1.0, 1.2, 1.0, 2.0)
 
+    @pytest.mark.parametrize("r, rho", [(-1.0, 2.0), (0.0, 2.0), (1.0, math.inf),
+                                        (math.nan, 1.0)])
+    def test_points_must_be_positive_and_finite(self, r, rho):
+        # these raised a bare math domain error, and NaN returned NaN
+        with pytest.raises(DomainError, match="r, rho must be positive and finite"):
+            riesz_exact_halfline(0.0, 0.5, r, rho)
+
     @pytest.mark.parametrize("lam, match", [(-1.0, "below the sharp constant -0.25"),
                                             (math.nan, "lambda must be finite"),
                                             (math.inf, "lambda must be finite")])
@@ -523,7 +529,7 @@ ARRAY_FUNCTIONS = {
     "diff_envelope": lambda cp, t, x, y: diff_envelope(cp, t, x, y, 0.2),
     # called at s = s_max t/(2 + 2t), inside the window for every t > 0
     "riesz_envelope": lambda cp, s, x, y: riesz_envelope(cp, s, x, y),
-    "heat_exact_halfspace": lambda cp, t, x, y: heat_exact_halfspace(cp.d, cp.lam, t, x, y),
+    "heat_exact_halfspace": lambda cp, t, x, y: heat_exact_halfspace(cp.lam, t, x, y),
 }
 
 
@@ -566,14 +572,14 @@ class TestArrayCalls:
         x = pt([2e-200, 1e200, 1.0, 1.0], [0.0, 0.0, 3e-200, 3.0])
         y = pt([1e-200, 1e-200, 1.0, 5.0], [0.0, 0.0, -1e-200, 6.0])
         assert dist(x, y).tolist() == [1e-200, 1e200, 4e-200, 5.0]
-        got = heat_exact_halfspace(2, 0.0, 1.0, pt([1.0, 1.0], [1e200, 0.3]),
+        got = heat_exact_halfspace(0.0, 1.0, pt([1.0, 1.0], [1e200, 0.3]),
                                    pt([1.0, 0.7], [-1e200, 0.0]))
         assert got[0] == 0.0
-        assert got[1] == heat_exact_halfspace(2, 0.0, 1.0, pt(1.0, 0.3), pt(0.7, 0.0))
-        got = heat_exact_halfspace(3, 0.0, np.array([1e-300, 1.0]),
+        assert got[1] == heat_exact_halfspace(0.0, 1.0, pt(1.0, 0.3), pt(0.7, 0.0))
+        got = heat_exact_halfspace(0.0, np.array([1e-300, 1.0]),
                                    pt(1.0, [1e200, 0.3], 0.0), pt(1.0, 0.0, 0.0))
         assert got[0] == 0.0
-        assert got[1] == heat_exact_halfspace(3, 0.0, 1.0, pt(1.0, 0.3, 0.0), pt(1.0, 0.0, 0.0))
+        assert got[1] == heat_exact_halfspace(0.0, 1.0, pt(1.0, 0.3, 0.0), pt(1.0, 0.0, 0.0))
 
     def test_array_points_are_checked_by_the_float_rules(self):
         cp = make_coupling(1, 1.5, 1.0)

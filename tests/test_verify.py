@@ -253,7 +253,7 @@ def _per_point_heat_envelope(lams, n_log):
     out = {}
     for lam in lams:
         cp = coupling.make_coupling(d, 2.0, lam)
-        exact = [kernels.heat_exact_halfspace(d, lam, *s) for s in samples]
+        exact = [kernels.heat_exact_halfspace(lam, *s) for s in samples]
         pts = [s for s, e in zip(samples, exact) if 0.0 < e < math.inf]
         exact = np.array([e for e in exact if 0.0 < e < math.inf])
         k1 = float(np.min(exact / np.array([kernels.heat_envelope(cp, *s) for s in pts])))
