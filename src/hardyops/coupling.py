@@ -202,7 +202,7 @@ class CouplingParams:
 
     @property
     def r(self) -> float:  # -min(q, 0) >= 0
-        return max(-self.q, 0.0)
+        return max(0.0, -self.q)
 
 
 def make_coupling(d: int, alpha: float, lam: float) -> CouplingParams:

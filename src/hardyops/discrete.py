@@ -543,8 +543,11 @@ def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
 
 def lowest_eigenvalues(alpha: float, lam: float, grid: Grid1D, count: int) -> np.ndarray:
     """The count lowest eigenvalues of assemble_form(alpha, lam, grid) against
-    the mass at grid.X, by _lowest; an indefinite form, or a value that is
-    not finite, raises DomainError."""
+    the mass at grid.X, by _lowest; a count outside the integers 1..N-1, an
+    indefinite form or a value that is not finite raises DomainError."""
+    if not (isinstance(count, (int, np.integer)) and 1 <= count <= grid.N - 1):
+        raise DomainError(f"count must be an integer between 1 and N-1 = {grid.N - 1}, "
+                          f"the number of eigenvalues, got {count!r}")
     op = assemble_form(alpha, lam, grid)
     vals = _power(op, -alpha) * _lowest(op, op.mass, count)
     if not np.isfinite(vals).all():
@@ -579,7 +582,10 @@ def commutator_with_multiplier(op: DiscreteOperator, u: np.ndarray,
 
 def commutator_norm(op: DiscreteOperator, u: np.ndarray, r: float, R: float) -> float:
     """Mass norm of [A, chi*theta] u: chi cuts off at radius R..2R and theta
-    at boundary distance r..2r, both with the standard derivative scaling."""
+    at boundary distance r..2r, both with the standard derivative scaling.
+    The grid must resolve r: its smallest cell below 2r, which on a graded
+    mesh is the first one, X/N^g, must be at most r/2; the larger cells of
+    the cutoff's layer are not checked."""
     grid = op.grid
     if not (0.0 < r <= 1.0 <= R < 0.5 * grid.X):
         raise DomainError(f"need 0 < r <= 1 <= R < X/2, got r={r!r}, R={R!r}")

@@ -189,6 +189,16 @@ def riesz_envelope(params: CouplingParams, s: float | np.ndarray, x: HalfSpacePo
             r == math.inf, 0.0, np.where(r <= m, np.exp(near), far))))
 
 
+def _check_master_args(alpha: float, d: int, p: float, s: float, T: float, S: float) -> None:
+    """The domain shared by the master time integral and its regime estimate."""
+    if not (T > 0.0 and S > 0.0):
+        raise DomainError("T, S must be positive")
+    if not (0.0 < s < riesz_s_max(alpha, d, p)):
+        raise DomainError(f"s outside the convergence window (0, {riesz_s_max(alpha, d, p)})")
+    if abs(T ** (-1.0 / alpha) - S ** (-1.0 / alpha)) > 1.0 + 1e-9:
+        raise DomainError("pair (T, S) violates |T^(-1/a) - S^(-1/a)| <= 1")
+
+
 def master_time_integral(alpha: float, d: int, p: float, s: float,
                          T: float, S: float, c_exp: float = 1.0) -> float:
     """Rescaled time integral behind the Riesz kernel bounds.
@@ -198,12 +208,7 @@ def master_time_integral(alpha: float, d: int, p: float, s: float,
     for alpha < 2 and tau^{d/2+1} e^{-c tau} for alpha = 2, summed in closed
     form over the pieces between the regime boundaries {1, T, S}.
     """
-    if not (T > 0.0 and S > 0.0):
-        raise DomainError("T, S must be positive")
-    if not (0.0 < s < riesz_s_max(alpha, d, p)):
-        raise DomainError(f"s outside the convergence window (0, {riesz_s_max(alpha, d, p)})")
-    if abs(T ** (-1.0 / alpha) - S ** (-1.0 / alpha)) > 1.0 + 1e-9:
-        raise DomainError("pair (T, S) violates |T^(-1/a) - S^(-1/a)| <= 1")
+    _check_master_args(alpha, d, p, s, T, S)
 
     # On each interval between consecutive points of {0, 1, T, S, inf} every
     # min() keeps one branch, so the integrand is c tau^(e-1) there, times
@@ -234,6 +239,7 @@ def master_time_integral(alpha: float, d: int, p: float, s: float,
 def master_regime_estimate(alpha: float, d: int, p: float, s: float,
                            T: float, S: float) -> float:
     """Claimed comparable value for the master time integral, by regime."""
+    _check_master_args(alpha, d, p, s, T, S)
     lo, hi = min(T, S), max(T, S)
     if lo <= 1.0:
         return min(1.0, T ** (-1.0 / alpha), S ** (-1.0 / alpha)) ** p

@@ -154,7 +154,11 @@ def weighted_norm(grid: Grid1D, u: np.ndarray, power: float) -> float | np.ndarr
 
 def eps_family(grid: Grid1D, gamma_exp: float) -> tuple[list[float], np.ndarray]:
     """Boundary-bump family over eight halved concentration scales from 0.2:
-    the scales, and the bumps as the columns of one (n, k) array."""
+    the scales, and the bumps as the columns of one (n, k) array.
+
+    A scale eps is kept while the smallest cell below 2 eps is at most eps/3.
+    On a graded mesh that cell is the first one, X/N^g, so the guard does
+    not look at the larger cells the bump covers (see README)."""
     scales = []
     eps = 0.2
     for _ in range(8):
@@ -969,17 +973,24 @@ def default_campaign() -> list[tuple[str, dict]]:
     ]
 
 
-def run_all(config: dict | None = None, seed: int = 0) -> list[VerificationReport]:
+def run_all(config: dict | None = None, seed: int = 0,
+            check: str = "all") -> list[VerificationReport]:
     """Execute a campaign: either the parsed config sections or the default.
 
     config maps section names (check name, optionally suffixed ':tag') to
-    flat key=value parameter dicts.  seed goes to the checks that take one.
+    flat key=value parameter dicts.  A check other than "all" keeps only its
+    sections, or runs alone at its defaults when config is None.  seed goes
+    to the checks that take one.
     """
+    if config is None and check != "all":
+        config = {check: {}}
     jobs: list[tuple[str, dict]]
-    if config:
+    if config or check != "all":
         jobs = []
         for section, raw in config.items():
             name = section.split(":")[0].strip()
+            if check not in ("all", name):
+                continue
             if name not in CHECKS:
                 raise DomainError(f"unknown check {name!r}; known: {sorted(CHECKS)}")
             params = inspect.signature(CHECKS[name]).parameters
@@ -989,6 +1000,8 @@ def run_all(config: dict | None = None, seed: int = 0) -> list[VerificationRepor
             if missing:
                 raise DomainError(f"[{section}] missing keys: {', '.join(missing)}")
             jobs.append((name, kwargs))
+        if not jobs:
+            raise DomainError(f"config has no section for check {check!r}")
     else:
         jobs = default_campaign()
     reports = []

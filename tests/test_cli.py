@@ -81,6 +81,13 @@ class TestExponent:
                                                                     rel=1e-15)
         assert rec["residual"] <= 1e-15
 
+    def test_r_is_positive_zero_in_json(self, capsys):
+        rc, out, _ = run(capsys, "exponent", "--alpha", "0.5", "--lambda-zero",
+                         "--format", "json")
+        assert rc == 0
+        assert '"r": 0.0,' in out
+        assert math.copysign(1.0, strict_json(out)[0]["r"]) == 1.0
+
     def test_dimension_flag_is_gone(self, capsys):
         # lambda_0 does not depend on d, so exponent takes no --d
         with pytest.raises(SystemExit) as exc:
@@ -353,12 +360,19 @@ class TestDiscretize:
         path = tmp_path / "spec.csv"
         rc, _, _ = run(capsys, "discretize", "--alpha", "2", "--lambda", "0",
                        "--N", str(400), "--X", repr(math.pi), "--g", "1",
-                       "--spectrum", "--count", "3",
+                       "--count", "3",
                        "--format", "csv", "--out", str(path))
         assert rc == 0
         _, rows = read_table(str(path))
         assert rows[0][1] == pytest.approx(1.0, rel=1e-2)
         assert rows[2][1] == pytest.approx(9.0, rel=1e-2)
+
+    def test_spectrum_flag_is_gone(self, capsys):
+        # the spectrum table is the mode without --hardy-min
+        with pytest.raises(SystemExit) as exc:
+            main(["discretize", "--spectrum", "--alpha", "2", "--N", "100"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --spectrum" in capsys.readouterr().err
 
     def test_hardy_min_table(self, capsys, tmp_path):
         path = tmp_path / "hardy.csv"
@@ -417,7 +431,7 @@ class TestDiscretize:
 
     def test_alpha2_spectrum_runs_past_dense_cap(self, capsys):
         # bisection on the bands forms no eigenvector, so any N runs
-        rc, out, err = run(capsys, "discretize", "--spectrum", "--alpha", "2", "--N", "64000",
+        rc, out, err = run(capsys, "discretize", "--alpha", "2", "--N", "64000",
                            "--count", "3", "--format", "json")
         assert rc == 0 and err == ""
         vals = [r["eigenvalue"] for r in strict_json(out)]
@@ -529,7 +543,8 @@ class TestParameterErrors:
          "c_exp"),
         (["kernel", "--kind", "heat-exact", "--alpha", "1.5", "--x", "1", "--y", "2"],
          "--alpha"),
-        (["discretize", "--alpha", "1.5", "--N", "100", "--count", "-3"], "--count"),
+        (["discretize", "--alpha", "1.5", "--N", "100", "--count", "-3"],
+         "count must be an integer between 1 and N-1 = 99, the number of eigenvalues, got -3"),
         (["kernel", "--kind", "heat-exact", "--d", "0", "--x", "1", "--y", "1"], "--d"),
         (["kernel", "--kind", "heat-exact", "--c-exp", "0.5", "--x", "1", "--y", "1"],
          "--c-exp"),
@@ -539,8 +554,6 @@ class TestParameterErrors:
          "--lambda"),
         (["discretize", "--hardy-min", "--alpha", "2", "--N", "250", "--count", "3"],
          "--count"),
-        (["discretize", "--hardy-min", "--spectrum", "--alpha", "2", "--N", "250"],
-         "--spectrum"),
         (["exponent", "--alpha", "1", "--lambda", "0.5", "--lambda-star"], "--lambda"),
         (["exponent", "--alpha", "1", "--lambda", "0.5", "--lambda-zero"], "--lambda"),
         (["exponent", "--alpha", "1", "--lambda-star", "--lambda-zero"], "--lambda-zero"),
@@ -565,7 +578,7 @@ class TestParameterErrors:
          "alpha=1.5, X=1e+300, N=100, g=2.0"),
         (["discretize", "--alpha", "1.5", "--N", "100", "--X", "1e-300"],
          "alpha=1.5, X=1e-300, N=100, g=2.0"),
-        (["discretize", "--alpha", "1.5", "--N", "100", "--spectrum", "--X", "1e-250"],
+        (["discretize", "--alpha", "1.5", "--N", "100", "--X", "1e-250"],
          "alpha=1.5, X=1e-250, N=100, g=2.0"),
         (["exponent", "--alpha", "1", "--lambda", "1e300"], "lambda=1e+300 is too large"),
         (["exponent", "--alpha", "5e-324", "--lambda", "1"], "alpha must lie in [0.01, 2]"),
@@ -577,11 +590,11 @@ class TestParameterErrors:
         (["kernel", "--kind", "heat-exact", "--x", "1", "--y", "1e"], "--y"),
         (["exponent", "--alpha", "1"], "provide --lambda, --lambda-star or --lambda-zero"),
         (["discretize", "--alpha", "2", "--N", "16", "--count", "100"],
-         "--count must lie between 1 and N-1 = 15"),
+         "count must be an integer between 1 and N-1 = 15"),
     ], ids=["riesz-d0", "diff-d0", "diff-d-2", "diff-c-exp",
             "heat-exact-alpha", "discretize-count", "heat-exact-d", "heat-exact-c-exp",
             "riesz-c-exp", "hardy-min-lambda", "hardy-min-count",
-            "hardy-min-spectrum", "exponent-lambda-with-star",
+            "exponent-lambda-with-star",
             "exponent-lambda-with-zero", "exponent-star-with-zero",
             "discretize-X-inf", "discretize-g-inf", "discretize-g-nan",
             "discretize-lambda-nan", "exponent-lambda-nan", "heat-exact-x-inf",
@@ -623,6 +636,16 @@ class TestParameterErrors:
         assert err == f"parameter error: {flag} needs a file path, got an empty one\n"
 
 
+# grid_cfg = X N g, each out of its range in turn
+GRID_CFG_SWEEP = [
+    *[(f"{X} 400 2", "X must be positive and finite") for X in ("0", "-1", "nan")],
+    ("10 0 2", "N must be at least 16, got 0"), ("10 15 2", "N must be at least 16, got 15"),
+    ("10 4001 2", "dense solver capped at N=4000, got N=4001"),
+    *[(f"10 {N} 2", f"grid_cfg = '10 {N} 2'") for N in ("400.5", "1e3")],
+    *[(f"10 400 {g}", "grading exponent must be finite and >= 1") for g in ("0.5", "nan", "inf")],
+]
+
+
 class TestVerify:
     def test_single_check_pass(self, capsys, tmp_path):
         out = tmp_path / "reports.json"
@@ -649,7 +672,7 @@ class TestVerify:
         summary = tmp_path / "summary.csv"
         report = V.VerificationReport("schur_prop", {}, {"sup_row_r0": 3.0},
                                       {"sup_row_r0": 1e3}, True)
-        monkeypatch.setattr(V, "run_all", lambda config, seed: [report, report])
+        monkeypatch.setattr(V, "run_all", lambda config, seed, check: [report, report])
         rc, _, _ = run(capsys, "verify", "--summary", str(summary))
         assert rc == 0
         data = summary.read_bytes()
@@ -668,6 +691,14 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", "--check", "heat_envelope", "--config", str(cfg))
         assert rc == 2 and out == ""
         assert err == "parameter error: config has no section for check 'heat_envelope'\n"
+
+    def test_check_matches_a_spaced_section_name(self, capsys, tmp_path):
+        # the section's check is the text before its first ':', stripped
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text("[equivalence : a]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = 10 400 2\n")
+        rc, out, _ = run(capsys, "verify", "--check", "equivalence", "--config", str(cfg))
+        assert rc == 0
+        assert [r["check_name"] for r in strict_json(out)] == ["equivalence"]
 
     def test_config_campaign_failure_exit_code(self, capsys, tmp_path):
         # at alpha = 0.5 this grid misses the boundary rate by more than SLOPE_TOL
@@ -714,6 +745,8 @@ class TestVerify:
         ("[difference_bound]\nn_duhamel = 0\n", "n_duhamel"),
         ("[difference_bound]\nlams =\n", "lams"),
         ("[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = inf 400 2\n", "X must"),
+        *[(f"[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\ngrid_cfg = {value}\n", key)
+          for value, key in GRID_CFG_SWEEP],
         ("[pointwise_bounds]\nt = inf\n", "[pointwise_bounds] t"),
         ("[schur_prop]\nalpha = nan\n", "[schur_prop] alpha"),
         ("[lemma_integral]\nbetas = nan\n", "[lemma_integral] betas"),
@@ -745,7 +778,9 @@ class TestVerify:
             "s-negative", "s-zero",
             "s-above-two", "no-betas", "no-lams", "nsamples-zero", "nsamples-negative",
             "n-log-zero", "n-x-zero", "n-duhamel-zero", "difference-bound-no-lams",
-            "grid-cfg-inf", "t-inf", "alpha-nan", "betas-nan",
+            "grid-cfg-inf",
+            *(f"grid-cfg-{value.replace(' ', '-')}" for value, _ in GRID_CFG_SWEEP),
+            "t-inf", "alpha-nan", "betas-nan",
             *(f"reversed-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1")),
             "reversed-hardy-X1e-6-member",
             *(f"generalized-hardy-X{X}" for X in ("1e-100", "1e-6", "0.1", "1e6", "1e100",

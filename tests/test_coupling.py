@@ -282,6 +282,14 @@ class TestCouplingParams:
         assert cp.r >= 0.0
         assert cp.lambda_zero is not None and cp.lambda_zero > 0.0
 
+    @pytest.mark.parametrize("alpha, lam", [(0.5, 0.4), (0.5, 1.0), (1.0, 0.0), (1.0, 3.0)])
+    def test_r_is_positive_zero_when_q_is_zero(self, alpha, lam):
+        # at alpha <= 1 and p >= 0, q = p0 = 0, and max keeps its first
+        # argument on a tie
+        cp = make_coupling(1, alpha, lam)
+        assert cp.q == 0.0
+        assert math.copysign(1.0, cp.r) == 1.0
+
     def test_second_order_has_no_comparison_constant(self):
         cp = make_coupling(1, 2.0, 0.3)
         assert cp.lambda_zero is None

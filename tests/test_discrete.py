@@ -603,8 +603,8 @@ class TestLowestEigenvalues:
         (alpha, lam, N) for alpha in (0.5, 1.0, 1.5, 2.0) for lam in (0.0, 1.0, -0.05)
         for N in (250, 2000) if lam >= lambda_star(alpha)])
     def test_matches_the_full_spectrum_on_g2(self, alpha, lam, N):
-        # the full eigendecompose the routine replaced in discretize
-        # --spectrum, accurate on g = 2 meshes
+        # the full eigendecompose the routine replaced in discretize's
+        # spectrum table, accurate on g = 2 meshes
         grid = build_grid(10.0, N, 2.0)
         ref = eigendecompose(assemble_form(alpha, lam, grid)).eigenvalues[:20]
         assert discrete.lowest_eigenvalues(alpha, lam, grid, 20) == pytest.approx(
@@ -623,6 +623,20 @@ class TestLowestEigenvalues:
         ref = 1e100 * 10.0 ** -1.5 * eigh(B, eigvals_only=True)[:count]
         got = discrete.lowest_eigenvalues(1.5, 1e100, grid, count)
         assert got == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    @pytest.mark.parametrize("count", [0, -1, 100, 3.0])
+    def test_count_outside_one_to_n_minus_one_is_rejected_before_assembly(
+            self, monkeypatch, alpha, count):
+        # the library owns the count: no SciPy error or ARPACK warning reaches
+        # the caller
+        def no_work(*args, **kwargs):
+            raise AssertionError("assembled before the count was checked")
+        monkeypatch.setattr(discrete, "assemble_form", no_work)
+        with pytest.raises(DomainError, match=re.escape(
+                f"count must be an integer between 1 and N-1 = 99, the number of "
+                f"eigenvalues, got {count!r}")):
+            discrete.lowest_eigenvalues(alpha, 0.0, build_grid(10.0, 100, 2.0), count)
 
 
 class TestHardyQuotient:

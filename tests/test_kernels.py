@@ -348,6 +348,13 @@ class TestMasterTimeIntegral:
         with pytest.raises(DomainError):
             master_time_integral(1.2, 1, 0.8, 0.5, 1e-6, 1.0)
 
+    @pytest.mark.parametrize("T, S", [(-1.0, 2.0), (0.0, 2.0), (2.0, math.nan)])
+    def test_estimate_has_the_integrals_domain(self, T, S):
+        # the estimate and the integral share one domain
+        for f in (master_time_integral, master_regime_estimate):
+            with pytest.raises(DomainError, match="T, S must be positive"):
+                f(1.2, 1, 0.8, 0.5, T, S)
+
     @pytest.mark.parametrize("alpha, d, p, s, T, S, c_exp", [
         *[(1.2, 1, p, 0.5, T, S, 1.0) for p in (0.5, 0.75, 1.1)
           for T, S in ((0.7, 0.9), (3.0, 2.0), (1e3, 4.0), (0.01, 0.0098))],

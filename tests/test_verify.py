@@ -642,6 +642,19 @@ class TestReportsAndCampaign:
         assert len(reports) == 2
         assert all(r.verdict for r in reports)
 
+    def test_run_all_keeps_the_sections_of_check(self):
+        config = {" schur_prop : a": {"alpha": "1.2", "n_x": "3"},
+                  "schur_prop:b": {"alpha": "1.4", "n_x": "3"},
+                  "lemma_integral": {"nsamples": "0"}}
+        reports = V.run_all(config, check="schur_prop")
+        assert [r.params["alpha"] for r in reports] == [1.2, 1.4]
+        for cfg in (config, {}):
+            with pytest.raises(DomainError, match="config has no section for check "
+                                                  "'heat_envelope'"):
+                V.run_all(cfg, check="heat_envelope")
+        # with no config, check runs alone at its defaults
+        assert [r.check_name for r in V.run_all(check="schur_prop")] == ["schur_prop"]
+
     def test_unknown_check_rejected(self):
         from hardyops.specfun import DomainError
         with pytest.raises(DomainError):
