@@ -141,7 +141,8 @@ def gamma_integral(alpha: float, p: float) -> float:
 def exponent_p(alpha: float, lam: float) -> float:
     """Unique p in [(alpha-1)/2, M) with C(p) = lam, on the increasing branch.
 
-    At alpha = 2, C(p) = p(p-1), so p = 1/2 + sqrt(lam + 1/4) in closed form.
+    At alpha = 2, C(p) = p(p-1), so p = 1/2 + sqrt(lam + 1/4) in closed form,
+    and at lam = 0 p = max(alpha - 1, 0) exactly.
     For alpha < 2 the root is bracketed between the branch start and a point
     below the pole at alpha where C >= lam, then found by Brent's method
     (scipy.optimize.brentq) to |dp| <= 1e-15 + 4 eps |p|.  C is flat at the
@@ -158,6 +159,8 @@ def exponent_p(alpha: float, lam: float) -> float:
         return p_lo
     if alpha == 2.0:
         return 0.5 + math.sqrt(lam + 0.25)
+    if lam == 0.0:  # C(p) = 0 at p = 0 and p = alpha - 1: the larger is on the branch
+        return max(alpha - 1.0, 0.0)
     # Geometric bracket growth until C exceeds lam.
     gap = min(1e-3, 0.05 * (alpha + 1.0))
     p_hi = alpha - gap

@@ -39,10 +39,31 @@ Either layout holds the lambda = 0 form, lam being a scalar that the methods
 apply, so forms at several couplings share one stiffness.
 DiscreteOperator.matvec is the one product with either layout.  _lowest
 gives the lowest eigenvalues against the mass or the Hardy weight, with no
-eigenvector; eigendecompose gives every eigenpair, for the spectral calculus.
+eigenvector.  Functions of the operator come from one of two objects:
+eigendecompose gives every eigenpair below alpha = 2, and band_calculus gives
+the alpha = 2 calculus from tridiagonal solves, with no eigenvector.
+
+At alpha = 2, with B = M^{-1/2} K M^{-1/2} the scaled bands at unit scale and
+mu_1, mu_N its extreme eigenvalues (bisection, LAPACK stebz):
+  * B^{-gamma} c, 0 < gamma < 1, is Balakrishnan's integral
+    (sin pi gamma / pi) int e^{(1 - gamma) y} (e^y + B)^{-1} c dy on the
+    trapezoid rule, step 0.7 from ln mu_1 - 22 to ln mu_N + 22 (about 105
+    real SPD solves, LAPACK ptsv, at N = 2000 and g = 2); the nodes past
+    either end are summed exactly as geometric series of the leading terms
+    B^{-1} c and e^{-y} c.  Other real powers take integer powers first:
+    B^beta c is B^{beta - k} (B^k c), k = ceil(beta).
+  * e^{-tB} c is e^{-t mu_1} e^{-t(B - mu_1)} c, the second factor the
+    Bromwich integral on the parabola s(theta) = (n/t)(0.1309 - 0.1194
+    theta^2 + 0.25 i theta) (Weideman and Trefethen, Math. Comp. 76, 2007) at
+    n = 32 midpoints, which by conjugate symmetry is 16 complex solves
+    (LAPACK gtsv).  Where e^{-t mu_1} underflows the image is 0.
+On scalars the power rule is within 2.3e-12 relative over [mu_1, mu_N] and
+the contour within 1e-14 of e^{-x} for every x >= 0, whatever the grading.
+Against dense eigh of the same bands at X = 10, N = 2000, g = 2 the powers
+agree to 4.3e-11 relative and the heat images to 2.5e-13 times the norm.
 
 The spectral calculus takes blocks.  DiscreteOperator.matvec and apply,
-SpectralDecomposition.coefficients and synthesize, heat_apply, power_apply,
+the coefficients and synthesize of either calculus, heat_apply, power_apply,
 sobolev_norm, mass_norm, and commutator_with_multiplier in its multiplier take
 a nodal array of shape (n,) or (n, k) and give one column or value per column
 (a per-node vector meets it through _col); a 1-D call gives what it always did.
@@ -55,6 +76,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, eigh, eigh_tridiagonal, solve_triangular
+from scipy.linalg.lapack import dptsv, zgtsv
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from hardyops.coupling import _check_alpha, normalization_A
@@ -63,6 +85,19 @@ from hardyops.specfun import DomainError
 DENSE_SOLVER_CAP = 4000
 # bytes per row-block temporary of the alpha < 2 assembly
 _BLOCK_BYTES = 2 << 20
+# Balakrishnan's integral in y = ln(tau) on the trapezoid rule: its step, and
+# how far past ln mu_1 and ln mu_N its nodes run
+_RIESZ_STEP = 0.7
+_RIESZ_PAD = 22.0
+# the parabolic Bromwich contour z(theta) = n (0.1309 - 0.1194 theta^2 +
+# 0.25 i theta) at the n midpoints of (-pi, pi): the poles z_k and weights
+# 2 e^{z_k} z'(theta_k) / (i n) of its upper half, so that e^{-x} is the real
+# part of sum_k w_k / (z_k + x) for x >= 0, to 1e-14
+_HEAT_NODES = 32
+_theta = (np.arange(_HEAT_NODES // 2) + 0.5) * (2.0 * math.pi / _HEAT_NODES)
+_HEAT_POLES = _HEAT_NODES * (0.1309 - 0.1194 * _theta ** 2 + 0.25j * _theta)
+_HEAT_WEIGHTS = 2.0 * np.exp(_HEAT_POLES) * (-0.2388 * _theta + 0.25j) / 1j
+del _theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,6 +436,12 @@ class SpectralDecomposition:
         """The spectrum at the grid's X."""
         return _power(self.operator, -self.operator.alpha) * self.unit_eigenvalues
 
+    @property
+    def unit_bounds(self) -> tuple[float, float]:
+        """The least nonzero and the greatest |unit eigenvalue|."""
+        mags = np.abs(self.unit_eigenvalues)
+        return float(np.min(mags[mags > 0.0])), float(np.max(mags))
+
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         op = self.operator
         return _power(op, 0.5) * (self.eigenvectors.T @ (_col(op.mass, u) * u))
@@ -418,6 +459,83 @@ class SpectralDecomposition:
         return float(np.max(num / den))
 
 
+@dataclass(frozen=True, eq=False)
+class BandCalculus:
+    """Functions of the alpha = 2 operator from tridiagonal solves.
+
+    At unit scale M^{-1} K is M^{-1/2} B M^{1/2}, B = M^{-1/2} K M^{-1/2}
+    the symmetric tridiagonal (diag, off).  coefficients takes nodal values
+    u at the grid's X to c = X^{1/2} M^{1/2} u, in which the operator at X
+    is X^{-2} B and the mass norm the Euclidean one; synthesize takes c
+    back.  The rules are in the module docstring.
+    """
+
+    operator: DiscreteOperator
+    diag: np.ndarray
+    off: np.ndarray
+    unit_bounds: tuple[float, float]  # mu_1 and mu_N of B, by bisection
+
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        op = self.operator
+        return _power(op, 0.5) * (_col(np.sqrt(op.mass), u) * u)
+
+    def synthesize(self, coeff: np.ndarray) -> np.ndarray:
+        op = self.operator
+        return _power(op, -0.5) * (coeff / _col(np.sqrt(op.mass), coeff))
+
+    def _solve(self, shift: complex, c: np.ndarray) -> np.ndarray:
+        """(shift + B)^{-1} c: LDL^T (ptsv) for a real shift >= 0, where
+        shift + B is positive definite, and LU (gtsv) for a complex one."""
+        rhs = c.reshape(len(c), -1)
+        if isinstance(shift, complex):
+            *_, x, info = zgtsv(self.off, self.diag + shift, self.off, rhs)
+        else:
+            *_, x, info = dptsv(self.diag + shift, self.off, rhs)
+        if info != 0:
+            raise _indefinite(self.operator)
+        return x.reshape(c.shape)
+
+    def _riesz(self, gamma: float, c: np.ndarray) -> np.ndarray:
+        """B^{-gamma} c for 0 < gamma < 1, by Balakrishnan's integral."""
+        lo, hi = np.log(self.unit_bounds)
+        h = _RIESZ_STEP
+        ys = lo - _RIESZ_PAD + h * np.arange(math.ceil((hi - lo + 2.0 * _RIESZ_PAD) / h) + 1)
+        acc = sum(math.exp((1.0 - gamma) * y) * self._solve(math.exp(y), c) for y in ys)
+        # the nodes past either end, y_0 - j h and y_last + j h (j >= 1)
+        acc += math.exp((1.0 - gamma) * ys[0]) / math.expm1((1.0 - gamma) * h) \
+            * self._solve(0.0, c)
+        acc += math.exp(-gamma * ys[-1]) / math.expm1(gamma * h) * c
+        return (h * math.sin(math.pi * gamma) / math.pi) * acc
+
+    def power(self, beta: float, c: np.ndarray) -> np.ndarray:
+        """(X^{-2} B)^beta c, as B^{beta - k} (B^k c) with k = ceil(beta).  The
+        scalar X^{-2 beta} may overflow to inf or underflow to 0, as a power
+        of the spectrum does in SpectralDecomposition."""
+        k = math.ceil(beta)
+        rw = _col(np.sqrt(self.operator.mass), c)
+        for _ in range(k):
+            c = self.operator.matvec(c / rw) / rw
+        for _ in range(-k):
+            c = self._solve(0.0, c)
+        if k != beta:
+            c = self._riesz(k - beta, c)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return np.float64(self.operator.grid.X) ** (-2.0 * beta) * c
+
+    def heat(self, t: float, c: np.ndarray) -> np.ndarray:
+        """exp(-t X^{-2} B) c for t >= 0, on the parabolic contour."""
+        if t == 0.0:
+            return c.copy()
+        t = t * _power(self.operator, -2.0)
+        mu = self.unit_bounds[0]
+        damp = math.exp(-t * mu)
+        if damp == 0.0:
+            return np.zeros_like(c)
+        acc = sum((w / t) * self._solve(z / t - mu, c)
+                  for z, w in zip(_HEAT_POLES, _HEAT_WEIGHTS))
+        return damp * acc.real
+
+
 def _scaled_bands(op: DiscreteOperator, rw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bands of R^{-1} K R^{-1} for the alpha = 2 form K of op, lam term
     included, and R = diag(rw), rw the square root of a diagonal weight.  A
@@ -430,42 +548,62 @@ def _scaled_bands(op: DiscreteOperator, rw: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def eigendecompose(op: DiscreteOperator) -> SpectralDecomposition:
-    """Every eigenpair against the lumped mass, for the spectral calculus, by
-    MRRR on the unit-scale form scaled by M^{-1/2}: LAPACK stemr on the
-    alpha = 2 bands, dense eigh in place below.  MRRR is accurate only to eps
-    times the scaled norm, so from g = 4 on it loses the lowest modes, which
-    _lowest keeps.  The eigenvectors are dense, so N > DENSE_SOLVER_CAP is
-    rejected before any work; a scaled form that is not finite, or a spectrum
-    outside the normal doubles at the operator's X, raises DomainError."""
+    """Every eigenpair against the lumped mass below alpha = 2, for the
+    spectral calculus, by dense eigh in place on the unit-scale form scaled by
+    M^{-1/2}.  At alpha = 2 band_calculus gives the functions of the operator
+    and lowest_eigenvalues its eigenvalues, so it raises DomainError.  The
+    eigenvectors are dense, so N > DENSE_SOLVER_CAP is rejected before any
+    work; a scaled form that is not finite, or a spectrum outside the normal
+    doubles at the operator's X, raises DomainError."""
+    if op.alpha == 2.0:
+        raise DomainError("eigendecompose is the dense route below alpha = 2; at alpha = 2 "
+                          "use band_calculus for functions of the operator and "
+                          "lowest_eigenvalues for its eigenvalues")
     _require_dense_size(op.grid)
     rw = np.sqrt(op.mass)
-    if op.alpha == 2.0:
-        vals, Y = eigh_tridiagonal(*_scaled_bands(op, rw), lapack_driver="stemr")
-    else:
-        with np.errstate(all="ignore"):
-            B = np.divide(op.stiffness.T, rw[:, None])
-            B /= rw[None, :]
-            np.fill_diagonal(B, (np.diagonal(op.stiffness) + op.lam * op.hardy) / rw / rw)
-        _require_finite(op.alpha, op.lam, op.grid, B)
-        vals, Y = eigh(B, overwrite_a=True, check_finite=False)
+    with np.errstate(all="ignore"):
+        B = np.divide(op.stiffness.T, rw[:, None])
+        B /= rw[None, :]
+        np.fill_diagonal(B, (np.diagonal(op.stiffness) + op.lam * op.hardy) / rw / rw)
+    _require_finite(op.alpha, op.lam, op.grid, B)
+    vals, Y = eigh(B, overwrite_a=True, check_finite=False)
     Y /= rw[:, None]
     return dilate(SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y, operator=op),
                   op.grid)
 
 
-def dilate(dec: SpectralDecomposition, grid: Grid1D) -> SpectralDecomposition:
-    """The decomposition of the same form on grid, a dilate of dec's grid:
-    only the grid is rebound, every array is shared.  Another N or g, or a
-    spectrum at grid.X outside the normal double range (checked on the least
-    and greatest nonzero |unit eigenvalue|), is a DomainError."""
+def band_calculus(op: DiscreteOperator) -> BandCalculus:
+    """The alpha = 2 calculus of op: the bands of B = M^{-1/2} K M^{-1/2} at
+    unit scale and its extreme eigenvalues, mu_1 by _lowest and mu_N by
+    bisection, in O(N) memory.  N > DENSE_SOLVER_CAP is rejected as in
+    eigendecompose, the bound of every grid the verify checks take.  Another
+    alpha, an indefinite form, a scaled form that is not finite, or a spectrum
+    outside the normal doubles at the operator's X, raises DomainError."""
+    if op.alpha != 2.0:
+        raise DomainError(f"band_calculus is the alpha = 2 route, got alpha={op.alpha!r}; "
+                          f"below it use eigendecompose")
+    _require_dense_size(op.grid)
+    diag, off = _scaled_bands(op, np.sqrt(op.mass))
+    mu_1 = _lowest(op, op.mass, 1)[0]
+    n = diag.size
+    mu_n = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                            select_range=(n - 1, n - 1))[0]
+    return dilate(BandCalculus(operator=op, diag=diag, off=off,
+                               unit_bounds=(float(mu_1), float(mu_n))), op.grid)
+
+
+def dilate(dec: SpectralDecomposition | BandCalculus,
+           grid: Grid1D) -> SpectralDecomposition | BandCalculus:
+    """The calculus of the same form on grid, a dilate of dec's grid: only
+    the grid is rebound, every array is shared.  Another N or g, or a
+    spectrum at grid.X outside the normal double range (checked on
+    dec.unit_bounds), is a DomainError."""
     op = dec.operator
     if (grid.N, grid.grading) != (op.grid.N, op.grid.grading):
         raise DomainError(f"cannot dilate a decomposition on N={op.grid.N}, "
                           f"g={op.grid.grading} to N={grid.N}, g={grid.grading}")
-    mags = np.abs(dec.unit_eigenvalues)
     with np.errstate(over="ignore", under="ignore"):
-        lo, hi = np.float64(grid.X) ** -op.alpha \
-            * np.array([np.min(mags[mags > 0.0]), np.max(mags)])
+        lo, hi = np.float64(grid.X) ** -op.alpha * np.array(dec.unit_bounds)
     if not (np.isfinite(hi) and lo >= np.finfo(float).tiny):
         what = "underflows" if np.isfinite(hi) else "is not finite"
         raise DomainError(f"the spectrum of {_form_at(op.alpha, grid)} {what} "
@@ -473,28 +611,44 @@ def dilate(dec: SpectralDecomposition, grid: Grid1D) -> SpectralDecomposition:
     return replace(dec, operator=replace(op, grid=grid))
 
 
-def heat_apply(dec: SpectralDecomposition, t: float, u: np.ndarray) -> np.ndarray:
-    """exp(-t L) u through the spectral representation."""
+def heat_apply(dec: SpectralDecomposition | BandCalculus, t: float,
+               u: np.ndarray) -> np.ndarray:
+    """exp(-t L) u: on the contour at alpha = 2, through the eigenpairs below."""
     if t < 0.0:
         raise DomainError("heat_apply requires t >= 0")
+    if isinstance(dec, BandCalculus):
+        return dec.synthesize(dec.heat(t, dec.coefficients(u)))
     return dec.synthesize(_col(np.exp(-t * dec.eigenvalues), u) * dec.coefficients(u))
 
 
-def power_apply(dec: SpectralDecomposition, s: float, u: np.ndarray) -> np.ndarray:
+def power_apply(dec: SpectralDecomposition | BandCalculus, s: float,
+                u: np.ndarray) -> np.ndarray:
     """L^{s/2} u; negative s gives the Riesz (inverse) powers."""
+    if isinstance(dec, BandCalculus):
+        return dec.synthesize(dec.power(0.5 * s, dec.coefficients(u)))
     with np.errstate(over="ignore", invalid="ignore"):
         image = _col(dec.eigenvalues ** (0.5 * s), u) * dec.coefficients(u)
     return dec.synthesize(image)
 
 
-def sobolev_norm(dec: SpectralDecomposition, s: float, u: np.ndarray) -> float | np.ndarray:
-    """|| L^{s/2} u || in the mass norm, via the spectral measure."""
+def sobolev_norm(dec: SpectralDecomposition | BandCalculus, s: float,
+                 u: np.ndarray) -> float | np.ndarray:
+    """|| L^{s/2} u || in the mass norm: the Euclidean norm of the power's
+    coefficients at alpha = 2, via the spectral measure below."""
+    if isinstance(dec, BandCalculus):
+        image = dec.power(0.5 * s, dec.coefficients(u))
+        return _norms(np.ones(len(image)), image)
     with np.errstate(over="ignore"):
         return _norms(dec.eigenvalues ** s, dec.coefficients(u))
 
 
 def mass_norm(op: DiscreteOperator, u: np.ndarray) -> float | np.ndarray:
     return _power(op, 0.5) * _norms(op.mass, u)
+
+
+def _indefinite(op: DiscreteOperator) -> DomainError:
+    return DomainError(f"{_form_at(op.alpha, op.grid)} with lambda={op.lam!r} "
+                       f"is not positive definite")
 
 
 def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
@@ -510,8 +664,7 @@ def _lowest(op: DiscreteOperator, weight: np.ndarray, k: int) -> np.ndarray:
     On g = 2 mass pencils all routes are within 1.8e-11 relative of dense eigh;
     bisection keeps the graded modes MRRR loses.  An indefinite form raises DomainError."""
     rw = np.sqrt(weight)
-    indefinite = DomainError(f"{_form_at(op.alpha, op.grid)} with lambda={op.lam!r} "
-                             f"is not positive definite")
+    indefinite = _indefinite(op)
     if op.alpha == 2.0:
         vals = eigh_tridiagonal(*_scaled_bands(op, rw), eigvals_only=True, select="i",
                                 select_range=(0, k - 1), tol=np.finfo(float).tiny)

@@ -118,31 +118,41 @@ def _form(alpha: float, N: int, g: float) -> dm.DiscreteOperator:
     return op
 
 
+def _calculus(op: dm.DiscreteOperator) -> dm.SpectralDecomposition | dm.BandCalculus:
+    # the alpha = 2 operator is tridiagonal: its functions come from solves
+    return dm.band_calculus(op) if op.alpha == 2.0 else eigendecompose(op)
+
+
 @functools.lru_cache(maxsize=8)
-def _decompose(alpha: float, lam: float, N: int, g: float) -> dm.SpectralDecomposition:
+def _decompose(alpha: float, lam: float, N: int,
+               g: float) -> dm.SpectralDecomposition | dm.BandCalculus:
     # shared, read-only, by every later caller with the same key, at any X
-    dec = eigendecompose(dm._couple(_form(alpha, N, g), lam))
-    for arr in (dec.unit_eigenvalues, dec.eigenvectors):
-        arr.flags.writeable = False
+    dec = _calculus(dm._couple(_form(alpha, N, g), lam))
+    for arr in vars(dec).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return dec
 
 
-def get_dec(alpha: float, lam: float, grid: Grid1D) -> dm.SpectralDecomposition:
-    """Decomposition of the (alpha, lam) operator on grid, read-only.
+def get_dec(alpha: float, lam: float,
+            grid: Grid1D) -> dm.SpectralDecomposition | dm.BandCalculus:
+    """Spectral calculus of the (alpha, lam) operator on grid, read-only:
+    discrete.band_calculus at alpha = 2, which holds bands and two
+    eigenvalues, and discrete.eigendecompose below.
 
-    Every decomposition holds unit-scale arrays (see discrete.DiscreteOperator),
+    Every calculus holds unit-scale arrays (see discrete.DiscreteOperator),
     so the cache holds one per (alpha, lam, N, g), and each call rebinds it to
     grid with discrete.dilate, which copies no array.  Those of one (alpha,
     N, g) share one read-only lambda = 0 form (_form), lam being a scalar.  A
     plain public function around the cache: the benchmark tracer
     (bench/tracer.py) times it and counts a miss for each eigendecompose it
-    reaches.  A failed decomposition is not cached; it is repeated on grid
-    itself, so that its DomainError names the caller's X, not the unit grid's.
+    reaches.  A failed calculus is not cached; it is repeated on grid itself,
+    so that its DomainError names the caller's X, not the unit grid's.
     """
     try:
         dec = _decompose(alpha, lam, grid.N, grid.grading)
     except DomainError:
-        eigendecompose(assemble_form(alpha, lam, grid))
+        _calculus(assemble_form(alpha, lam, grid))
         raise
     return dm.dilate(dec, grid)
 
@@ -463,8 +473,8 @@ def check_generalized_hardy(alpha: float, lam: float, s: float,
     return _finalize("generalized_hardy", params, measured, tol, "; ".join(notes))
 
 
-def _reversed_family(grid: Grid1D, p: float,
-                     dec: dm.SpectralDecomposition) -> tuple[list[str], np.ndarray]:
+def _reversed_family(grid: Grid1D, p: float, dec: dm.SpectralDecomposition | dm.BandCalculus
+                     ) -> tuple[list[str], np.ndarray]:
     """Names and (n, k) columns of ~40 test functions: boundary bumps at three
     decay rates, dilates, interior translates and semigroup mollifications."""
     fam = []
@@ -980,8 +990,10 @@ def run_all(config: dict | None = None, seed: int = 0,
     config maps section names (check name, optionally suffixed ':tag') to
     flat key=value parameter dicts.  A check other than "all" keeps only its
     sections, or runs alone at its defaults when config is None.  seed goes
-    to the checks that take one.
+    to the checks that take one.  A seed, given or in a section, that is not
+    an integer >= 0 is a DomainError before any check runs.
     """
+    _require_seed("seed", seed)
     if config is None and check != "all":
         config = {check: {}}
     jobs: list[tuple[str, dict]]
@@ -1004,9 +1016,12 @@ def run_all(config: dict | None = None, seed: int = 0,
             raise DomainError(f"config has no section for check {check!r}")
     else:
         jobs = default_campaign()
-    reports = []
     for name, kwargs in jobs:
         if "seed" in inspect.signature(CHECKS[name]).parameters:
-            kwargs.setdefault("seed", seed)
-        reports.append(CHECKS[name](**kwargs))
-    return reports
+            _require_seed(f"[{name}] seed", kwargs.setdefault("seed", seed))
+    return [CHECKS[name](**kwargs) for name, kwargs in jobs]
+
+
+def _require_seed(key: str, seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"{key} must be an integer >= 0, got {seed!r}")

@@ -646,6 +646,12 @@ GRID_CFG_SWEEP = [
 ]
 
 
+ALPHA2_SECTIONS = ["[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\n",
+                   "[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\n",
+                   "[reversed_hardy]\nalpha = 2\nlam = 1\ns = 1.3\n"]
+ALPHA2_IDS = ["equivalence", "generalized-hardy", "reversed-hardy"]
+
+
 class TestVerify:
     def test_single_check_pass(self, capsys, tmp_path):
         out = tmp_path / "reports.json"
@@ -796,17 +802,44 @@ class TestVerify:
         assert err.startswith("parameter error: ") and key in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("section", [
-        "[equivalence]\nalpha = 2\nlam = 1\ns = 1.3\n",
-        "[generalized_hardy]\nalpha = 2\nlam = 0\ns = 1.6\n",
-        "[reversed_hardy]\nalpha = 2\nlam = 1\ns = 1.3\n",
-    ], ids=["equivalence", "generalized-hardy", "reversed-hardy"])
+    @pytest.mark.parametrize("section", ALPHA2_SECTIONS, ids=ALPHA2_IDS)
     def test_small_grid_that_resolves_the_test_functions_passes(self, capsys, tmp_path,
                                                                 section):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(section + "grid_cfg = 3 200 2\n")
         rc, out, _ = run(capsys, "verify", "--config", str(cfg))
         assert rc == 0 and '"verdict": "pass"' in out
+
+    @pytest.mark.parametrize("section", ALPHA2_SECTIONS, ids=ALPHA2_IDS)
+    def test_strongly_graded_grid_passes(self, capsys, tmp_path, section):
+        # the MRRR eigenpairs lost the low modes at g = 4: equivalence failed
+        # its s = 1 identity (0.34) and the other two exited 2
+        cfg = tmp_path / "graded.cfg"
+        cfg.write_text(section + "grid_cfg = 10 1000 4\n")
+        rc, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 0 and err.startswith("[PASS]") and '"verdict": "pass"' in out
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"],
+                                      ["--check", "schur_prop", "--seed", "-1"]],
+                             ids=["campaign", "unseeded-check"])
+    def test_negative_seed_is_parameter_error(self, capsys, monkeypatch, argv):
+        # NumPy's "expected non-negative integer" reached the user, and with
+        # only unseeded checks the seed was accepted; no check runs now
+        def no_check(**kwargs):
+            raise AssertionError("a check ran before the seed was checked")
+        for name in V.CHECKS:
+            monkeypatch.setitem(V.CHECKS, name, no_check)
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2 and out == ""
+        assert err == "parameter error: seed must be an integer >= 0, got -1\n"
+
+    def test_negative_section_seed_is_parameter_error(self, capsys, tmp_path):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("[schur_prop]\n[difference_bound]\nseed = -2\n")
+        rc, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert rc == 2 and out == ""
+        assert err == ("parameter error: [difference_bound] seed must be an integer >= 0, "
+                       "got -2\n")
 
     @pytest.mark.parametrize("text", ["alpha = 2\n", "[schur_prop]\nn_x = 3\nn_x = 4\n"],
                              ids=["no-section-header", "duplicate-key"])

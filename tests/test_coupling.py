@@ -172,6 +172,14 @@ class TestExponentInversion:
             assert exponent_p(alpha, 0.0) == pytest.approx(
                 max(alpha - 1.0, 0.0), abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_zero_coupling_is_exact(self, alpha):
+        # Brent's root was -1.7e-16 at alpha = 0.5, and r with it 1.7e-16
+        p = exponent_p(alpha, 0.0)
+        assert p == max(alpha - 1.0, 0.0) and math.copysign(1.0, p) == 1.0
+        r = make_coupling(1, alpha, 0.0).r
+        assert r == 0.0 and math.copysign(1.0, r) == 1.0
+
     def test_sharp_constant_maps_to_branch_start(self):
         for alpha in (0.5, 1.2, 2.0):
             assert exponent_p(alpha, lambda_star(alpha)) == 0.5 * (alpha - 1.0)

@@ -13,9 +13,10 @@ from hardyops import discrete
 from hardyops.discrete import (DENSE_SOLVER_CAP, DomainError, _antider, _exterior_bands,
                                _local_bands, _nonlocal_stiffness, assemble_form,
                                boundary_bump, build_grid, commutator_norm,
-                               commutator_with_multiplier, cutoff_product, dilate,
-                               eigendecompose, hardy_quotient_min, heat_apply,
-                               interior_bump, mass_norm, power_apply,
+                               band_calculus, commutator_with_multiplier,
+                               cutoff_product, dilate, eigendecompose,
+                               hardy_quotient_min, heat_apply, interior_bump,
+                               lowest_eigenvalues, mass_norm, power_apply,
                                singular_profile, sobolev_norm)
 from hardyops.kernels import heat_exact_halfline, riesz_exact_halfline
 
@@ -56,6 +57,12 @@ def dense_stiffness(op):
     diagonal."""
     K0 = op.stiffness if op.alpha != 2.0 else banded(op.stiffness[1], op.stiffness[0, 1:])
     return K0 + op.lam * np.diag(op.hardy)
+
+
+def scaled_dense(op):
+    """M^{-1/2} K M^{-1/2} of op at unit scale, as an n x n matrix."""
+    rw = np.sqrt(op.mass)
+    return dense_stiffness(op) / rw[:, None] / rw[None, :]
 
 
 def oneshot_fullline_form(alpha, grid):
@@ -336,7 +343,7 @@ class TestAssembly:
 
 def _heat_semigroup_error(N, g, lam, t):
     grid = build_grid(10.0, N, g)
-    heat = heat_apply(eigendecompose(assemble_form(2.0, lam, grid)), t, interior_bump(grid))
+    heat = heat_apply(band_calculus(assemble_form(2.0, lam, grid)), t, interior_bump(grid))
     idx = [int(np.argmin(np.abs(grid.nodes - x))) for x in (0.05, 0.3, 1.0, 2.0, 3.0, 4.5)]
 
     def u(y):  # the bump off the grid, supported on [0.5, 3.5]
@@ -349,20 +356,25 @@ def _heat_semigroup_error(N, g, lam, t):
 
 @pytest.fixture(scope="module")
 def dec():
-    return eigendecompose(assemble_form(2.0, 1.0, build_grid(6.0, 300, 2.0)))
+    return band_calculus(assemble_form(2.0, 1.0, build_grid(6.0, 300, 2.0)))
+
+
+@pytest.fixture(scope="module")
+def dense_dec():
+    return eigendecompose(assemble_form(1.5, 1.0, build_grid(6.0, 300, 2.0)))
 
 
 class TestSpectralCalculus:
 
     def test_dirichlet_spectrum(self):
         g = build_grid(math.pi, 400, 1.0)
-        dec = eigendecompose(assemble_form(2.0, 0.0, g))
-        assert np.allclose(dec.eigenvalues[:3], [1.0, 4.0, 9.0], rtol=1e-2)
+        assert np.allclose(lowest_eigenvalues(2.0, 0.0, g, 3), [1.0, 4.0, 9.0], rtol=1e-2)
 
-    def test_residual_invariant(self, dec):
-        assert dec.residual() <= 1e-8
+    def test_residual_invariant(self, dense_dec):
+        assert dense_dec.residual() <= 1e-8
 
-    def test_orthonormality(self, dec):
+    def test_orthonormality(self, dense_dec):
+        dec = dense_dec
         V = dec.eigenvectors
         G = V.T @ (dec.operator.mass[:, None] * V)
         assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-10
@@ -397,26 +409,48 @@ class TestSpectralCalculus:
         # e^{-tL} of the interior bump against its integral with the exact
         # half-line kernel, at the nodes nearest six points, relative to the
         # largest value; truncation at X costs about e^{-(X - 3.5)^2/4t} < 1e-9
-        for g in (2.0, 3.0):
+        for g in (2.0, 3.0, 4.0):
             for lam, t in ((0.0, 0.5), (1.0, 0.5), (3.0, 0.1)):
                 err = _heat_semigroup_error(2000, g, lam, t)
                 assert err <= 5e-6, (g, lam, t, err)
 
-    @pytest.mark.xfail(strict=True, reason="at g = 4 the alpha = 2 decomposition is "
-                                           "wrong and heat_apply returns 0 (ROADMAP item 5)")
+    @pytest.mark.parametrize("N, g", [(500, 4.0), (1000, 4.0), (1000, 6.0)])
+    def test_heat_kernel_on_strongly_graded_meshes_has_no_solver_fault(self, N, g):
+        # the MRRR eigenpairs lost the low modes here, and the heat image was
+        # 0 at every node (error 1.00); what is left is discretization error
+        assert _heat_semigroup_error(N, g, 1.0, 0.5) <= 1e-4
+
+    @pytest.mark.xfail(strict=True, reason="discretization error, not a solver fault: at "
+                                           "N = 1000, g = 4 the mesh misses the exact "
+                                           "kernel by 1.08e-5; N = 2000 reads at most "
+                                           "2.7e-6")
     def test_heat_kernel_against_exact_on_a_strongly_graded_mesh(self):
         assert _heat_semigroup_error(1000, 4.0, 1.0, 0.5) <= 5e-6
 
+    @pytest.mark.parametrize("g, lam", [(4.0, -0.2), (6.0, -0.1), (6.0, -0.05)])
+    def test_indefinite_graded_form_is_domain_error(self, g, lam):
+        # below lambda = 0 the lumped Hardy term makes these forms indefinite:
+        # the calculus refuses them with the message of lowest_eigenvalues
+        grid = build_grid(10.0, 700, g)
+        with pytest.raises(DomainError, match="not positive definite") as info:
+            band_calculus(assemble_form(2.0, lam, grid))
+        with pytest.raises(DomainError) as low:
+            lowest_eigenvalues(2.0, lam, grid, 1)
+        assert str(info.value) == str(low.value)
+
     def test_riesz_entry_against_continuum(self):
+        # the entry (i, j) of L^{-s/2} is its image of the unit vector e_j at
+        # node i over the mass of node j
         lam, s = 1.0, 0.7
         grid = build_grid(12.0, 1200, 2.0)
-        dec = eigendecompose(assemble_form(2.0, lam, grid))
-        V = dec.eigenvectors / math.sqrt(grid.X)  # at X
+        dec = band_calculus(assemble_form(2.0, lam, grid))
         ratios = []
         for (a, b) in ((1.0, 1.5), (0.5, 2.0), (0.8, 0.9)):
             i = int(np.argmin(np.abs(grid.nodes - a)))
             j = int(np.argmin(np.abs(grid.nodes - b)))
-            disc = float(np.sum(dec.eigenvalues ** (-0.5 * s) * V[i] * V[j]))
+            e_j = np.zeros(grid.N - 1)
+            e_j[j] = 1.0
+            disc = float(power_apply(dec, -s, e_j)[i] / grid.weights[j])
             cont = riesz_exact_halfline(lam, s, grid.nodes[i], grid.nodes[j])
             ratios.append(disc / cont)
         # truncation at X shifts the low modes; bounded ratio is the claim
@@ -435,10 +469,14 @@ class TestSpectralCalculus:
 
 @pytest.fixture(scope="module")
 def unit_decs():
-    """One decomposition at X = 1 per alpha: alpha = 2 has the band
-    stiffness, alpha = 1.5 the dense one."""
-    return {alpha: eigendecompose(assemble_form(alpha, 1.0, build_grid(1.0, 200, 2.0)))
+    """One calculus at X = 1 per alpha: alpha = 2 has the band stiffness and
+    its solves, alpha = 1.5 the dense stiffness and its eigenpairs."""
+    return {alpha: calculus(assemble_form(alpha, 1.0, build_grid(1.0, 200, 2.0)))
             for alpha in (1.5, 2.0)}
+
+
+def calculus(op):
+    return band_calculus(op) if op.alpha == 2.0 else eigendecompose(op)
 
 
 def _bump_block(grid):
@@ -498,9 +536,9 @@ class TestDilation:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_matches_direct_decomposition(self, alpha, lam, g):
-        from scipy.linalg import eigh
+        from scipy.linalg import eigh, eigh_tridiagonal
         unit_grid = build_grid(1.0, 300, g)
-        unit = eigendecompose(assemble_form(alpha, lam, unit_grid))
+        unit = calculus(assemble_form(alpha, lam, unit_grid))
         pieces = [lambda gr: banded(*_local_bands(gr))] if alpha == 2.0 else [
             lambda gr: _nonlocal_stiffness(alpha, gr),
             lambda gr: banded(*_exterior_bands(gr, alpha))]
@@ -511,13 +549,24 @@ class TestDilation:
             for piece in pieces:
                 want = X ** (1.0 - alpha) * piece(unit_grid)
                 assert np.max(np.abs(piece(grid) - want)) <= 1e-8 * np.max(np.abs(want))
-            # the X images of the unit eigenpairs against dense eigh at X
+            # the X images of the unit calculus against the eigenpairs at X
             K = form_at_X(alpha, lam, grid)
             rw = np.sqrt(grid.weights)
-            vals, Y = eigh(K / rw[:, None] / rw[None, :])
+            B = K / rw[:, None] / rw[None, :]
+            if alpha == 2.0:
+                # bisection and inverse iteration: from g = 4 on dense eigh
+                # loses the lowest modes of the scaled bands
+                vals, Y = eigh_tridiagonal(np.diag(B), np.diag(B, 1), lapack_driver="stebz",
+                                           tol=np.finfo(float).tiny)
+            else:
+                vals, Y = eigh(B)
             V = Y / rw[:, None]
             moved = dilate(unit, grid)
-            assert np.max(np.abs(moved.eigenvalues[:10] / vals[:10] - 1.0)) <= 1e-9
+            if alpha == 2.0:  # the extreme eigenvalues, all the band calculus holds
+                got, want = X ** -alpha * np.array(moved.unit_bounds), vals[[0, -1]]
+            else:
+                got, want = moved.eigenvalues[:10], vals[:10]
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-9
             u = np.exp(-((grid.nodes / X - 0.3) / 0.1) ** 2)
             t = 0.01 * X ** alpha
             for image, f in ((lambda d: heat_apply(d, t, u), lambda v: np.exp(-t * v)),
@@ -539,7 +588,7 @@ class TestDilation:
             assert getattr(moved.operator, name) is getattr(unit.operator, name)
 
     def test_mesh_mismatch_is_domain_error(self):
-        unit = eigendecompose(assemble_form(2.0, 0.0, build_grid(1.0, 40, 2.0)))
+        unit = band_calculus(assemble_form(2.0, 0.0, build_grid(1.0, 40, 2.0)))
         for grid in (build_grid(3.0, 41, 2.0), build_grid(3.0, 40, 3.0)):
             with pytest.raises(DomainError, match="cannot dilate"):
                 dilate(unit, grid)
@@ -547,7 +596,7 @@ class TestDilation:
     @pytest.mark.parametrize("alpha", [1.5, 2.0])
     def test_extreme_scale_is_domain_error(self, alpha):
         # c^{-alpha} overflows: the usual non-finite message, not OverflowError
-        unit = eigendecompose(assemble_form(alpha, 1.0, build_grid(1.0, 40, 2.0)))
+        unit = calculus(assemble_form(alpha, 1.0, build_grid(1.0, 40, 2.0)))
         with pytest.raises(DomainError, match="not finite in double precision"):
             dilate(unit, build_grid(1e-300, 40, 2.0))
 
@@ -574,28 +623,32 @@ class TestDilation:
 
 class TestSpectralGuarantees:
     def test_trivial_two_by_two_eigenpairs(self):
-        # hand-built diagonal operator: analytic eigenpairs
+        # hand-built diagonal operator M^{-1} K = diag(2, 3): the calculus maps
+        # the unit vectors, its eigenvectors, to multiples of themselves
         grid = build_grid(1.0, 16, 1.0)
         from hardyops.discrete import DiscreteOperator
         K = np.array([[0.0, 0.0], [2.0, 6.0]])  # the bands of diag(2, 6)
         mass = np.array([1.0, 2.0])
         op = DiscreteOperator(alpha=2.0, lam=0.0, grid=grid, stiffness=K,
                               hardy=mass.copy(), mass=mass)
-        dec = eigendecompose(op)
-        assert np.allclose(dec.eigenvalues, [2.0, 3.0])
-        assert abs(dec.eigenvectors[0, 0]) == pytest.approx(1.0, rel=1e-12)
+        dec = band_calculus(op)
+        assert dec.unit_bounds == pytest.approx((2.0, 3.0), rel=1e-14)
+        mu = np.array([2.0, 3.0])
+        for s in (2.0, 1.0, -1.3):
+            got = power_apply(dec, s, np.eye(2))
+            assert np.max(np.abs(got - np.diag(mu ** (0.5 * s)))) <= 1e-10
+        got = heat_apply(dec, 0.5, np.eye(2))
+        assert np.max(np.abs(got - np.diag(np.exp(-0.5 * mu)))) <= 1e-13
 
     def test_form_nonnegative_at_sharp_constant(self):
-        for alpha in (1.5, 2.0):
-            grid = build_grid(10.0, 400, 2.0)
-            op = assemble_form(alpha, lambda_star(alpha), grid)
-            dec = eigendecompose(op)
-            assert dec.eigenvalues[0] >= -1e-10
+        grid = build_grid(10.0, 400, 2.0)
+        op = assemble_form(1.5, lambda_star(1.5), grid)
+        assert eigendecompose(op).eigenvalues[0] >= -1e-10
+        assert lowest_eigenvalues(2.0, lambda_star(2.0), grid, 1)[0] >= -1e-10
 
     def test_spectral_positivity_above_sharp_constant(self):
         grid = build_grid(10.0, 400, 2.0)
-        dec = eigendecompose(assemble_form(2.0, -0.24, grid))
-        assert dec.eigenvalues[0] > 0.0
+        assert lowest_eigenvalues(2.0, -0.24, grid, 1)[0] > 0.0
 
 
 class TestLowestEigenvalues:
@@ -603,10 +656,15 @@ class TestLowestEigenvalues:
         (alpha, lam, N) for alpha in (0.5, 1.0, 1.5, 2.0) for lam in (0.0, 1.0, -0.05)
         for N in (250, 2000) if lam >= lambda_star(alpha)])
     def test_matches_the_full_spectrum_on_g2(self, alpha, lam, N):
-        # the full eigendecompose the routine replaced in discretize's
-        # spectrum table, accurate on g = 2 meshes
+        # the full spectrum the routine replaced in discretize's table,
+        # accurate on g = 2 meshes: dense eigh of the scaled form at alpha = 2
         grid = build_grid(10.0, N, 2.0)
-        ref = eigendecompose(assemble_form(alpha, lam, grid)).eigenvalues[:20]
+        op = assemble_form(alpha, lam, grid)
+        if alpha == 2.0:
+            from scipy.linalg import eigh
+            ref = grid.X ** -alpha * eigh(scaled_dense(op), eigvals_only=True)[:20]
+        else:
+            ref = eigendecompose(op).eigenvalues[:20]
         assert discrete.lowest_eigenvalues(alpha, lam, grid, 20) == pytest.approx(
             ref, rel=1e-9, abs=0.0)
 
@@ -746,24 +804,36 @@ class TestTridiagonalPath:
 
     @pytest.mark.parametrize("lam", [-0.24, 0.0, 1.0, 3.0])
     def test_decomposition_matches_dense(self, lam):
+        # the band calculus against the eigenpairs of the same scaled bands,
+        # on four test functions at once; each bound is about ten times the
+        # largest error read over the four couplings
         from scipy.linalg import eigh
-        from hardyops.discrete import SpectralDecomposition
         grid = build_grid(10.0, 2000, 2.0)
         op = assemble_form(2.0, lam, grid)
-        dec = eigendecompose(op)
-        rw = np.sqrt(op.mass)
-        vals, Y = eigh(dense_stiffness(op) / rw[:, None] / rw[None, :])
-        ref = SpectralDecomposition(unit_eigenvalues=vals, eigenvectors=Y / rw[:, None],
-                                    operator=op)
-        assert np.max(np.abs(dec.unit_eigenvalues - vals) / np.abs(vals)) <= 1e-10
-        u = boundary_bump(grid, 0.1, 1.5)
-        for got, want in ((heat_apply(dec, 0.1, u), heat_apply(ref, 0.1, u)),
-                          (power_apply(dec, 1.3, u), power_apply(ref, 1.3, u)),
-                          (power_apply(dec, -1.3, u), power_apply(ref, -1.3, u))):
-            assert mass_norm(op, got - want) <= 1e-10 * mass_norm(op, want)
-        assert sobolev_norm(dec, 1.3, u) == pytest.approx(sobolev_norm(ref, 1.3, u),
-                                                          rel=1e-10)
-        assert dec.residual() <= 1e-8
+        dec = band_calculus(op)
+        vals, Y = eigh(scaled_dense(op))
+        assert dec.unit_bounds == pytest.approx((vals[0], vals[-1]), rel=2e-10, abs=0.0)
+        V = Y / np.sqrt(op.mass)[:, None] / math.sqrt(grid.X)  # mass-orthonormal at X
+        lams = vals / grid.X ** 2
+        U = _bump_block(grid)
+
+        def exact(f):
+            return V @ (f(lams)[:, None] * (V.T @ (grid.weights[:, None] * U)))
+
+        def err(got, want, scale):
+            return np.max(mass_norm(op, got - want) / mass_norm(op, scale))
+        for beta in (0.5, -0.5, 0.65, 0.75, 0.8, -0.8):  # read 4.3e-11
+            want = exact(lambda v: v ** beta)
+            assert err(power_apply(dec, 2.0 * beta, U), want, want) <= 5e-10, beta
+        for t in np.geomspace(2.4e-8, 5e-3, 9):  # read 2.5e-13
+            want = exact(lambda v: np.exp(-t * v))
+            assert err(heat_apply(dec, t, U), want, U) <= 3e-12, t
+        for j in range(U.shape[1]):  # the s = 1 identity, read 1.5e-12
+            u = U[:, j]
+            assert sobolev_norm(dec, 1.0, u) ** 2 == pytest.approx(op.form(u), rel=2e-11,
+                                                                   abs=0.0)
+        for s in (1.3, 1.6):  # the Riesz round trip, read 1.9e-11
+            assert err(power_apply(dec, s, power_apply(dec, -s, U)), U, U) <= 2e-10, s
 
     @pytest.mark.parametrize("N", [250, 1000, 4000])
     def test_hardy_min_matches_dense(self, N):
@@ -874,25 +944,30 @@ class TestCouplingAsScalar:
         *[(alpha, lam) for alpha in (0.5, 1.0, 1.5) for lam in (-0.1, 1.0, 3.0)],
         *[(2.0, lam) for lam in (-0.24, 1.0, 3.0)]])
     def test_eigenpairs_equal_the_summed_form(self, alpha, lam):
-        # bit for bit the eigenpairs of the matrix with lam * hardy summed in:
-        # dense eigh of the mass-scaled sum, or MRRR on its scaled bands
+        # bit for bit what the matrix with lam * hardy summed in gives: the
+        # eigenpairs of dense eigh of the mass-scaled sum, or at alpha = 2 its
+        # scaled bands and their extreme eigenvalues by bisection
         from scipy.linalg import eigh, eigh_tridiagonal
         op = assemble_form(alpha, lam, build_grid(10.0, 300, 2.0))
-        dec = eigendecompose(op)
         rw = np.sqrt(op.mass)
         if alpha == 2.0:
+            dec = band_calculus(op)
             diag, off = op.stiffness[1] + lam * op.hardy, op.stiffness[0, 1:]
-            vals, Y = eigh_tridiagonal(diag / rw / rw, off / rw[:-1] / rw[1:],
-                                       lapack_driver="stemr")
-        else:
-            vals, Y = eigh(dense_stiffness(op) / rw[:, None] / rw[None, :])
+            diag, off = diag / rw / rw, off / rw[:-1] / rw[1:]
+            assert np.array_equal(dec.diag, diag) and np.array_equal(dec.off, off)
+            ends = [eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                     select_range=(i, i), tol=tol)[0]
+                    for i, tol in ((0, np.finfo(float).tiny), (diag.size - 1, 0.0))]
+            assert dec.unit_bounds == tuple(ends)
+            return
+        dec = eigendecompose(op)
+        vals, Y = eigh(dense_stiffness(op) / rw[:, None] / rw[None, :])
         assert np.array_equal(dec.unit_eigenvalues, vals)
         assert np.array_equal(dec.eigenvectors, Y / rw[:, None])
 
-    @pytest.mark.parametrize("alpha, cap", [(1.5, 2.1), (2.0, 1.1)])
+    @pytest.mark.parametrize("alpha, cap", [(1.5, 2.1)])
     def test_eigendecompose_memory(self, alpha, cap):
-        # below alpha = 2 one scaled copy, which eigh overwrites, and the
-        # eigenvectors; at alpha = 2 the eigenvectors alone, scaled in place
+        # one scaled copy, which eigh overwrites, and the eigenvectors
         op = assemble_form(alpha, 1.0, build_grid(10.0, 1000, 2.0))
         n = op.mass.size
         tracemalloc.start()
@@ -902,3 +977,58 @@ class TestCouplingAsScalar:
         finally:
             tracemalloc.stop()
         assert peak <= cap * 8 * n * n, peak / (8 * n * n)
+
+
+class TestBandCalculusRoute:
+    """At alpha = 2 functions of the operator come from tridiagonal solves:
+    no eigenvector and no n x n array."""
+
+    def test_memory_is_a_few_vectors(self):
+        # a decomposition held 128 MB of eigenvectors at N = 4000
+        from hardyops import verify as V
+        grid = build_grid(10.0, 4000, 2.0)
+        tracemalloc.start()
+        try:
+            dec = V.get_dec(2.0, 1.0, grid)
+            U = np.column_stack([boundary_bump(grid, 0.2 * 0.5 ** j, 1.5) for j in range(8)])
+            sobolev_norm(dec, 1.3, U)
+            heat_apply(dec, 0.01, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+
+    def test_no_eigenvector_is_asked_for(self, monkeypatch):
+        # the default campaign and the alpha = 2 checks of the benchmark run
+        # with bisection alone
+        from hardyops import verify as V
+        solve = discrete.eigh_tridiagonal
+
+        def values_only(*args, **kwargs):
+            if not kwargs.get("eigvals_only", False):
+                raise AssertionError("an alpha = 2 route asked for eigenvectors")
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(discrete, "eigh_tridiagonal", values_only)
+        for cache in (V._form, V._decompose):
+            cache.cache_clear()
+        try:
+            reports = V.run_all()
+            reports += [V.check_equivalence(2.0, lam, s) for lam, s in ((1.0, 1.3),
+                                                                        (-0.24, 1.5))]
+            reports += [V.check_generalized_hardy(2.0, 0.0, 1.6),
+                        V.check_commutator_scaling(2.0, 1.0, N=2000)]
+        finally:
+            for cache in (V._form, V._decompose):
+                cache.cache_clear()
+        assert all(r.measured for r in reports)
+
+    def test_eigendecompose_names_the_alpha2_routes(self):
+        op = assemble_form(2.0, 0.0, build_grid(10.0, 100, 2.0))
+        with pytest.raises(DomainError, match="use band_calculus for functions of the "
+                                              "operator and lowest_eigenvalues"):
+            eigendecompose(op)
+
+    def test_band_calculus_is_the_alpha2_route(self):
+        op = assemble_form(1.5, 0.0, build_grid(10.0, 100, 2.0))
+        with pytest.raises(DomainError, match="alpha = 2 route, got alpha=1.5"):
+            band_calculus(op)
